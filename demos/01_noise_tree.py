@@ -7,9 +7,8 @@ kernel against simulation.
 
 import numpy as np
 
-from mfpricelab import (GridSpec, Lattice, sample_batch, project_scalar,
-                        transition_matrix)
-from mfpricelab.tree import FULL_PREFIX, bucket_samples
+from mfpricelab import (FULL_PREFIX, GridSpec, Lattice, TreeConditioner,
+                        sample_batch, project_scalar, transition_matrix)
 
 spec = GridSpec(n=2, l=1, m=8, T=1.0)
 lat = Lattice(spec.l)
@@ -34,10 +33,7 @@ for v, p, q in zip(lat.points(), row, emp):
     if p > 5e-4:
         print(f"  P(0 -> {v:+.1f}) = {p:.4f}   simulated {q:.4f}")
 
-buckets = bucket_samples(batch.node_path, spec, FULL_PREFIX)
-sizes = sorted((k.interval, len(v)) for k, v in buckets.items())
-per_interval = {}
-for i, s in sizes:
-    per_interval.setdefault(i, []).append(s)
-for i, ss in per_interval.items():
-    print(f"interval {i}: {len(ss)} keys, bucket sizes min {min(ss)} max {max(ss)}")
+buckets = TreeConditioner(spec, batch.node_path, FULL_PREFIX)
+for i in range(spec.n_intervals):
+    ss = buckets.counts(i)
+    print(f"interval {i}: {ss.size} keys, bucket sizes min {ss.min()} max {ss.max()}")

@@ -10,7 +10,7 @@ from .errors import (ConfigError, DivergenceError, EstimationError, ModelError,
                      PicardError, PriceLabError)
 from .fbsde import (FbsdeSolution, cost_functional, decoupling_gamma,
                     decoupling_probe, optimal_control, per_sample_cost,
-                    solution_to_csv, solve_affine, solve_convex)
+                    solve_affine, solve_convex)
 from .market import (ClearingReport, InformedScenario, clearing_bound,
                      clearing_residual, informed_inference_check, rate_study)
 from .models import (AFFINE, GENERAL_CONVEX, AgentSpec, MarketModel,
@@ -20,7 +20,7 @@ from .sampling import (InformedFactorSpec, InitialLaw, ScenarioBatch,
                        discretize_at_level, load_batch, sample_batch,
                        save_batch, summary_csv)
 from .tree import (FULL_PREFIX, MARKOV, GridSpec, Lattice, TransitionKernel,
-                   TreeKey, bucket_samples, kernel_row, project_path,
-                   project_scalar, transition_matrix)
+                   TreeKey, kernel_row, project_path, project_scalar,
+                   transition_matrix)
 
 __version__ = "0.1.0"

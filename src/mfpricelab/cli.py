@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .errors import ConfigError, PriceLabError
 from .models import (AFFINE, GENERAL_CONVEX, AgentSpec, MarketModel, ModelBounds,
-                     PRESET_NAMES, SolverDefaults, make_coefficient, preset, validate)
+                     PRESET_NAMES, make_coefficient, preset, validate)
 from .sampling import InformedFactorSpec, sample_batch
 from .tree import FULL_PREFIX, MARKOV, GridSpec
 
@@ -135,6 +135,43 @@ def _agent_from(section: str, entries: dict, population: str, grid_T: float) -> 
         raise ConfigError(f"[{section}] {exc}")
 
 
+def _preset(name: str) -> MarketModel:
+    if name not in PRESET_NAMES:
+        raise ConfigError(f"unknown preset {name!r} (known: {PRESET_NAMES})")
+    return preset(name)
+
+
+def _run_settings(run_raw: dict, model: MarketModel) -> dict:
+    """The [run] settings: values given in run_raw over the run defaults.
+
+    The one table of run defaults, for config files and for `--model`
+    alike.  Solver settings default to the model's SolverDefaults; `levels`
+    defaults to 1..min(3, n), so no default level is deeper than the grid.
+    """
+    sd = model.solver
+    levels = ",".join(str(n) for n in range(1, min(3, model.grid.n) + 1))
+    run = {
+        "seed": int(run_raw.get("seed", sd.seed)),
+        "samples": int(run_raw.get("samples", sd.samples)),
+        "damping": float(run_raw.get("damping", sd.damping)),
+        "tol": float(run_raw.get("tol", sd.tol)),
+        "max_iter": int(run_raw.get("max_iter", sd.max_iter)),
+        "mode": run_raw.get("mode", sd.mode),
+        "min_bucket": int(run_raw.get("min_bucket", sd.min_bucket)),
+        "out_dir": run_raw.get("out_dir", "out"),
+        "levels": [int(v) for v in run_raw.get("levels", levels).split(",")],
+        "n_values": [int(v) for v in run_raw.get("n_values", "8,16,32,64,128,256,512").split(",")],
+        "seeds": int(run_raw.get("seeds", 5)),
+        "n_scenarios": int(run_raw.get("n_scenarios", 48)),
+        "N_S": int(run_raw.get("N_S", 100)),
+        "penalty_scaling": run_raw.get("penalty_scaling", "mean-field"),
+        "probe_budget": int(run_raw.get("probe_budget", 2000)),
+    }
+    if run["mode"] not in (FULL_PREFIX, MARKOV):
+        raise ConfigError(f"mode must be {FULL_PREFIX} or {MARKOV}")
+    return run
+
+
 def parse_config(path, command: str = None) -> RunSpec:
     """Fully resolved RunSpec with defaults applied; unknown keys rejected."""
     sections = _parse_sections(path)
@@ -151,9 +188,7 @@ def parse_config(path, command: str = None) -> RunSpec:
 
     preset_name = run_raw.get("model")
     if preset_name:
-        if preset_name not in PRESET_NAMES:
-            raise ConfigError(f"unknown preset {preset_name!r} (known: {PRESET_NAMES})")
-        model = preset(preset_name)
+        model = _preset(preset_name)
         if grid_raw:
             g = model.grid
             grid = GridSpec(n=int(grid_raw.get("n", g.n)), l=int(grid_raw.get("l", g.l)),
@@ -181,27 +216,8 @@ def parse_config(path, command: str = None) -> RunSpec:
         except ValueError as exc:
             raise ConfigError(str(exc))
 
-    run = {
-        "seed": int(run_raw.get("seed", model.solver.seed)),
-        "samples": int(run_raw.get("samples", model.solver.samples)),
-        "damping": float(run_raw.get("damping", model.solver.damping)),
-        "tol": float(run_raw.get("tol", model.solver.tol)),
-        "max_iter": int(run_raw.get("max_iter", model.solver.max_iter)),
-        "mode": run_raw.get("mode", model.solver.mode),
-        "min_bucket": int(run_raw.get("min_bucket", model.solver.min_bucket)),
-        "out_dir": run_raw.get("out_dir", "out"),
-        "levels": [int(v) for v in run_raw.get("levels", "1,2,3").split(",")],
-        "n_values": [int(v) for v in run_raw.get("n_values", "8,16,32,64,128,256,512").split(",")],
-        "seeds": int(run_raw.get("seeds", 5)),
-        "n_scenarios": int(run_raw.get("n_scenarios", 48)),
-        "N_S": int(run_raw.get("N_S", 100)),
-        "penalty_scaling": run_raw.get("penalty_scaling", "mean-field"),
-        "probe_budget": int(run_raw.get("probe_budget", 2000)),
-    }
-    if run["mode"] not in (FULL_PREFIX, MARKOV):
-        raise ConfigError(f"mode must be {FULL_PREFIX} or {MARKOV}")
     cmd = command or run_raw.get("command", "solve")
-    return RunSpec(command=cmd, model=model, run=run)
+    return RunSpec(command=cmd, model=model, run=_run_settings(run_raw, model))
 
 
 def _echo_config(spec: RunSpec) -> dict:
@@ -255,6 +271,10 @@ def run(spec: RunSpec) -> tuple[int, dict]:
     elif spec.command == "refine":
         from .equilibrium import refinement_study
         levels = spec.run["levels"]
+        if (len(levels) < 2 or levels[0] < 1 or levels[-1] > model.grid.n
+                or any(b <= a for a, b in zip(levels[:-1], levels[1:]))):
+            raise ConfigError(f"refine needs two or more ascending levels in "
+                              f"1..{model.grid.n} (the grid's n), got {levels}")
         rows_all = []
         ok_seeds = 0
         for k in range(spec.run["seeds"]):
@@ -346,19 +366,8 @@ def main(argv=None) -> int:
         if args.config:
             spec = parse_config(args.config, command=args.command)
         else:
-            name = args.model or "zero"
-            if name not in PRESET_NAMES:
-                raise ConfigError(f"unknown preset {name!r}")
-            model = preset(name)
-            spec = RunSpec(command=args.command, model=model, run={
-                "seed": model.solver.seed, "samples": model.solver.samples,
-                "damping": model.solver.damping, "tol": model.solver.tol,
-                "max_iter": model.solver.max_iter, "mode": model.solver.mode,
-                "min_bucket": model.solver.min_bucket, "out_dir": "out",
-                "levels": [1, 2], "n_values": [8, 16, 32, 64], "seeds": 3,
-                "n_scenarios": 32, "N_S": 100, "penalty_scaling": "mean-field",
-                "probe_budget": 2000,
-            })
+            model = _preset(args.model or "zero")
+            spec = RunSpec(command=args.command, model=model, run=_run_settings({}, model))
         overrides = {"seed": args.seed, "out_dir": args.out_dir, "mode": args.mode,
                      "damping": args.damping, "tol": args.tol,
                      "max_iter": args.max_iter, "samples": args.samples}

@@ -1,13 +1,15 @@
 """Empirical conditional expectations on the noise tree.
 
-A TreeConditioner precomputes, per interval, the bucket id of every sample
-(full prefix or Markov key).  Conditional expectations are bucket means;
-undersized buckets (below min_count) fall back to a kernel-weighted average
-over the keys at the same interval, weighted by the Gaussian one-step
-transition density in the current lattice state.  Within-bucket refinement by
-a continuous state (e.g. (X_t, B_t, C_t)) is ridge-stabilized least squares
-on a total-degree-2 polynomial basis, solved for all buckets at once through
-segment-summed normal equations.
+A TreeConditioner is the one partition of a batch by tree key (full prefix
+or Markov key): it precomputes, per interval, the bucket id of every sample.
+Conditional expectations are bucket means (bucket_stats); undersized buckets
+(below min_count) fall back to a kernel-weighted average over the keys at the
+same interval, weighted by bucket count and the Gaussian one-step transition
+density in the current lattice state.  Within-bucket refinement by a
+continuous state (e.g. (X_t, B_t, C_t)) is ridge-stabilized least squares on
+a total-degree-2 polynomial basis, solved for all buckets at once through
+segment-summed normal equations (regress_slab); its undersized buckets get
+the same pooled means.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EstimationError
 from .tree import FULL_PREFIX, MARKOV, GridSpec, Lattice, TreeKey, node_codes
 
 _RIDGE = 1e-9
@@ -113,6 +114,18 @@ class TreeConditioner:
         se[counts < 2] = np.inf
         return mean, se
 
+    def _pooled_means(self, interval: int, mean: np.ndarray) -> np.ndarray:
+        """Means of the undersized keys at one interval, pooled over all keys.
+
+        Written as own mean plus weighted deltas, so pooling a field of
+        identical values is exact (no weight-normalization rounding).
+        """
+        small, w = self._pool_w[interval]
+        pooled = np.empty((small.size, mean.shape[1]))
+        for j, k in enumerate(small):
+            pooled[j] = mean[k] + w[j] @ (mean - mean[k])
+        return pooled
+
     def bucket_stats(self, interval: int, values: np.ndarray) -> BucketStats:
         """Bucket means with standard errors; undersized keys pooled."""
         mean, se = self._column_means(interval, np.asarray(values, dtype=float))
@@ -123,30 +136,10 @@ class TreeConditioner:
             fallback[small] = True
             finite_se = np.where(np.isfinite(se), se, 0.0)
             pooled_se = np.sqrt((w ** 2) @ (finite_se ** 2))
-            raw = mean
-            mean = mean.copy(); se = se.copy()
-            # pooled as own mean plus weighted deltas, so pooling a field of
-            # identical values is exact (no weight-normalization rounding)
-            for j, k in enumerate(small):
-                mean[k] = raw[k] + w[j] @ (raw - raw[k])
+            mean[small] = self._pooled_means(interval, mean)
             se[small] = pooled_se
         return BucketStats(keys=self._keys[interval], counts=counts, mean=mean,
                            se=se, fallback=fallback)
-
-    def smooth(self, interval: int, values: np.ndarray) -> np.ndarray:
-        """Per-sample conditional expectation estimate (bucket mean lookup)."""
-        stats = self.bucket_stats(interval, values)
-        out = stats.mean[self._inverse[interval]]
-        return out[:, 0] if np.asarray(values).ndim == 1 else out
-
-    def regress(self, interval: int, state: np.ndarray, values: np.ndarray,
-                degree: int = 2) -> np.ndarray:
-        """Within-bucket least squares of one value column on a state basis."""
-        state = np.atleast_2d(np.asarray(state, dtype=float))
-        if state.shape[0] != self.count:
-            state = state.T
-        return self.regress_slab(interval, state[:, None, :],
-                                 np.asarray(values, dtype=float)[:, None], degree)[:, 0]
 
     def regress_slab(self, interval: int, state: np.ndarray, values: np.ndarray,
                      degree: int = 2) -> np.ndarray:
@@ -188,17 +181,12 @@ class TreeConditioner:
                     # reduced-basis fallback: keep the bucket means (beta = 0)
                     self.rank_fallbacks += int(np.sum(fit))
         preds = mean_y[inv] + np.einsum("nkp,nkp->nk", cb, beta[inv])
-        small, w = self._pool_w[interval]
+        small, _ = self._pool_w[interval]
         if small.size:
-            pooled = np.empty((small.size, k))
-            for j, kk in enumerate(small):
-                pooled[j] = mean_y[kk] + w[j] @ (mean_y - mean_y[kk])
+            pooled = self._pooled_means(interval, mean_y)
             pool_rows = np.isin(inv, small)
             preds[pool_rows] = pooled[np.searchsorted(small, inv[pool_rows])]
         return preds
-
-    def interval_of_fine_index(self, j: int) -> int:
-        return min(j // self.spec.m, self.spec.n_intervals - 1)
 
 
 def _poly_basis_slab(state: np.ndarray, degree: int) -> np.ndarray:
@@ -214,7 +202,3 @@ def _poly_basis_slab(state: np.ndarray, degree: int) -> np.ndarray:
                 out.append(cols[a] * cols[b])
     return np.stack(out, axis=2)
 
-
-def require_nonempty(counts: np.ndarray, interval: int) -> None:
-    if np.any(counts == 0):
-        raise EstimationError(f"empty bucket at interval {interval} with no fallback")

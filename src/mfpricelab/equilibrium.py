@@ -24,7 +24,7 @@ from .models import MarketModel
 from .price import (DiscretePrice, blend, interval_matrix, materialize,
                     price_metric, zero_price)
 from .sampling import ScenarioBatch, discretize_at_level, sample_batch
-from .tree import FULL_PREFIX, MARKOV, GridSpec
+from .tree import FULL_PREFIX, MARKOV
 
 __all__ = [
     "apply_phi", "price_metric", "solve_fixed_point", "consistency_residual",
@@ -42,9 +42,6 @@ class PhiStats:
     fallback: list      # interval -> bool per key
     clip_excess: float  # how far raw values exceeded the C_B envelope (float dust)
 
-    def n_fallback(self) -> int:
-        return int(sum(f.sum() for f in self.fallback))
-
 
 @dataclass
 class DiagnosticsRecord:
@@ -59,9 +56,6 @@ class DiagnosticsRecord:
     cond_variation_Y_I_se: float
     cond_variation_Y_S: float
     cond_variation_Y_S_se: float
-
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
 
 
 @dataclass
@@ -210,7 +204,7 @@ def solve_fixed_point(batch: ScenarioBatch, model: MarketModel,
                                diagnostics=diag, converged=converged, tol=tol,
                                iterate_sup_price=sup_p, iterate_sup_Y=sup_y,
                                phi_stats=stats, warnings=warnings,
-                               solutions=sols if opts.get("keep_solutions", True) else None)
+                               solutions=sols)
     return report
 
 
@@ -258,8 +252,7 @@ def diagnostics(price: DiscretePrice, solutions: dict, batch: ScenarioBatch,
     dt_sub = spec.interval_length / spec.m
     lip_max = 0.0
     lip_excess = -np.inf
-    wi, ws, inv = _weights(model)
-    combo = (wi * solutions["I"].response + ws * solutions["S"].response) * inv
+    combo = _combined_response(model, solutions["I"], solutions["S"])
     for i in range(spec.n_intervals):
         mat, _ = interval_matrix(price, buckets, i)
         slopes = np.abs(np.diff(mat, axis=1)) / dt_sub

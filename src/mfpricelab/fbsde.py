@@ -31,6 +31,7 @@ from .sampling import ScenarioBatch
 
 AFFINE_DIRECT = "AffineDirect"
 CONVEX_PICARD = "ConvexPicard"
+_PICARD_DAMPING = 0.5
 
 
 @dataclass
@@ -41,21 +42,20 @@ class FbsdeSolution:
     interval endpoint belongs to the new interval); `Y_end`, `alpha_end` hold
     the left limits at interval ends, used by interval-wise integrals.
     `response` is the raw per-sample conditional-expectation target (the
-    bracket), kept for standard-error estimates downstream.
+    bracket), kept for standard-error estimates downstream.  `X` is None for
+    affine costs: their adjoint does not depend on the state, so nothing
+    needs the state path (per_sample_cost re-integrates it from a control).
     """
 
-    X: np.ndarray
+    X: Optional[np.ndarray]
     Y: np.ndarray
     alpha: np.ndarray
     mode: str
     picard_iters: int = 0
-    residual: float = 0.0
     Y_end: np.ndarray = None
     alpha_end: np.ndarray = None
     response: np.ndarray = None
-    start_index: int = 0
     residual_trace: list = field(default_factory=list)
-    rank_fallbacks: int = 0
 
 
 def optimal_control(y, price, lam: float):
@@ -162,13 +162,8 @@ def _convex_response(batch: ScenarioBatch, env: PriceEnv, agent: AgentSpec, X: n
     return integral + terminal[:, None] + np.zeros_like(integral)
 
 
-def _envelope(batch: ScenarioBatch, bounds: ModelBounds) -> np.ndarray:
-    return bounds.L * (1.0 + bounds.T - batch.fine_grid)[None, :]
-
-
 def _smooth_response(response: np.ndarray, batch: ScenarioBatch, conditioner: TreeConditioner,
-                     bounds: ModelBounds, state_arrays: list,
-                     start_index: int = 0, degree: int = 2):
+                     bounds: ModelBounds, state_arrays: list, start_index: int = 0):
     """Per-sample conditional expectation of the response at every fine time.
 
     Conditioning is the tree key of the enclosing interval, refined by least
@@ -178,7 +173,7 @@ def _smooth_response(response: np.ndarray, batch: ScenarioBatch, conditioner: Tr
     """
     spec = batch.spec
     m = spec.m
-    env_bound = _envelope(batch, bounds)
+    env_bound = bounds.envelope(batch.fine_grid)[None, :]
     Y = np.zeros_like(response)
     Y_end = np.zeros((batch.count, spec.n_intervals))
     for i in range(start_index // m, spec.n_intervals):
@@ -186,9 +181,9 @@ def _smooth_response(response: np.ndarray, batch: ScenarioBatch, conditioner: Tr
         cols = response[:, sl]
         if state_arrays:
             state = np.stack([a[:, sl] for a in state_arrays], axis=2)
-            preds = conditioner.regress_slab(i, state, cols, degree=degree)
+            preds = conditioner.regress_slab(i, state, cols)
         else:
-            preds = conditioner.smooth(i, cols)
+            preds = conditioner.bucket_stats(i, cols).mean[conditioner.inverse(i)]
         preds = np.clip(preds, -env_bound[:, sl], env_bound[:, sl])
         Y[:, i * m:(i + 1) * m] = preds[:, :m]
         Y_end[:, i] = preds[:, m]
@@ -200,7 +195,11 @@ def solve_affine(batch: ScenarioBatch, price: DiscretePrice, agent: AgentSpec,
                  buckets: TreeConditioner, bounds: ModelBounds,
                  informed_state: bool = True, start_index: int = 0,
                  x0=None, env: Optional[PriceEnv] = None) -> FbsdeSolution:
-    """Direct conditional-expectation solve for affine costs."""
+    """Direct conditional-expectation solve for affine costs.
+
+    Returns X = None: the adjoint does not depend on the state, so no Euler
+    pass runs; `x0` is accepted for solve_agent's uniform signature only.
+    """
     if agent.cost_mode != AFFINE:
         raise ValueError(f"solve_affine requires affine costs, got {agent.cost_mode}")
     if env is None:
@@ -213,10 +212,8 @@ def solve_affine(batch: ScenarioBatch, price: DiscretePrice, agent: AgentSpec,
                                 start_index=start_index)
     alpha = optimal_control(Y, env.cadlag, agent.lam)
     alpha_end = optimal_control(Y_end, env.left_end, agent.lam)
-    X = euler_state(batch, env, agent, alpha, start_index=start_index, x0=x0)
-    return FbsdeSolution(X=X, Y=Y, alpha=alpha, mode=AFFINE_DIRECT,
-                         Y_end=Y_end, alpha_end=alpha_end, response=response,
-                         start_index=start_index)
+    return FbsdeSolution(X=None, Y=Y, alpha=alpha, mode=AFFINE_DIRECT,
+                         Y_end=Y_end, alpha_end=alpha_end, response=response)
 
 
 def solve_convex(batch: ScenarioBatch, price: DiscretePrice, agent: AgentSpec,
@@ -230,8 +227,6 @@ def solve_convex(batch: ScenarioBatch, price: DiscretePrice, agent: AgentSpec,
     opts = dict(opts or {})
     picard_max = int(opts.get("picard_max", 60))
     picard_tol = float(opts.get("picard_tol", 1e-6))
-    degree = int(opts.get("basis_degree", 2))
-    damping = float(opts.get("picard_damping", 0.5))
     if env is None:
         env = materialize(price, buckets)
     states = [None, batch.b]  # X column filled per iteration
@@ -248,10 +243,10 @@ def solve_convex(batch: ScenarioBatch, price: DiscretePrice, agent: AgentSpec,
         response = _convex_response(batch, env, agent, X)
         states[0] = X
         Y_hat, _ = _smooth_response(response, batch, buckets, bounds, states,
-                                    start_index=start_index, degree=degree)
+                                    start_index=start_index)
         delta = float(np.max(np.abs(Y_hat[:, start_index:] - Y[:, start_index:])))
         trace.append(delta)
-        Y = (1.0 - damping) * Y + damping * Y_hat
+        Y = (1.0 - _PICARD_DAMPING) * Y + _PICARD_DAMPING * Y_hat
         if delta <= picard_tol:
             break
     else:
@@ -262,14 +257,13 @@ def solve_convex(batch: ScenarioBatch, price: DiscretePrice, agent: AgentSpec,
     response = _convex_response(batch, env, agent, X)
     states[0] = X
     Y, Y_end = _smooth_response(response, batch, buckets, bounds, states,
-                                start_index=start_index, degree=degree)
+                                start_index=start_index)
     alpha = optimal_control(Y, env.cadlag, agent.lam)
     alpha_end = optimal_control(Y_end, env.left_end, agent.lam)
     X = euler_state(batch, env, agent, alpha, start_index=start_index, x0=x0)
     return FbsdeSolution(X=X, Y=Y, alpha=alpha, mode=CONVEX_PICARD,
-                         picard_iters=len(trace), residual=trace[-1],
-                         Y_end=Y_end, alpha_end=alpha_end, response=response,
-                         start_index=start_index, residual_trace=trace)
+                         picard_iters=len(trace), Y_end=Y_end, alpha_end=alpha_end,
+                         response=response, residual_trace=trace)
 
 
 def solve_agent(batch, price, agent, buckets, bounds, opts=None, **kw) -> FbsdeSolution:
@@ -319,19 +313,6 @@ def per_sample_cost(batch: ScenarioBatch, price: DiscretePrice, agent: AgentSpec
 def cost_functional(batch, price, agent, control, buckets, **kw) -> float:
     """Monte Carlo + trapezoid estimate of the cost functional."""
     return float(np.mean(per_sample_cost(batch, price, agent, control, buckets, **kw)))
-
-
-def solution_to_csv(path, batch: ScenarioBatch, sol: FbsdeSolution,
-                    sample_limit: int = 200) -> None:
-    """Dump (sample, t, X, Y, alpha) rows for the first sample_limit samples."""
-    t = batch.fine_grid
-    k = min(sample_limit, batch.count)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("sample,t,X,Y,alpha\n")
-        for s in range(k):
-            for j in range(t.size):
-                fh.write(f"{s},{t[j]:.17g},{sol.X[s, j]:.17g},"
-                         f"{sol.Y[s, j]:.17g},{sol.alpha[s, j]:.17g}\n")
 
 
 def decoupling_probe(agent: AgentSpec, price: DiscretePrice, batch: ScenarioBatch,

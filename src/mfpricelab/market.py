@@ -21,7 +21,7 @@ from .equilibrium import apply_phi
 from .errors import ModelError, PriceLabError
 from .fbsde import backward_integral, solve_agent
 from .models import AFFINE, MarketModel
-from .price import DiscretePrice, interval_matrix, materialize
+from .price import DiscretePrice, interval_matrix
 from .sampling import idiosyncratic_copies, sample_batch
 
 MEAN_FIELD = "mean-field"

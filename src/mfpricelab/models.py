@@ -36,11 +36,9 @@ class ModelBounds:
     def C_B(self) -> float:
         return self.L * (1.0 + self.T)
 
-    def envelope(self, t, total=False) -> np.ndarray:
-        """Time-t bound on the adjoint, L*(1 + (T - t)); C_B when total."""
-        if total:
-            return self.C_B
-        return self.L * (1.0 + (self.T - np.asarray(t)))
+    def envelope(self, t) -> np.ndarray:
+        """Time-t bound on the adjoint, L*(1 + T - t); C_B at t = 0."""
+        return self.L * (1.0 + self.T - np.asarray(t))
 
 
 @dataclass(frozen=True)
@@ -88,9 +86,6 @@ class SolverDefaults:
     max_iter: int = 40
     mode: str = FULL_PREFIX
     min_bucket: int = 30
-    picard_max: int = 60
-    picard_tol: float = 1e-6
-    basis_degree: int = 2
 
 
 @dataclass(frozen=True)
@@ -243,7 +238,7 @@ class ValidationReport:
 
 
 def validate(agent: AgentSpec, bounds: ModelBounds, probe_budget: int = 2000,
-             box: float = None, seed: int = 7, eps: float = 1e-4) -> ValidationReport:
+             box: float = None, seed: int = 7) -> ValidationReport:
     """Numerically probe the standing coefficient assumptions on a random box."""
     if probe_budget < 1:
         raise ValueError("probe budget must be >= 1")

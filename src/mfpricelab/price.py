@@ -8,7 +8,7 @@ value is the left limit at t_{i+1}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,18 +37,9 @@ class DiscretePrice:
     def keys_at(self, interval: int) -> list[TreeKey]:
         return [k for k in self.values if k.interval == interval]
 
-    def check_finite(self) -> None:
-        for k, v in self.values.items():
-            if v.shape != (self.spec.m + 1,) or not np.all(np.isfinite(v)):
-                raise ValueError(f"malformed price values at key {k}")
-
 
 def zero_price(spec: GridSpec, conditioner: TreeConditioner) -> DiscretePrice:
-    values = {}
-    for i in range(spec.n_intervals):
-        for key in conditioner.keys(i):
-            values[key] = np.zeros(spec.m + 1)
-    return DiscretePrice(spec=spec, mode=conditioner.mode, values=values)
+    return constant_price(spec, conditioner, 0.0)
 
 
 def constant_price(spec: GridSpec, conditioner: TreeConditioner, level: float) -> DiscretePrice:

@@ -10,7 +10,7 @@ levels are derived views of the same Brownian paths (coupled coarsening).
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -96,7 +96,9 @@ class ScenarioBatch:
 
 
 def _stream_rng(seed: int, tag: str, extra: tuple = ()) -> np.random.Generator:
-    ss = np.random.SeedSequence((int(seed), _STREAMS.get(tag, hash(tag) & 0x7FFFFFFF)) + tuple(extra))
+    if tag not in _STREAMS:
+        raise ValueError(f"unknown stream tag {tag!r} (known: {sorted(_STREAMS)})")
+    ss = np.random.SeedSequence((int(seed), _STREAMS[tag]) + tuple(extra))
     return np.random.Generator(np.random.Philox(ss))
 
 
@@ -231,12 +233,3 @@ def summary_csv(path, batch: ScenarioBatch) -> None:
                 cells.append(f"{arr[:, j].var(ddof=1) if batch.count > 1 else 0.0:.17g}")
             fh.write(",".join(cells) + "\n")
 
-
-def with_idiosyncratics(batch: ScenarioBatch, xi_I, w_I, xi_S, w_S, repeat: int) -> ScenarioBatch:
-    """A derived batch whose common components are repeated `repeat` times per
-    scenario while idiosyncratic components are replaced (finite-market use)."""
-    reps = np.repeat(np.arange(batch.count), repeat)
-    return replace(batch, count=batch.count * repeat,
-                   b=batch.b[reps], c=batch.c[reps],
-                   w_I=w_I, w_S=w_S, xi_I=xi_I, xi_S=xi_S,
-                   node_path=batch.node_path[reps])

@@ -1,9 +1,11 @@
 """Dyadic-time / lattice-space discretization of the common Brownian motion.
 
 The common noise is observed at dyadic times t_i = i*T/2^n and projected onto
-a bounded lattice with step 2^-l and bound 2^l.  Conditional expectations are
-realized empirically by bucketing samples that share a tree key (the full
-projected prefix, or just the current lattice state in Markov mode).
+a bounded lattice with step 2^-l and bound 2^l.  This module holds the grid
+geometry, the projections, the exact one-step transition kernel and the tree
+key (the full projected prefix, or just the current lattice state in Markov
+mode).  Partitioning samples by key is done once per batch, by
+conditioning.TreeConditioner.
 """
 
 from __future__ import annotations
@@ -64,10 +66,6 @@ class GridSpec:
     def node_fine_indices(self) -> np.ndarray:
         """Fine-grid indices of the interior dyadic times t_1..t_{2^n-1}."""
         return np.arange(1, self.n_intervals) * self.m
-
-    def interval_slice(self, i: int) -> slice:
-        """Fine-grid indices covering [t_i, t_{i+1}] (m+1 points)."""
-        return slice(i * self.m, (i + 1) * self.m + 1)
 
 
 @dataclass(frozen=True)
@@ -207,29 +205,3 @@ def node_codes(node_paths: np.ndarray, lattice: Lattice) -> np.ndarray:
     """Lattice indices (int) of projected node values, samples x (2^n - 1)."""
     return lattice.index_of(np.asarray(node_paths))
 
-
-def bucket_samples(node_paths: np.ndarray, spec: GridSpec, mode: str = FULL_PREFIX) -> dict:
-    """Partition samples by tree key, one partition per interval.
-
-    Returns {TreeKey: sorted index array}.  Every sample falls in exactly one
-    bucket per interval; interval 0 has the single unconditioned key.
-    """
-    node_paths = np.asarray(node_paths, dtype=float)
-    if node_paths.ndim != 2 or node_paths.shape[1] != spec.n_nodes:
-        raise ValueError(f"node paths must be (samples, {spec.n_nodes})")
-    lattice = Lattice(spec.l)
-    codes = node_codes(node_paths, lattice)
-    count = codes.shape[0]
-    out: dict[TreeKey, np.ndarray] = {TreeKey(mode, 0, ()): np.arange(count)}
-    for i in range(1, spec.n_intervals):
-        if mode == MARKOV:
-            uniq, inv = np.unique(codes[:, i - 1], return_inverse=True)
-            keys = [TreeKey(mode, i, (int(u),)) for u in uniq]
-        else:
-            uniq, inv = np.unique(codes[:, :i], axis=0, return_inverse=True)
-            keys = [TreeKey(mode, i, tuple(int(u) for u in row)) for row in uniq]
-        order = np.argsort(inv, kind="stable")
-        bounds = np.searchsorted(inv[order], np.arange(len(keys) + 1))
-        for k, key in enumerate(keys):
-            out[key] = np.sort(order[bounds[k]:bounds[k + 1]])
-    return out

@@ -148,6 +148,14 @@ class TestRun:
         assert status == 0
         assert (out / "validation.txt").exists()
 
+    @pytest.mark.parametrize("levels", ["1", "2,1", "1,1", "1,2,3", "0,1"])
+    def test_refine_rejects_bad_levels(self, tmp_path, levels):
+        # fewer than two, not ascending, or deeper than the grid (n = 2)
+        cfg = MINIMAL.format(out=tmp_path).replace("command = solve", "command = refine")
+        cfg += f"levels = {levels}\n"
+        with pytest.raises(ConfigError, match="levels"):
+            run(parse_config(write(tmp_path, cfg)))
+
     def test_exit_status_reflects_checks(self, tmp_path):
         # an unconverged solve (max_iter too small on a moving map) must exit 1
         out = tmp_path / "w"
@@ -169,3 +177,27 @@ class TestMainEntry:
         rc = main(["solve", "--model", "not-a-preset"])
         assert rc == 2
         assert "configuration error" in capsys.readouterr().err
+
+    def test_refine_default_levels_fit_the_grid(self, tmp_path):
+        # levels default to 1..min(3, n): a preset at n = 2 refines levels 1, 2
+        cfg = MINIMAL.format(out=tmp_path / "r").replace("command = solve", "command = refine")
+        assert main(["refine", "--config", str(write(tmp_path, cfg))]) == 0
+        data = json.loads((tmp_path / "r" / "manifest.json").read_text())
+        assert data["config"]["run"]["levels"] == [1, 2]
+
+    def test_refine_too_shallow_grid_is_config_error(self, tmp_path, capsys):
+        # the clearing preset has n = 1: no two levels to compare
+        rc = main(["refine", "--model", "clearing", "--out-dir", str(tmp_path)])
+        assert rc == 2
+        assert "levels" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model", ["zero", "clearing"])
+    def test_model_flag_and_config_share_run_defaults(self, tmp_path, model):
+        out = tmp_path / "out"
+        manifest = out / "manifest.json"
+        assert main(["validate", "--model", model, "--out-dir", str(out)]) == 0
+        from_flag = json.loads(manifest.read_text())["config"]["run"]
+        cfg = write(tmp_path, f"[run]\nmodel = {model}\nout_dir = {out}\n")
+        assert main(["validate", "--config", str(cfg)]) == 0
+        from_config = json.loads(manifest.read_text())["config"]["run"]
+        assert from_flag == from_config

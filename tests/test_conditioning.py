@@ -13,6 +13,16 @@ def make_nodes(count, seed=0):
     return project_path(b, SPEC.l), rng
 
 
+def bucket_mean(cond, interval, vals):
+    """Per-sample bucket mean of one value column."""
+    return cond.bucket_stats(interval, vals).mean[cond.inverse(interval), 0]
+
+
+def fit_one_column(cond, interval, state, vals):
+    """Within-bucket least squares of one value column on a (count, d) state."""
+    return cond.regress_slab(interval, state[:, None, :], vals[:, None])[:, 0]
+
+
 class TestBucketStats:
     def test_matches_manual_group_means(self):
         nodes, rng = make_nodes(500)
@@ -40,8 +50,8 @@ class TestBucketStats:
         nodes, rng = make_nodes(300)
         cond = TreeConditioner(SPEC, nodes, MARKOV, min_count=1)
         vals = rng.normal(size=300)
-        once = cond.smooth(1, vals)
-        assert np.allclose(cond.smooth(1, once), once)
+        once = bucket_mean(cond, 1, vals)
+        assert np.allclose(bucket_mean(cond, 1, once), once)
 
     def test_undersized_keys_pooled_and_flagged(self):
         nodes, rng = make_nodes(4000, seed=3)
@@ -65,7 +75,7 @@ class TestRegression:
         cond = TreeConditioner(SPEC, nodes, MARKOV, min_count=10)
         state = rng.normal(size=(2000, 2))
         vals = 1.5 + 2.0 * state[:, 0] - 0.5 * state[:, 1]
-        preds = cond.regress(1, state, vals)
+        preds = fit_one_column(cond, 1, state, vals)
         stats = cond.bucket_stats(1, vals)
         healthy = ~stats.fallback[cond.inverse(1)]  # pooled keys keep the fallback value
         # exact up to the 1e-9 relative ridge used to stabilize the normal equations
@@ -76,7 +86,7 @@ class TestRegression:
         cond = TreeConditioner(SPEC, nodes, MARKOV, min_count=10)
         state = rng.normal(size=(2000, 2))
         vals = np.tanh(state[:, 0]) + rng.normal(size=2000)
-        preds = cond.regress(2, state, vals)
+        preds = fit_one_column(cond, 2, state, vals)
         inv = cond.inverse(2)
         stats = cond.bucket_stats(2, vals)
         for k in np.unique(inv):
@@ -89,8 +99,8 @@ class TestRegression:
         cond = TreeConditioner(SPEC, nodes, MARKOV, min_count=10)
         state = np.zeros((1000, 1))
         vals = rng.normal(size=1000)
-        preds = cond.regress(1, state, vals)
-        expect = cond.smooth(1, vals)
+        preds = fit_one_column(cond, 1, state, vals)
+        expect = bucket_mean(cond, 1, vals)
         assert np.allclose(preds, expect, atol=1e-6)
 
     def test_slab_consistent_with_single_column(self):
@@ -100,5 +110,5 @@ class TestRegression:
         vals = rng.normal(size=(1500, 3))
         slab = cond.regress_slab(1, state, vals)
         for c in range(3):
-            col = cond.regress(1, state[:, c, :], vals[:, c])
+            col = fit_one_column(cond, 1, state[:, c, :], vals[:, c])
             assert np.allclose(slab[:, c], col)

@@ -133,14 +133,11 @@ class TestSolveAffine:
         with pytest.raises(ValueError, match="affine"):
             solve_affine(batch, price, model.standard, buckets, BOUNDS)
 
-    def test_euler_state_recompute(self, batch, buckets):
+    def test_no_state_path(self, batch, buckets):
+        # the affine adjoint does not depend on the state: no Euler pass runs
         agent = affine_agent(run=coeff_constant({"value": 0.3}, "running_cost_affine"))
-        price = constant_price(SPEC, buckets, -0.2)
-        sol = solve_affine(batch, price, agent, buckets, BOUNDS)
-        env = materialize(price, buckets)
-        again = euler_state(batch, env, agent, sol.alpha)
-        scale = np.maximum(np.abs(sol.X), 1.0)
-        assert np.max(np.abs(again - sol.X) / scale) <= 1e-10
+        sol = solve_affine(batch, constant_price(SPEC, buckets, -0.2), agent, buckets, BOUNDS)
+        assert sol.X is None
 
     def test_control_identity(self, batch, buckets):
         agent = affine_agent(term=lambda w, b, c: np.clip(b, -1, 1))
@@ -232,6 +229,15 @@ class TestSolveConvex:
                              opts={"picard_max": 3, "picard_tol": 0.0})
             norms[spec.T] = err.value.trace[0]
         assert norms[0.5] < norms[1.0]
+
+    def test_euler_state_recompute(self, batch, buckets):
+        agent = preset("general-convex").standard
+        price = constant_price(SPEC, buckets, -0.2)
+        sol = solve_convex(batch, price, agent, buckets, BOUNDS)
+        env = materialize(price, buckets)
+        again = euler_state(batch, env, agent, sol.alpha)
+        scale = np.maximum(np.abs(sol.X), 1.0)
+        assert np.max(np.abs(again - sol.X) / scale) <= 1e-10
 
     def test_boundedness(self, batch, buckets):
         model = preset("general-convex")

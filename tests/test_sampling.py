@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from mfpricelab.sampling import (InformedFactorSpec, InitialLaw, ScenarioBatch,
-                                 discretize_at_level, load_batch, sample_batch,
-                                 save_batch, summary_csv)
+                                 _stream_rng, discretize_at_level, load_batch,
+                                 sample_batch, save_batch, summary_csv)
 from mfpricelab.tree import GridSpec, project_path
 
 SPEC = GridSpec(n=2, l=1, m=4, T=1.0)
@@ -83,6 +83,11 @@ class TestSampleBatch:
         perp_a = a.c - rho ** 2 * a.b
         perp_b = b.c - rho * b.b
         assert np.allclose(perp_a, perp_b)
+
+    def test_unknown_stream_tag_rejected(self):
+        # a tag outside the fixed table would need a per-process salted hash
+        with pytest.raises(ValueError, match="w_X"):
+            _stream_rng(1, "w_X")
 
     def test_immutable(self):
         batch = sample_batch(SPEC, 43, 10)

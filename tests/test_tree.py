@@ -3,10 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mfpricelab.conditioning import TreeConditioner
 from mfpricelab.errors import ModelError
 from mfpricelab.tree import (FULL_PREFIX, MARKOV, GridSpec, Lattice, TreeKey,
-                             bucket_samples, kernel_row, project_path,
-                             project_scalar, transition_matrix)
+                             kernel_row, project_path, project_scalar,
+                             transition_matrix)
 
 
 def scalar_projection_oracle(x, l):
@@ -169,24 +170,28 @@ class TestTransitionKernel:
         assert np.allclose(row, kern.row(0.5))
 
 
+def members(cond, interval):
+    """Sample indices of each key of the conditioner's partition at one interval."""
+    inv = cond.inverse(interval)
+    return [np.flatnonzero(inv == k) for k in range(len(cond.keys(interval)))]
+
+
 class TestBucketing:
     def test_identical_paths_single_bucket(self):
         spec = GridSpec(n=2, l=1, m=1, T=1.0)
         node = np.tile(np.array([0.5, 0.5, 1.0]), (2, 1))
-        buckets = bucket_samples(node, spec, FULL_PREFIX)
+        cond = TreeConditioner(spec, node, FULL_PREFIX)
         for i in range(spec.n_intervals):
-            at_i = {k: v for k, v in buckets.items() if k.interval == i}
-            assert len(at_i) == 1
-            assert next(iter(at_i.values())).tolist() == [0, 1]
+            assert len(cond.keys(i)) == 1
+            assert members(cond, i)[0].tolist() == [0, 1]
 
     def test_markov_pools_prefixes(self):
         spec = GridSpec(n=2, l=1, m=1, T=1.0)
         node = np.array([[0.0, 0.5, 1.0], [0.5, 0.5, 1.0]])
-        markov = bucket_samples(node, spec, MARKOV)
-        at_2 = {k: v for k, v in markov.items() if k.interval == 2}
-        assert len(at_2) == 1  # shared V_2 = 0.5 despite different prefixes
-        prefix = bucket_samples(node, spec, FULL_PREFIX)
-        assert len({k: v for k, v in prefix.items() if k.interval == 2}) == 2
+        markov = TreeConditioner(spec, node, MARKOV)
+        assert len(markov.keys(2)) == 1  # shared V_2 = 0.5 despite different prefixes
+        prefix = TreeConditioner(spec, node, FULL_PREFIX)
+        assert len(prefix.keys(2)) == 2
 
     def test_partition_property(self):
         spec = GridSpec(n=2, l=1, m=1, T=1.0)
@@ -194,17 +199,23 @@ class TestBucketing:
         b = rng.normal(size=(10000, 3)).cumsum(axis=1) * 0.5
         node = project_path(b, spec.l)
         for mode in (FULL_PREFIX, MARKOV):
-            buckets = bucket_samples(node, spec, mode)
+            cond = TreeConditioner(spec, node, mode)
             for i in range(spec.n_intervals):
-                members = np.concatenate([v for k, v in buckets.items() if k.interval == i])
-                assert members.size == 10000
-                assert np.array_equal(np.sort(members), np.arange(10000))
+                keys = cond.keys(i)
+                assert all(k.interval == i and k.mode == mode for k in keys)
+                assert len(set(keys)) == len(keys)
+                parts = members(cond, i)
+                assert all(p.size > 0 for p in parts)
+                assert [p.size for p in parts] == cond.counts(i).tolist()
+                everyone = np.concatenate(parts)
+                assert everyone.size == 10000
+                assert np.array_equal(np.sort(everyone), np.arange(10000))
 
     def test_off_lattice_data_error(self):
         spec = GridSpec(n=2, l=1, m=1, T=1.0)
         node = np.array([[0.0, 0.3, 0.5]])
         with pytest.raises(ModelError):
-            bucket_samples(node, spec)
+            TreeConditioner(spec, node)
 
     def test_key_validation(self):
         with pytest.raises(ValueError):
