@@ -13,14 +13,14 @@ from mfpricelab.price import interval_matrix
 from mfpricelab.tree import FULL_PREFIX, Lattice
 
 model = preset("terminal-common-noise")
-batch = sample_batch(model.grid, 7, 50000, model.factor)
-report = solve_fixed_point(batch, model)
-print(report.summary(bounds=model.bounds))
-
 spec = model.grid
-lat = Lattice(spec.l)
+batch = sample_batch(spec, 7, 50000, model.factor)
 buckets = TreeConditioner(spec, batch.node_path, FULL_PREFIX,
                           min_count=model.solver.min_bucket)
+report = solve_fixed_point(batch, model, buckets=buckets)
+print(report.summary(bounds=model.bounds))
+
+lat = Lattice(spec.l)
 print("\ninterval 2 keys (prefix -> price at t_2 vs -V_2, tolerance 2*2^-l + 3SE):")
 mat, _ = interval_matrix(report.price, buckets, 2)
 se = report.phi_stats.se[2]

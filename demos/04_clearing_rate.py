@@ -9,8 +9,8 @@ envelope 8*T*C_B^2*sum(1/Lambda^2)/N.
 from mfpricelab import preset, sample_batch, solve_fixed_point
 from mfpricelab.market import rate_study
 
-model = preset("clearing")
-batch = sample_batch(model.grid, 11, 20000, model.factor)
+model = preset("clearing").with_solver(samples=20000)
+batch = sample_batch(model.grid, 11, model.solver.samples, model.factor)
 eq = solve_fixed_point(batch, model)
 print("equilibrium:", "converged" if eq.converged else "NOT converged",
       f"in {eq.iterations} iterations, sup|price| = {eq.price.sup_norm():.4f}")

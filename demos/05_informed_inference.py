@@ -9,8 +9,8 @@ everything on the right is observable by the standard population.
 from mfpricelab import preset, sample_batch
 from mfpricelab.market import InformedScenario, informed_inference_check, informed_check_csv
 
-model = preset("single-informed")
-batch = sample_batch(model.grid, 19, 12000, model.factor)
+model = preset("single-informed").with_solver(samples=12000)
+batch = sample_batch(model.grid, 19, model.solver.samples, model.factor)
 result = informed_inference_check(InformedScenario(N_S=100, rho=model.factor.rho),
                                   model, batch)
 print(result.summary())

@@ -4,8 +4,9 @@ Config files are flat UTF-8 INI-style sections ([grid], [informed],
 [standard], [factor], [run]) with `key = value` lines.  Coefficients are
 selected from the registered catalog by name, with parameters given as
 dotted keys (`running_cost = constant`, `running_cost.value = 0.25`).
-The [run] section may instead name a preset via `model = <name>`.  Command
-line flags override config values.  Every run writes its artifacts plus a
+The [run] section may instead name a preset via `model = <name>`; its solver
+settings are folded into the model's SolverDefaults.  Command line flags
+override config values.  Every run writes its artifacts plus a
 manifest echoing the exact configuration and seed; the exit status reflects
 the command's declared checks only.
 """
@@ -26,10 +27,12 @@ from .tree import FULL_PREFIX, MARKOV, GridSpec
 
 COMMANDS = ("validate", "solve", "refine", "clearing", "informed")
 
+# [run] keys that are SolverDefaults fields, with their value types
+_SOLVER_KEYS = {"samples": int, "damping": float, "tol": float, "max_iter": int,
+                "mode": str, "min_bucket": int}
 _RUN_KEYS = {
-    "command", "model", "seed", "samples", "damping", "tol", "max_iter", "mode",
-    "out_dir", "min_bucket", "levels", "n_values", "seeds", "n_scenarios",
-    "N_S", "penalty_scaling", "probe_budget",
+    "command", "model", "seed", "out_dir", "levels", "n_values", "seeds", "n_scenarios",
+    "N_S", "penalty_scaling", "probe_budget", *_SOLVER_KEYS,
 }
 _GRID_KEYS = {"n", "l", "m", "T", "L"}
 _FACTOR_KEYS = {"kind", "rho"}
@@ -46,12 +49,6 @@ class RunSpec:
     def __post_init__(self):
         if self.command not in COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
-        if self.run.get("samples", 1) < 1:
-            raise ConfigError("samples must be >= 1")
-        if not self.run.get("tol", 1.0) > 0:
-            raise ConfigError("tol must be > 0")
-        if not 0.0 < self.run.get("damping", 0.5) <= 1.0:
-            raise ConfigError("damping must lie in (0, 1]")
 
 
 def _parse_sections(path) -> dict:
@@ -141,23 +138,23 @@ def _preset(name: str) -> MarketModel:
     return preset(name)
 
 
-def _run_settings(run_raw: dict, model: MarketModel) -> dict:
-    """The [run] settings: values given in run_raw over the run defaults.
+def _with_solver(model: MarketModel, settings: dict) -> MarketModel:
+    """The model with the solver settings that are not None folded in."""
+    try:
+        return model.with_solver(**{k: _SOLVER_KEYS[k](v) for k, v in settings.items()
+                                    if v is not None})
+    except ValueError as exc:
+        raise ConfigError(str(exc))
 
-    The one table of run defaults, for config files and for `--model`
-    alike.  Solver settings default to the model's SolverDefaults; `levels`
-    defaults to 1..min(3, n), so no default level is deeper than the grid.
+
+def _run_settings(run_raw: dict, model: MarketModel) -> dict:
+    """The [run] settings other than the solver's: values given in run_raw
+    over the one table of run defaults, for config files and `--model` alike.
+    `levels` defaults to 1..min(3, n), so no default level is deeper than the grid.
     """
-    sd = model.solver
     levels = ",".join(str(n) for n in range(1, min(3, model.grid.n) + 1))
-    run = {
-        "seed": int(run_raw.get("seed", sd.seed)),
-        "samples": int(run_raw.get("samples", sd.samples)),
-        "damping": float(run_raw.get("damping", sd.damping)),
-        "tol": float(run_raw.get("tol", sd.tol)),
-        "max_iter": int(run_raw.get("max_iter", sd.max_iter)),
-        "mode": run_raw.get("mode", sd.mode),
-        "min_bucket": int(run_raw.get("min_bucket", sd.min_bucket)),
+    return {
+        "seed": int(run_raw.get("seed", model.solver.seed)),
         "out_dir": run_raw.get("out_dir", "out"),
         "levels": [int(v) for v in run_raw.get("levels", levels).split(",")],
         "n_values": [int(v) for v in run_raw.get("n_values", "8,16,32,64,128,256,512").split(",")],
@@ -167,9 +164,6 @@ def _run_settings(run_raw: dict, model: MarketModel) -> dict:
         "penalty_scaling": run_raw.get("penalty_scaling", "mean-field"),
         "probe_budget": int(run_raw.get("probe_budget", 2000)),
     }
-    if run["mode"] not in (FULL_PREFIX, MARKOV):
-        raise ConfigError(f"mode must be {FULL_PREFIX} or {MARKOV}")
-    return run
 
 
 def parse_config(path, command: str = None) -> RunSpec:
@@ -216,18 +210,19 @@ def parse_config(path, command: str = None) -> RunSpec:
         except ValueError as exc:
             raise ConfigError(str(exc))
 
+    model = _with_solver(model, {k: run_raw.get(k) for k in _SOLVER_KEYS})
     cmd = command or run_raw.get("command", "solve")
     return RunSpec(command=cmd, model=model, run=_run_settings(run_raw, model))
 
 
 def _echo_config(spec: RunSpec) -> dict:
-    run = dict(spec.run)
     g = spec.model.grid
     return {
         "command": spec.command,
         "model": spec.model.name,
         "grid": {"n": g.n, "l": g.l, "m": g.m, "T": g.T, "L": spec.model.bounds.L},
-        "run": run,
+        "solver": {k: getattr(spec.model.solver, k) for k in _SOLVER_KEYS},
+        "run": dict(spec.run),
     }
 
 
@@ -238,7 +233,7 @@ def run(spec: RunSpec) -> tuple[int, dict]:
     checks = []
     artifacts = []
     model = spec.model
-    opts = {k: spec.run[k] for k in ("damping", "tol", "max_iter", "mode", "min_bucket")}
+    samples = model.solver.samples
 
     def emit(name: str, writer):
         path = out_dir / name
@@ -256,8 +251,8 @@ def run(spec: RunSpec) -> tuple[int, dict]:
     elif spec.command == "solve":
         from .equilibrium import solve_fixed_point
         from .price import price_to_csv
-        batch = sample_batch(model.grid, spec.run["seed"], spec.run["samples"], model.factor)
-        report = solve_fixed_point(batch, model, opts=opts)
+        batch = sample_batch(model.grid, spec.run["seed"], samples, model.factor)
+        report = solve_fixed_point(batch, model)
         emit("equilibrium.csv", lambda p: price_to_csv(p, report.price))
         emit("report.txt", lambda p: p.write_text(
             report.summary(bounds=model.bounds) + "\n", encoding="utf-8"))
@@ -278,10 +273,8 @@ def run(spec: RunSpec) -> tuple[int, dict]:
         rows_all = []
         ok_seeds = 0
         for k in range(spec.run["seeds"]):
-            batch = sample_batch(model.grid, spec.run["seed"] + k, spec.run["samples"], model.factor)
-            table = refinement_study(model, levels, batch,
-                                     opts={"damping": spec.run["damping"], "tol": spec.run["tol"],
-                                           "max_iter": spec.run["max_iter"]})
+            batch = sample_batch(model.grid, spec.run["seed"] + k, samples, model.factor)
+            table = refinement_study(model, levels, batch)
             med = table.medians()
             ok_seeds += int(all(b < a for a, b in zip(med[:-1], med[1:])))
             for row in table.rows:
@@ -303,8 +296,8 @@ def run(spec: RunSpec) -> tuple[int, dict]:
         from .market import clearing_report_csv, rate_study
         if len(spec.run["n_values"]) < 4:
             raise ConfigError("clearing needs >= 4 market sizes for a slope")
-        batch = sample_batch(model.grid, spec.run["seed"], spec.run["samples"], model.factor)
-        eq = solve_fixed_point(batch, model, opts=opts)
+        batch = sample_batch(model.grid, spec.run["seed"], samples, model.factor)
+        eq = solve_fixed_point(batch, model)
         seeds = [spec.run["seed"] + 1000 + k for k in range(spec.run["seeds"])]
         report = rate_study(eq.price, model, spec.run["n_values"], seeds,
                             n_scenarios=spec.run["n_scenarios"])
@@ -322,8 +315,8 @@ def run(spec: RunSpec) -> tuple[int, dict]:
         from .market import InformedScenario, informed_check_csv, informed_inference_check
         scenario = InformedScenario(N_S=spec.run["N_S"], rho=model.factor.rho,
                                     penalty_scaling=spec.run["penalty_scaling"])
-        batch = sample_batch(model.grid, spec.run["seed"], spec.run["samples"], model.factor)
-        result = informed_inference_check(scenario, model, batch, opts=opts)
+        batch = sample_batch(model.grid, spec.run["seed"], samples, model.factor)
+        result = informed_inference_check(scenario, model, batch)
         emit("informed.csv", lambda p: informed_check_csv(p, result))
         emit("report.txt", lambda p: p.write_text(result.summary() + "\n", encoding="utf-8"))
         checks.append({"name": "inference identity within 3 bucket SE", "passed": bool(result.passed),
@@ -368,13 +361,12 @@ def main(argv=None) -> int:
         else:
             model = _preset(args.model or "zero")
             spec = RunSpec(command=args.command, model=model, run=_run_settings({}, model))
-        overrides = {"seed": args.seed, "out_dir": args.out_dir, "mode": args.mode,
-                     "damping": args.damping, "tol": args.tol,
-                     "max_iter": args.max_iter, "samples": args.samples}
-        for key, val in overrides.items():
+        for key, val in {"seed": args.seed, "out_dir": args.out_dir}.items():
             if val is not None:
                 spec.run[key] = val
-        spec = RunSpec(command=spec.command, model=spec.model, run=spec.run)
+        spec.model = _with_solver(spec.model, {
+            "mode": args.mode, "damping": args.damping, "tol": args.tol,
+            "max_iter": args.max_iter, "samples": args.samples})
         status, manifest = run(spec)
         for check in manifest["checks"]:
             mark = "PASS" if check["passed"] else "FAIL"

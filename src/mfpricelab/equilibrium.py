@@ -24,7 +24,7 @@ from .models import MarketModel
 from .price import (DiscretePrice, blend, interval_matrix, materialize,
                     price_metric, zero_price)
 from .sampling import ScenarioBatch, discretize_at_level, sample_batch
-from .tree import FULL_PREFIX, MARKOV
+from .tree import MARKOV
 
 __all__ = [
     "apply_phi", "price_metric", "solve_fixed_point", "consistency_residual",
@@ -104,25 +104,25 @@ def _combined_response(model: MarketModel, sol_I: FbsdeSolution, sol_S: FbsdeSol
 
 
 def apply_phi(theta: DiscretePrice, batch: ScenarioBatch, model: MarketModel,
-              buckets: Optional[TreeConditioner] = None, opts: Optional[dict] = None,
+              buckets: Optional[TreeConditioner] = None, informed_state: bool = True,
               warm: Optional[dict] = None, return_internals: bool = False):
     """One application of the input-output price map.
 
     Solves both populations' FBSDEs under the candidate price and returns the
     new tree price (clipped to the C_B envelope, which the raw values respect
-    up to float dust).
+    up to float dust).  `informed_state` False conditions the affine informed
+    adjoint on the tree key alone (see solve_affine).
     """
-    opts = dict(opts or {})
     spec = batch.spec
     if buckets is None:
         buckets = TreeConditioner(spec, batch.node_path, mode=theta.mode,
-                                  min_count=opts.get("min_bucket", model.solver.min_bucket))
+                                  min_count=model.solver.min_bucket)
     env = materialize(theta, buckets)
     warm = warm or {}
     sols = {}
     for agent in model.agents():
         sols[agent.population] = solve_agent(
-            batch, theta, agent, buckets, model.bounds, opts=opts, env=env,
+            batch, theta, agent, buckets, model.bounds, informed_state=informed_state, env=env,
             **({"warm_start": warm.get(agent.population)} if agent.cost_mode != "affine" else {}))
     combo = _combined_response(model, sols["I"], sols["S"])
     C_B = model.bounds.C_B
@@ -150,44 +150,39 @@ def apply_phi(theta: DiscretePrice, batch: ScenarioBatch, model: MarketModel,
 
 
 def solve_fixed_point(batch: ScenarioBatch, model: MarketModel,
-                      opts: Optional[dict] = None) -> EquilibriumReport:
+                      buckets: Optional[TreeConditioner] = None, informed_state: bool = True,
+                      init: Optional[DiscretePrice] = None) -> EquilibriumReport:
     """Damped Picard iteration theta_{k+1} = (1-rho)*theta_k + rho*Phi(theta_k).
 
-    Stops when the iterate displacement (in the tree sup metric) falls below
-    tol; raises DivergenceError if the residual exceeds 10*C_B.  The same
-    batch (common random numbers) is reused across iterations.
+    Every setting comes from model.solver.  Stops when the iterate
+    displacement (in the tree sup metric) falls below tol; raises
+    DivergenceError if the residual exceeds 10*C_B.  The same batch (common
+    random numbers) and conditioner are reused across iterations; `buckets`
+    defaults to one built in the solver's key mode.
     """
-    opts = dict(opts or {})
     sd = model.solver
-    damping = float(opts.get("damping", sd.damping))
-    tol = float(opts.get("tol", sd.tol))
-    max_iter = int(opts.get("max_iter", sd.max_iter))
-    mode = opts.get("mode") or (FULL_PREFIX if batch.spec.n <= 2 else MARKOV)
-    min_bucket = int(opts.get("min_bucket", sd.min_bucket))
-    if not 0.0 < damping <= 1.0:
-        raise ValueError("damping must lie in (0, 1]")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-
+    if buckets is None:
+        buckets = TreeConditioner(batch.spec, batch.node_path, mode=sd.key_mode(batch.spec.n),
+                                  min_count=sd.min_bucket)
     warnings = []
-    if mode == MARKOV:
+    if buckets.mode == MARKOV:
         warnings.append("markov key mode: conditioning on the current lattice state only")
-    buckets = TreeConditioner(batch.spec, batch.node_path, mode=mode, min_count=min_bucket)
     if buckets.n_fallback_keys():
         warnings.append(f"{buckets.n_fallback_keys()} undersized keys pooled via kernel fallback")
 
-    theta = opts.get("init") or zero_price(batch.spec, buckets)
+    theta = zero_price(batch.spec, buckets) if init is None else init
     trace, sup_p, sup_y = [], [], []
     warm: dict = {}
     stats = sols = None
     converged = False
     iterations = 0
-    for _ in range(max_iter):
+    for _ in range(sd.max_iter):
         iterations += 1
-        phi, stats, sols = apply_phi(theta, batch, model, buckets=buckets, opts=opts,
+        phi, stats, sols = apply_phi(theta, batch, model, buckets=buckets,
+                                     informed_state=informed_state,
                                      warm=warm, return_internals=True)
         warm = {p: s.Y for p, s in sols.items() if s.mode != "AffineDirect"}
-        new_theta = blend(theta, phi, damping)
+        new_theta = blend(theta, phi, sd.damping)
         resid = price_metric(new_theta, theta)
         trace.append(resid)
         sup_p.append(new_theta.sup_norm())
@@ -195,17 +190,15 @@ def solve_fixed_point(batch: ScenarioBatch, model: MarketModel,
         theta = new_theta
         if resid > 10.0 * model.bounds.C_B:
             raise DivergenceError(f"fixed-point iteration diverged (residual {resid:.3e})", trace)
-        if resid <= tol:
+        if resid <= sd.tol:
             converged = True
             break
 
     diag = diagnostics(theta, sols, batch, buckets, model)
-    report = EquilibriumReport(price=theta, iterations=iterations, residual_trace=trace,
-                               diagnostics=diag, converged=converged, tol=tol,
-                               iterate_sup_price=sup_p, iterate_sup_Y=sup_y,
-                               phi_stats=stats, warnings=warnings,
-                               solutions=sols)
-    return report
+    return EquilibriumReport(price=theta, iterations=iterations, residual_trace=trace,
+                             diagnostics=diag, converged=converged, tol=sd.tol,
+                             iterate_sup_price=sup_p, iterate_sup_Y=sup_y,
+                             phi_stats=stats, warnings=warnings, solutions=sols)
 
 
 def mz_distance(x: np.ndarray, y: np.ndarray, grid: np.ndarray) -> np.ndarray:
@@ -291,25 +284,22 @@ class ConsistencyResult:
         return float(np.max(self.per_interval))
 
 
-def consistency_residual(price: DiscretePrice, model: MarketModel, seed: int,
-                         samples: Optional[int] = None, opts: Optional[dict] = None,
-                         tol: Optional[float] = None) -> ConsistencyResult:
+def consistency_residual(price: DiscretePrice, model: MarketModel,
+                         seed: int) -> ConsistencyResult:
     """Out-of-sample fixed-point quality: recompute the price map on a fresh
-    batch (fresh seed) and measure the per-interval sup gap to the stored
-    price.  Only keys stored exactly and well-populated in the fresh batch
-    enter the gap; rare keys would be compared through fallback estimates
-    whose error the bucket standard error cannot calibrate, so they are
-    counted in skipped_keys instead.  The gap is judged against
-    tol + 3*sqrt(2)*se (both sides carry comparable Monte Carlo noise).
+    batch (fresh seed, model.solver.samples) and measure the per-interval
+    sup gap to the stored price.  Only keys stored exactly and well-populated
+    in the fresh batch enter the gap; rare keys would be compared through
+    fallback estimates whose error the bucket standard error cannot
+    calibrate, so they are counted in skipped_keys instead.  The gap is
+    judged against tol + 3*sqrt(2)*se (both sides carry comparable Monte
+    Carlo noise), with tol = model.solver.tol.
     """
-    opts = dict(opts or {})
-    samples = samples or model.solver.samples
-    tol = model.solver.tol if tol is None else float(tol)
-    fresh = sample_batch(model.grid, seed, samples, model.factor)
+    tol = model.solver.tol
+    fresh = sample_batch(model.grid, seed, model.solver.samples, model.factor)
     buckets = TreeConditioner(model.grid, fresh.node_path, mode=price.mode,
-                              min_count=opts.get("min_bucket", model.solver.min_bucket))
-    phi, stats, _ = apply_phi(price, fresh, model, buckets=buckets, opts=opts,
-                              return_internals=True)
+                              min_count=model.solver.min_bucket)
+    phi, stats, _ = apply_phi(price, fresh, model, buckets=buckets, return_internals=True)
     spec = model.grid
     out = np.zeros(spec.n_intervals)
     out_se = np.zeros(spec.n_intervals)
@@ -359,33 +349,30 @@ def default_level_resolution(n: int, cap: int = 4) -> int:
 
 
 def refinement_study(model: MarketModel, levels: list, batch: ScenarioBatch,
-                     opts: Optional[dict] = None) -> RefinementTable:
+                     level_resolution=default_level_resolution) -> RefinementTable:
     """Pathwise-coupled Meyer-Zheng distances between successive dyadic levels.
 
     All levels are derived views of the same Brownian batch; prices are solved
-    per level and evaluated sample by sample on the shared fine grid.
+    per level, with lattice resolution level_resolution(n), and evaluated
+    sample by sample on the shared fine grid.  Keys are Markov unless
+    model.solver.mode sets them, for every level alike: with prefix keys the
+    deepest level of a study splits the batch into keys of a sample or two
+    and exhausts memory pooling them.
     """
-    opts = dict(opts or {})
     levels = list(levels)
     if levels != sorted(levels) or len(levels) < 2:
         raise ValueError("levels must be ascending with at least two entries")
     if max(levels) > batch.spec.n:
         raise ValueError("batch is too coarse for the requested levels")
-    l_of = opts.get("level_resolution", default_level_resolution)
-    mode = opts.get("mode", MARKOV)
+    mode = model.solver.mode or MARKOV
     trajectories = {}
     reports = {}
     for n in levels:
-        sub_spec, node = discretize_at_level(batch, n, l_of(n) if callable(l_of) else l_of[n])
+        sub_spec, node = discretize_at_level(batch, n, level_resolution(n))
         sub_batch = replace(batch, spec=sub_spec, node_path=node)
-        sub_model = model.with_grid(sub_spec)
-        level_opts = dict(opts)
-        level_opts.pop("level_resolution", None)
-        level_opts["mode"] = mode
-        report = solve_fixed_point(sub_batch, sub_model, opts=level_opts)
+        buckets = TreeConditioner(sub_spec, node, mode=mode, min_count=model.solver.min_bucket)
+        report = solve_fixed_point(sub_batch, model.with_grid(sub_spec), buckets=buckets)
         reports[n] = report
-        buckets = TreeConditioner(sub_spec, node, mode=mode,
-                                  min_count=int(opts.get("min_bucket", model.solver.min_bucket)))
         trajectories[n] = materialize(report.price, buckets).cadlag
     rows = []
     for a, b in zip(levels[:-1], levels[1:]):

@@ -32,6 +32,8 @@ from .sampling import ScenarioBatch
 AFFINE_DIRECT = "AffineDirect"
 CONVEX_PICARD = "ConvexPicard"
 _PICARD_DAMPING = 0.5
+_PICARD_MAX = 60
+_PICARD_TOL = 1e-6
 
 
 @dataclass
@@ -218,15 +220,11 @@ def solve_affine(batch: ScenarioBatch, price: DiscretePrice, agent: AgentSpec,
 
 def solve_convex(batch: ScenarioBatch, price: DiscretePrice, agent: AgentSpec,
                  buckets: TreeConditioner, bounds: ModelBounds,
-                 opts: Optional[dict] = None, start_index: int = 0,
-                 x0=None, env: Optional[PriceEnv] = None,
+                 start_index: int = 0, x0=None, env: Optional[PriceEnv] = None,
                  warm_start: Optional[np.ndarray] = None) -> FbsdeSolution:
     """Damped Picard iteration for general convex costs."""
     if agent.cost_mode != GENERAL_CONVEX:
         raise ValueError(f"solve_convex requires general convex costs, got {agent.cost_mode}")
-    opts = dict(opts or {})
-    picard_max = int(opts.get("picard_max", 60))
-    picard_tol = float(opts.get("picard_tol", 1e-6))
     if env is None:
         env = materialize(price, buckets)
     states = [None, batch.b]  # X column filled per iteration
@@ -237,7 +235,7 @@ def solve_convex(batch: ScenarioBatch, price: DiscretePrice, agent: AgentSpec,
     trace = []
     response = None
     X = None
-    for it in range(1, picard_max + 1):
+    for it in range(1, _PICARD_MAX + 1):
         alpha = optimal_control(Y, env.cadlag, agent.lam)
         X = euler_state(batch, env, agent, alpha, start_index=start_index, x0=x0)
         response = _convex_response(batch, env, agent, X)
@@ -247,7 +245,7 @@ def solve_convex(batch: ScenarioBatch, price: DiscretePrice, agent: AgentSpec,
         delta = float(np.max(np.abs(Y_hat[:, start_index:] - Y[:, start_index:])))
         trace.append(delta)
         Y = (1.0 - _PICARD_DAMPING) * Y + _PICARD_DAMPING * Y_hat
-        if delta <= picard_tol:
+        if delta <= _PICARD_TOL:
             break
     else:
         raise PicardError(f"Picard loop did not converge (last update {trace[-1]:.3e})", trace)
@@ -266,12 +264,12 @@ def solve_convex(batch: ScenarioBatch, price: DiscretePrice, agent: AgentSpec,
                          response=response, residual_trace=trace)
 
 
-def solve_agent(batch, price, agent, buckets, bounds, opts=None, **kw) -> FbsdeSolution:
+def solve_agent(batch, price, agent, buckets, bounds, informed_state: bool = True,
+                **kw) -> FbsdeSolution:
     if agent.cost_mode == AFFINE:
-        informed_state = bool((opts or {}).get("informed_state", True))
         return solve_affine(batch, price, agent, buckets, bounds,
                             informed_state=informed_state, **kw)
-    return solve_convex(batch, price, agent, buckets, bounds, opts=opts, **kw)
+    return solve_convex(batch, price, agent, buckets, bounds, **kw)
 
 
 def per_sample_cost(batch: ScenarioBatch, price: DiscretePrice, agent: AgentSpec,
@@ -317,7 +315,7 @@ def cost_functional(batch, price, agent, control, buckets, **kw) -> float:
 
 def decoupling_probe(agent: AgentSpec, price: DiscretePrice, batch: ScenarioBatch,
                      buckets: TreeConditioner, bounds: ModelBounds,
-                     t: float, x1: float, x2: float, opts: Optional[dict] = None) -> dict:
+                     t: float, x1: float, x2: float) -> dict:
     """Ratio max_samples |Y1_t - Y2_t| / |x1 - x2| for the t-initialized problem
     started from x1 and x2 on the same noise, against the analytic constant."""
     if x1 == x2:
@@ -328,7 +326,7 @@ def decoupling_probe(agent: AgentSpec, price: DiscretePrice, batch: ScenarioBatc
         raise ValueError("probe time must lie on the fine grid")
     sols = []
     for x0 in (x1, x2):
-        sols.append(solve_agent(batch, price, agent, buckets, bounds, opts=opts,
+        sols.append(solve_agent(batch, price, agent, buckets, bounds,
                                 start_index=jt, x0=float(x0)))
     gap = np.abs(sols[0].Y[:, jt] - sols[1].Y[:, jt])
     ratio = float(np.max(gap) / abs(x1 - x2))

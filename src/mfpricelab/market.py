@@ -91,7 +91,7 @@ def _population_batch(common, population: str, xi, w):
 
 
 def _agent_controls(price: DiscretePrice, model: MarketModel, common, population: str,
-                    n_agents: int, seed: int, opts: Optional[dict]):
+                    n_agents: int, seed: int):
     """Per-scenario, per-agent optimal controls under the mean-field price.
 
     Returns (alpha, alpha_end) with shapes (M, n_agents, n_fine) and
@@ -100,8 +100,8 @@ def _agent_controls(price: DiscretePrice, model: MarketModel, common, population
     xi, w = idiosyncratic_copies(common.spec, seed, common.count, n_agents, population)
     batch = _population_batch(common, population, xi, w)
     buckets = TreeConditioner(batch.spec, batch.node_path, mode=price.mode,
-                              min_count=(opts or {}).get("min_bucket", model.solver.min_bucket))
-    sol = solve_agent(batch, price, agent, buckets, model.bounds, opts=opts)
+                              min_count=model.solver.min_bucket)
+    sol = solve_agent(batch, price, agent, buckets, model.bounds)
     M = common.count
     return (sol.alpha.reshape(M, n_agents, -1), sol.alpha_end.reshape(M, n_agents, -1))
 
@@ -123,8 +123,7 @@ def _residual_from_controls(controls: dict, spec, n_use: dict) -> np.ndarray:
 
 
 def clearing_residual(price: DiscretePrice, model: MarketModel, N_I: int, N_S: int,
-                      seed: int, n_scenarios: int = 64,
-                      opts: Optional[dict] = None) -> ClearingEstimate:
+                      seed: int, n_scenarios: int = 64) -> ClearingEstimate:
     """Monte Carlo + trapezoid estimate of the squared average trading rate."""
     if N_I < 1 or N_S < 1:
         raise ValueError("population sizes must be >= 1")
@@ -132,8 +131,8 @@ def clearing_residual(price: DiscretePrice, model: MarketModel, N_I: int, N_S: i
         raise PriceLabError("price and model use different grids")
     common = sample_batch(model.grid, seed, n_scenarios, model.factor)
     controls = {
-        "I": _agent_controls(price, model, common, "I", N_I, seed + 1, opts),
-        "S": _agent_controls(price, model, common, "S", N_S, seed + 2, opts),
+        "I": _agent_controls(price, model, common, "I", N_I, seed + 1),
+        "S": _agent_controls(price, model, common, "S", N_S, seed + 2),
     }
     vals = _residual_from_controls(controls, model.grid, {"I": N_I, "S": N_S})
     return ClearingEstimate(value=float(vals.mean()),
@@ -142,7 +141,7 @@ def clearing_residual(price: DiscretePrice, model: MarketModel, N_I: int, N_S: i
 
 
 def rate_study(price: DiscretePrice, model: MarketModel, N_values: list, seeds: list,
-               n_scenarios: int = 48, opts: Optional[dict] = None) -> ClearingReport:
+               n_scenarios: int = 48) -> ClearingReport:
     """Residual decay across market sizes.
 
     Per seed, one pooled FBSDE solve at the largest size; smaller markets are
@@ -159,8 +158,8 @@ def rate_study(price: DiscretePrice, model: MarketModel, N_values: list, seeds: 
     for seed in seeds:
         common = sample_batch(model.grid, int(seed), n_scenarios, model.factor)
         controls = {
-            "I": _agent_controls(price, model, common, "I", k_imax, int(seed) + 1, opts),
-            "S": _agent_controls(price, model, common, "S", k_smax, int(seed) + 2, opts),
+            "I": _agent_controls(price, model, common, "I", k_imax, int(seed) + 1),
+            "S": _agent_controls(price, model, common, "S", k_smax, int(seed) + 2),
         }
         for N in N_values:
             ki, ks = split[N]
@@ -210,13 +209,12 @@ class InformedCheckResult:
 
 
 def informed_inference_check(scenario: InformedScenario, model: MarketModel,
-                             batch=None, opts: Optional[dict] = None) -> InformedCheckResult:
+                             batch=None) -> InformedCheckResult:
     """Verify that the informed trading rate equals its inference from public
     information at the equilibrium: beta = (n_S/n_I) * (1/Lambda_S) * (price +
     E[Y_S | key]).  Requires the informed costs to be affine functions of
     (t, price, common noise) so the informed adjoint is key-measurable.
     """
-    opts = dict(opts or {})
     if model.informed.cost_mode != AFFINE:
         raise ModelError("informed inference check requires affine informed costs")
     if model.informed.reads_factor:
@@ -227,12 +225,12 @@ def informed_inference_check(scenario: InformedScenario, model: MarketModel,
         factor = replace(model.factor, rho=scenario.rho)
         model = replace(model, factor=factor)
         batch = sample_batch(model.grid, model.solver.seed, model.solver.samples, model.factor)
-    opts["informed_state"] = False
-    report = solve_fixed_point(batch, model, opts=opts)
+    sd = model.solver
+    buckets = TreeConditioner(batch.spec, batch.node_path, mode=sd.key_mode(batch.spec.n),
+                              min_count=sd.min_bucket)
+    report = solve_fixed_point(batch, model, buckets=buckets, informed_state=False)
     price = report.price
-    buckets = TreeConditioner(batch.spec, batch.node_path, mode=price.mode,
-                              min_count=opts.get("min_bucket", model.solver.min_bucket))
-    _, _, sols = apply_phi(price, batch, model, buckets=buckets, opts=opts,
+    _, _, sols = apply_phi(price, batch, model, buckets=buckets, informed_state=False,
                            return_internals=True)
     lam_bar_I = model.informed.lam_bar
     lam_bar_S = model.standard.lam_bar
@@ -241,9 +239,7 @@ def informed_inference_check(scenario: InformedScenario, model: MarketModel,
     # the identity gap equals (w_bar/n_I)*|Phi(theta)-theta| exactly, so the
     # converged iterate carries a deterministic displacement bounded by tol/rho
     w_bar = model.informed.weight * lam_bar_I + model.standard.weight * lam_bar_S
-    fp_slack = (scale * w_bar / model.informed.weight
-                * float(opts.get("tol", model.solver.tol))
-                / float(opts.get("damping", model.solver.damping)))
+    fp_slack = scale * w_bar / model.informed.weight * sd.tol / sd.damping
     spec = batch.spec
     m = spec.m
     rows = []

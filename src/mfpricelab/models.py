@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ModelError
 from .sampling import InformedFactorSpec
-from .tree import FULL_PREFIX, GridSpec
+from .tree import FULL_PREFIX, MARKOV, GridSpec
 
 AFFINE = "affine"
 GENERAL_CONVEX = "general-convex"
@@ -79,13 +79,34 @@ class AgentSpec:
 
 @dataclass(frozen=True)
 class SolverDefaults:
+    """The settings every solve reads (see MarketModel.with_solver)."""
+
     samples: int = 4000
     seed: int = 20260809
     damping: float = 0.5
     tol: float = 1e-3
     max_iter: int = 40
-    mode: str = FULL_PREFIX
+    mode: Optional[str] = None
     min_bucket: int = 30
+
+    def __post_init__(self):
+        if self.samples < 1:
+            raise ValueError("samples must be >= 1")
+        if not 0.0 < self.damping <= 1.0:
+            raise ValueError("damping must lie in (0, 1]")
+        if not self.tol > 0:
+            raise ValueError("tol must be > 0")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be >= 1")
+        if self.mode not in (None, FULL_PREFIX, MARKOV):
+            raise ValueError(f"mode must be {FULL_PREFIX} or {MARKOV}, got {self.mode!r}")
+
+    def key_mode(self, n: int) -> str:
+        """The set mode; if None, prefix for n <= 2 and Markov deeper, where
+        prefix keys hold too few samples each and their pooling exhausts memory."""
+        if self.mode is not None:
+            return self.mode
+        return FULL_PREFIX if n <= 2 else MARKOV
 
 
 @dataclass(frozen=True)
@@ -109,6 +130,9 @@ class MarketModel:
 
     def with_grid(self, grid: GridSpec) -> "MarketModel":
         return replace(self, grid=grid, bounds=ModelBounds(L=self.bounds.L, T=grid.T))
+
+    def with_solver(self, **changes) -> "MarketModel":
+        return replace(self, solver=replace(self.solver, **changes))
 
 
 # ---------------------------------------------------------------------------

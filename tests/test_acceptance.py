@@ -47,18 +47,18 @@ def report(criterion: str, passed: bool, detail: str):
 def solves():
     """Converged equilibria for every preset, reused across criteria."""
     out = {}
-    for name, samples, opts in (
-        ("zero", 2000, {}),
-        ("deterministic", 2000, {}),
-        ("terminal-common-noise", 100_000, {}),
-        ("general-convex", 4000, {}),
-        ("single-informed", 20_000, {}),
-        ("clearing", 30_000, {}),
+    for name, samples in (
+        ("zero", 2000),
+        ("deterministic", 2000),
+        ("terminal-common-noise", 100_000),
+        ("general-convex", 4000),
+        ("single-informed", 20_000),
+        ("clearing", 30_000),
     ):
         model = preset(name)
         t0 = time.monotonic()
         batch = sample_batch(model.grid, model.solver.seed, samples, model.factor)
-        rep = solve_fixed_point(batch, model, opts=opts)
+        rep = solve_fixed_point(batch, model)
         out[name] = dict(model=model, batch=batch, report=rep,
                          elapsed=time.monotonic() - t0)
     return out
@@ -213,8 +213,8 @@ def test_criterion_10_refinement():
     medians_log = []
     for seed in range(1, 6):
         batch = sample_batch(model.grid, seed, 10_000, model.factor)
-        table = refinement_study(model, [1, 2, 3], batch,
-                                 opts={"damping": 1.0, "tol": 1e-3, "max_iter": 8})
+        table = refinement_study(model.with_solver(damping=1.0, tol=1e-3, max_iter=8),
+                                 [1, 2, 3], batch)
         med = table.medians()
         medians_log.append([round(m, 4) for m in med])
         decreasing += int(all(b < a for a, b in zip(med[:-1], med[1:])))

@@ -1,9 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from mfpricelab.cli import RunSpec, main, parse_config, run
 from mfpricelab.errors import ConfigError
+from mfpricelab.models import preset
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 MINIMAL = """
 [run]
@@ -71,7 +78,16 @@ class TestParseConfig:
         spec = parse_config(write(tmp_path, MINIMAL.format(out=tmp_path)))
         assert spec.command == "solve"
         assert spec.model.name == "zero"
-        assert spec.run["samples"] == spec.model.solver.samples
+        assert spec.model.solver == preset("zero").solver
+        assert not {"samples", "damping", "tol", "max_iter", "mode", "min_bucket"} & set(spec.run)
+
+    def test_solver_settings_fold_into_model(self, tmp_path):
+        cfg = MINIMAL.format(out=tmp_path) + (
+            "samples = 1234\ndamping = 0.25\ntol = 1e-5\nmax_iter = 7\n"
+            "mode = markov\nmin_bucket = 7\n")
+        solver = parse_config(write(tmp_path, cfg)).model.solver
+        assert (solver.samples, solver.damping, solver.tol, solver.max_iter,
+                solver.mode, solver.min_bucket) == (1234, 0.25, 1e-5, 7, "markov", 7)
 
     def test_damping_range_error_names_key(self, tmp_path):
         cfg = MINIMAL.format(out=tmp_path) + "damping = 1.5\n"
@@ -156,6 +172,35 @@ class TestRun:
         with pytest.raises(ConfigError, match="levels"):
             run(parse_config(write(tmp_path, cfg)))
 
+    def test_refine_reads_mode(self, tmp_path):
+        # refine solves each level in the configured key mode
+        csv = {}
+        for mode in ("prefix", "markov"):
+            out = tmp_path / mode
+            cfg = ("[run]\nmodel = terminal-common-noise\ncommand = refine\n"
+                   f"out_dir = {out}\nseeds = 1\nsamples = 1500\nmode = {mode}\n")
+            run(parse_config(write(tmp_path, cfg, name=f"{mode}.ini")))
+            csv[mode] = (out / "refinement.csv").read_bytes()
+        assert csv["prefix"] != csv["markov"]
+
+    def test_clearing_reads_min_bucket(self, tmp_path, conditioner_builds):
+        # the equilibrium solve and the rate study both pool below min_bucket
+        cfg = ("[run]\nmodel = deterministic\ncommand = clearing\n"
+               f"out_dir = {tmp_path / 'c'}\nsamples = 500\nmin_bucket = 7\n"
+               "n_values = 8,16,32,64\nseeds = 1\nn_scenarios = 4\n")
+        run(parse_config(write(tmp_path, cfg)))
+        assert len(conditioner_builds) == 3 and set(conditioner_builds) == {7}
+
+    def test_deep_solve_defaults_to_markov(self, tmp_path):
+        # with no mode set, a grid deeper than n = 2 is solved on Markov keys
+        out = tmp_path / "deep"
+        cfg = ("[grid]\nn = 3\n\n[run]\nmodel = deterministic\ncommand = solve\n"
+               f"out_dir = {out}\nsamples = 1000\n")
+        status, manifest = run(parse_config(write(tmp_path, cfg)))
+        assert status == 0
+        assert "warning: markov key mode" in (out / "report.txt").read_text()
+        assert manifest["config"]["solver"]["mode"] is None
+
     def test_exit_status_reflects_checks(self, tmp_path):
         # an unconverged solve (max_iter too small on a moving map) must exit 1
         out = tmp_path / "w"
@@ -172,6 +217,29 @@ class TestMainEntry:
                    "--samples", "1000", "--damping", "1.0"])
         assert rc == 0
         assert "[PASS]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_max_iter_zero_is_config_error(self, tmp_path, capsys, where):
+        cfg = MINIMAL.format(out=tmp_path / "z")
+        if where == "config":
+            argv = ["solve", "--config", str(write(tmp_path, cfg + "max_iter = 0\n"))]
+        else:
+            argv = ["solve", "--config", str(write(tmp_path, cfg)), "--max-iter", "0"]
+        assert main(argv) == 2
+        assert "max_iter" in capsys.readouterr().err
+
+    def test_solve_csv_independent_of_hash_seed(self, tmp_path):
+        # results depend on (config, seed) only, not on the process's str hashing
+        csv = []
+        for hash_seed in ("0", "1"):
+            out = tmp_path / hash_seed
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+            subprocess.run([sys.executable, "-m", "mfpricelab.cli", "solve",
+                            "--model", "terminal-common-noise", "--samples", "2000",
+                            "--out-dir", str(out)], env=env, check=True, capture_output=True)
+            csv.append((out / "equilibrium.csv").read_bytes())
+        assert csv[0] == csv[1]
 
     def test_main_config_error(self, tmp_path, capsys):
         rc = main(["solve", "--model", "not-a-preset"])

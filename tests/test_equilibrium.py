@@ -119,7 +119,7 @@ class TestSolveFixedPoint:
 
     def test_deterministic_two_iterations(self, det_setup):
         model, batch, _ = det_setup
-        report = solve_fixed_point(batch, model, opts={"damping": 1.0})
+        report = solve_fixed_point(batch, model.with_solver(damping=1.0))
         assert report.converged and report.iterations <= 2
         assert report.residual_trace[-1] <= 1e-10
         spec = model.grid
@@ -135,20 +135,20 @@ class TestSolveFixedPoint:
         buckets = TreeConditioner(model.grid, batch.node_path, FULL_PREFIX, min_count=30)
         init = constant_price(model.grid, buckets, 1e6)
         with pytest.raises(DivergenceError) as err:
-            solve_fixed_point(batch, model, opts={"damping": 1.0, "init": init})
+            solve_fixed_point(batch, model.with_solver(damping=1.0), init=init)
         assert len(err.value.trace) >= 1
 
     def test_option_validation(self, det_setup):
         model, batch, _ = det_setup
         with pytest.raises(ValueError):
-            solve_fixed_point(batch, model, opts={"damping": 0.0})
+            model.with_solver(damping=0.0)
         with pytest.raises(ValueError):
-            solve_fixed_point(batch, model, opts={"tol": 0.0})
+            model.with_solver(tol=0.0)
 
     def test_markov_mode_warns_in_report(self):
         model = preset("deterministic")
         batch = sample_batch(model.grid, 5, 1000, model.factor)
-        report = solve_fixed_point(batch, model, opts={"damping": 1.0, "mode": "markov"})
+        report = solve_fixed_point(batch, model.with_solver(damping=1.0, mode="markov"))
         assert any("markov" in w for w in report.warnings)
 
 
@@ -158,7 +158,7 @@ class TestContinuityProbe:
         model = preset("single-informed")
         batch = sample_batch(model.grid, 6, 8000, model.factor)
         buckets = TreeConditioner(model.grid, batch.node_path, FULL_PREFIX, min_count=30)
-        report = solve_fixed_point(batch, model, opts={"tol": 1e-3})
+        report = solve_fixed_point(batch, model.with_solver(tol=1e-3))
         theta = report.price
         base = apply_phi(theta, batch, model, buckets=buckets)
         dists = []
@@ -173,23 +173,23 @@ class TestContinuityProbe:
 class TestConsistencyResidual:
     def test_deterministic_out_of_sample(self, det_setup):
         model, batch, _ = det_setup
-        report = solve_fixed_point(batch, model, opts={"damping": 1.0})
-        res = consistency_residual(report.price, model, seed=999, samples=1500)
+        model = model.with_solver(damping=1.0)
+        report = solve_fixed_point(batch, model)
+        res = consistency_residual(report.price, model.with_solver(samples=1500), seed=999)
         assert res.max_residual <= 1e-10
 
     def test_zero_preset(self):
         model = preset("zero")
         batch = sample_batch(model.grid, 7, 1000, model.factor)
         report = solve_fixed_point(batch, model)
-        res = consistency_residual(report.price, model, seed=1000, samples=1000)
+        res = consistency_residual(report.price, model.with_solver(samples=1000), seed=1000)
         assert res.max_residual == 0.0
 
     def test_stochastic_within_monte_carlo_noise(self):
         model = preset("terminal-common-noise")
         batch = sample_batch(model.grid, 8, 40000, model.factor)
         report = solve_fixed_point(batch, model)
-        res = consistency_residual(report.price, model, seed=1001, samples=40000,
-                                   tol=report.tol)
+        res = consistency_residual(report.price, model.with_solver(samples=40000), seed=1001)
         # every eligible key: gap <= tol + 3*sqrt(2)*bucket SE
         assert res.worst_ratio <= 1.0
         assert res.skipped_keys > 0  # rare fresh prefixes are reported, not judged
@@ -207,7 +207,7 @@ class TestDiagnosticsExamples:
 
     def test_deterministic_closed_forms(self, det_setup):
         model, batch, _ = det_setup
-        report = solve_fixed_point(batch, model, opts={"damping": 1.0})
+        report = solve_fixed_point(batch, model.with_solver(damping=1.0))
         d = report.diagnostics
         assert d.time_lipschitz_max == pytest.approx(0.25, abs=1e-12)  # |c0|
         assert d.cond_variation_price == pytest.approx(0.25, abs=1e-12)  # |c0| T
@@ -236,18 +236,30 @@ class TestRefinement:
     def test_same_level_zero(self):
         model = preset("terminal-common-noise").with_grid(GridSpec(n=2, l=1, m=4, T=1.0))
         batch = sample_batch(model.grid, 11, 3000, model.factor)
-        table = refinement_study(model, [2, 2], batch,
-                                 opts={"damping": 1.0, "tol": 1e-3, "max_iter": 5,
-                                       "level_resolution": lambda n: 1})
+        table = refinement_study(model.with_solver(damping=1.0, tol=1e-3, max_iter=5),
+                                 [2, 2], batch, level_resolution=lambda n: 1)
         assert table.rows[0].median_dm == 0.0
 
     def test_deterministic_level_independent(self):
         model = preset("deterministic").with_grid(GridSpec(n=2, l=1, m=4, T=1.0))
         batch = sample_batch(model.grid, 12, 2000, model.factor)
-        table = refinement_study(model, [1, 2], batch,
-                                 opts={"damping": 1.0, "tol": 1e-6, "max_iter": 5})
+        table = refinement_study(model.with_solver(damping=1.0, tol=1e-6, max_iter=5),
+                                 [1, 2], batch)
         # price depends on t only through -(g0 + c0(T-t)): levels agree exactly
         assert table.rows[0].median_dm <= 1e-10
+
+    def test_one_conditioner_per_level(self, conditioner_builds):
+        model = preset("deterministic").with_grid(GridSpec(n=2, l=1, m=4, T=1.0))
+        batch = sample_batch(model.grid, 16, 500, model.factor)
+        refinement_study(model.with_solver(min_bucket=12), [1, 2], batch)
+        assert conditioner_builds == [12, 12]
+
+    def test_explicit_mode(self):
+        model = preset("terminal-common-noise")
+        batch = sample_batch(model.grid, 17, 1500, model.factor)
+        for mode in ("prefix", "markov"):
+            table = refinement_study(model.with_solver(mode=mode), [1, 2], batch)
+            assert {rep.price.mode for rep in table.level_reports.values()} == {mode}
 
     def test_levels_must_ascend(self):
         model = preset("deterministic")

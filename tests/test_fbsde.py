@@ -212,10 +212,13 @@ class TestSolveConvex:
             gap = np.abs(stats_c.mean[keep] - stats_a.mean[keep])
             assert np.all(gap <= 3 * se)
 
-    def test_short_horizon_contracts(self, buckets):
+    def test_short_horizon_contracts(self, buckets, monkeypatch):
         # halving T shrinks the first Picard update; non-convergence under an
         # unreachable tolerance raises the diagnostic error carrying the trace
+        from mfpricelab import fbsde
         from mfpricelab.errors import PicardError
+        monkeypatch.setattr(fbsde, "_PICARD_MAX", 3)
+        monkeypatch.setattr(fbsde, "_PICARD_TOL", 0.0)
         model = preset("general-convex")
         agent = model.standard
         norms = {}
@@ -225,8 +228,7 @@ class TestSolveConvex:
             price = constant_price(spec, cond, 0.2)
             bounds = ModelBounds(L=1.0, T=spec.T)
             with pytest.raises(PicardError) as err:
-                solve_convex(b, price, agent, cond, bounds,
-                             opts={"picard_max": 3, "picard_tol": 0.0})
+                solve_convex(b, price, agent, cond, bounds)
             norms[spec.T] = err.value.trace[0]
         assert norms[0.5] < norms[1.0]
 

@@ -14,7 +14,7 @@ from mfpricelab.sampling import sample_batch
 def det_price():
     model = preset("deterministic")
     batch = sample_batch(model.grid, 21, 2000, model.factor)
-    report = solve_fixed_point(batch, model, opts={"damping": 1.0})
+    report = solve_fixed_point(batch, model.with_solver(damping=1.0))
     return model, report.price
 
 
@@ -22,7 +22,7 @@ def det_price():
 def clearing_price():
     model = preset("clearing")
     batch = sample_batch(model.grid, 22, 8000, model.factor)
-    report = solve_fixed_point(batch, model, opts={"tol": 5e-4})
+    report = solve_fixed_point(batch, model.with_solver(tol=5e-4))
     return model, report.price
 
 
@@ -65,8 +65,8 @@ class TestClearingResidual:
         model, price = clearing_price
         common = sample_batch(model.grid, 900, 8, model.factor)
         controls = {
-            "I": _agent_controls(price, model, common, "I", 6, 901, None),
-            "S": _agent_controls(price, model, common, "S", 6, 902, None),
+            "I": _agent_controls(price, model, common, "I", 6, 901),
+            "S": _agent_controls(price, model, common, "S", 6, 902),
         }
         vals = _residual_from_controls(controls, model.grid, {"I": 6, "S": 6})
         perm = np.random.default_rng(0).permutation(6)
@@ -146,26 +146,31 @@ class TestInformedInference:
     def test_deterministic_identity_exact(self):
         model = preset("deterministic")
         batch = sample_batch(model.grid, 43, 1500, model.factor)
-        res = informed_inference_check(InformedScenario(N_S=25), model, batch,
-                                       opts={"damping": 1.0, "tol": 1e-9})
+        res = informed_inference_check(InformedScenario(N_S=25),
+                                       model.with_solver(damping=1.0, tol=1e-9), batch)
         assert res.max_gap <= 1e-9 and res.passed
+
+    def test_one_conditioner(self, conditioner_builds):
+        # the solve and the check at its equilibrium share one partition
+        model = preset("deterministic").with_solver(min_bucket=12)
+        batch = sample_batch(model.grid, 46, 500, model.factor)
+        informed_inference_check(InformedScenario(N_S=10), model, batch)
+        assert conditioner_builds == [12]
 
     def test_single_informed_preset(self):
         model = preset("single-informed")
         batch = sample_batch(model.grid, 44, 8000, model.factor)
-        res = informed_inference_check(InformedScenario(N_S=50), model, batch,
-                                       opts={"tol": 1e-4})
+        res = informed_inference_check(InformedScenario(N_S=50),
+                                       model.with_solver(tol=1e-4), batch)
         assert res.passed
         assert res.max_gap <= res.fp_slack
 
     def test_finite_market_scaling(self):
-        model = preset("single-informed")
+        model = preset("single-informed").with_solver(tol=1e-4)
         batch = sample_batch(model.grid, 45, 4000, model.factor)
-        mf = informed_inference_check(InformedScenario(N_S=40), model, batch,
-                                      opts={"tol": 1e-4})
+        mf = informed_inference_check(InformedScenario(N_S=40), model, batch)
         fm = informed_inference_check(
-            InformedScenario(N_S=40, penalty_scaling=FINITE_MARKET), model, batch,
-            opts={"tol": 1e-4})
+            InformedScenario(N_S=40, penalty_scaling=FINITE_MARKET), model, batch)
         assert fm.scaling == 40.0
         assert fm.max_gap == pytest.approx(40.0 * mf.max_gap, rel=1e-9)
 

@@ -126,6 +126,28 @@ class TestValidation:
         assert not dep.passed
 
 
+class TestSolverDefaults:
+    # damping 0 and tol 0: test_equilibrium's test_option_validation
+    @pytest.mark.parametrize("change", [{"samples": 0}, {"damping": 1.5}, {"max_iter": 0},
+                                        {"mode": "bogus"}])
+    def test_rejects_bad_settings(self, change):
+        with pytest.raises(ValueError, match=next(iter(change))):
+            preset("zero").with_solver(**change)
+
+    def test_automatic_key_mode(self):
+        solver = preset("zero").solver
+        assert solver.mode is None
+        assert [solver.key_mode(n) for n in (1, 2, 3)] == ["prefix", "prefix", "markov"]
+        assert solver.key_mode(4) == "markov"
+        assert preset("zero").with_solver(mode="prefix").solver.key_mode(4) == "prefix"
+
+    def test_with_solver_keeps_the_rest(self):
+        model = preset("single-informed")
+        changed = model.with_solver(samples=10)
+        assert changed.solver.samples == 10 and changed.solver.tol == model.solver.tol
+        assert changed.grid == model.grid and changed.informed is model.informed
+
+
 class TestPresets:
     def test_zero_preset_zero_costs(self):
         model = preset("zero")
