@@ -6,6 +6,8 @@ equilibrium, beta = (1/Lambda_S) * (price + E[Y_S | price, common noise]):
 everything on the right is observable by the standard population.
 """
 
+import numpy as np
+
 from mfpricelab import preset, sample_batch
 from mfpricelab.market import InformedScenario, informed_inference_check, informed_check_csv
 
@@ -18,8 +20,8 @@ informed_check_csv("informed_demo.csv", result)
 print("per-key comparison written to informed_demo.csv")
 
 step, bound = 2.0 ** (-model.grid.l), 2.0 ** model.grid.l
-sample = [r for r in result.rows if r[0] == 2][:5]
+codes, t, bd, bi, gap, _ = result.rows[2]
 print("\ninterval 2 excerpts (t, beta_direct, beta_inferred, gap):")
-for (_, prefix, t, bd, bi, gap, tol) in sample:
-    key = tuple(-bound + p * step for p in prefix)
-    print(f"  t={t:.3f} key={key}: {bd:+.4f} vs {bi:+.4f} (gap {gap:.2e})")
+for k, s in list(np.ndindex(bd.shape))[:5]:
+    key = tuple(-bound + p * step for p in codes[k].tolist())
+    print(f"  t={t[s]:.3f} key={key}: {bd[k, s]:+.4f} vs {bi[k, s]:+.4f} (gap {gap[k, s]:.2e})")

@@ -6,8 +6,8 @@ from .conditioning import TreeConditioner
 from .equilibrium import (EquilibriumReport, apply_phi, consistency_residual,
                           diagnostics, mz_distance, price_metric,
                           refinement_study, solve_fixed_point)
-from .errors import (ConfigError, DivergenceError, EstimationError, ModelError,
-                     PicardError, PriceLabError)
+from .errors import (ConfigError, DivergenceError, ModelError, PicardError,
+                     PriceLabError)
 from .fbsde import (FbsdeSolution, cost_functional, decoupling_gamma,
                     decoupling_probe, optimal_control, per_sample_cost,
                     solve_affine, solve_convex)

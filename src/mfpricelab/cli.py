@@ -152,17 +152,24 @@ def _run_settings(run_raw: dict, model: MarketModel) -> dict:
     over the one table of run defaults, for config files and `--model` alike.
     `levels` defaults to 1..min(3, n), so no default level is deeper than the grid.
     """
+    def ints(key, default, many=False):
+        text = str(run_raw.get(key, default))
+        try:
+            return [int(v) for v in text.split(",")] if many else int(text)
+        except ValueError:
+            raise ConfigError(f"[run] {key}: expected integers, got {text!r}")
+
     levels = ",".join(str(n) for n in range(1, min(3, model.grid.n) + 1))
     return {
-        "seed": int(run_raw.get("seed", model.solver.seed)),
+        "seed": ints("seed", model.solver.seed),
         "out_dir": run_raw.get("out_dir", "out"),
-        "levels": [int(v) for v in run_raw.get("levels", levels).split(",")],
-        "n_values": [int(v) for v in run_raw.get("n_values", "8,16,32,64,128,256,512").split(",")],
-        "seeds": int(run_raw.get("seeds", 5)),
-        "n_scenarios": int(run_raw.get("n_scenarios", 48)),
-        "N_S": int(run_raw.get("N_S", 100)),
+        "levels": ints("levels", levels, many=True),
+        "n_values": ints("n_values", "8,16,32,64,128,256,512", many=True),
+        "seeds": ints("seeds", 5),
+        "n_scenarios": ints("n_scenarios", 48),
+        "N_S": ints("N_S", 100),
         "penalty_scaling": run_raw.get("penalty_scaling", "mean-field"),
-        "probe_budget": int(run_raw.get("probe_budget", 2000)),
+        "probe_budget": ints("probe_budget", 2000),
     }
 
 
@@ -264,12 +271,11 @@ def run(spec: RunSpec) -> tuple[int, dict]:
         checks.append({"name": "boundedness C_B", "passed": bool(sup_ok),
                        "detail": f"C_B = {C_B:g}"})
     elif spec.command == "refine":
-        from .equilibrium import refinement_study
-        levels = spec.run["levels"]
-        if (len(levels) < 2 or levels[0] < 1 or levels[-1] > model.grid.n
-                or any(b <= a for a, b in zip(levels[:-1], levels[1:]))):
-            raise ConfigError(f"refine needs two or more ascending levels in "
-                              f"1..{model.grid.n} (the grid's n), got {levels}")
+        from .equilibrium import check_levels, refinement_study
+        try:
+            levels = check_levels(spec.run["levels"], model.grid.n)
+        except ValueError as exc:
+            raise ConfigError(str(exc))
         rows_all = []
         ok_seeds = 0
         for k in range(spec.run["seeds"]):

@@ -1,7 +1,8 @@
 """Empirical conditional expectations on the noise tree.
 
 A TreeConditioner is the one partition of a batch by tree key (full prefix
-or Markov key): it precomputes, per interval, the bucket id of every sample.
+or Markov key): it precomputes, per interval, the bucket id of every sample
+and the keys' lattice codes, one sorted row per key (keys() builds TreeKeys).
 Conditional expectations are bucket means (bucket_stats); undersized buckets
 (below min_count) fall back to a kernel-weighted average over the keys at the
 same interval, weighted by bucket count and the Gaussian one-step transition
@@ -18,16 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tree import FULL_PREFIX, MARKOV, GridSpec, Lattice, TreeKey, node_codes
+from .tree import FULL_PREFIX, MARKOV, GridSpec, Lattice, TreeKey
 
 _RIDGE = 1e-9
 
 
 @dataclass
 class BucketStats:
-    """Per-key estimates at one interval: mean/se have shape (n_keys, k)."""
+    """Per-key estimates at one interval (rows in key-code order): mean/se (n_keys, k)."""
 
-    keys: list
     counts: np.ndarray
     mean: np.ndarray
     se: np.ndarray
@@ -39,17 +39,18 @@ class TreeConditioner:
 
     def __init__(self, spec: GridSpec, node_paths: np.ndarray, mode: str = FULL_PREFIX,
                  min_count: int = 30):
+        if mode not in (FULL_PREFIX, MARKOV):
+            raise ValueError(f"unknown key mode {mode!r}")
         self.spec = spec
         self.mode = mode
         self.min_count = int(min_count)
         self.lattice = Lattice(spec.l)
-        self.codes = node_codes(np.asarray(node_paths), self.lattice)
+        self.codes = self.lattice.index_of(node_paths)  # samples x (2^n - 1) lattice indices
         self.count = self.codes.shape[0]
         self.rank_fallbacks = 0
         self._inverse: list[np.ndarray] = []
-        self._keys: list[list[TreeKey]] = []
+        self._key_codes: list[np.ndarray] = []  # (n_keys, prefix length), sorted rows
         self._counts: list[np.ndarray] = []
-        self._states: list[np.ndarray] = []   # current lattice value per key
         self._order: list[np.ndarray] = []    # samples sorted by bucket id
         self._starts: list[np.ndarray] = []   # segment starts in the sorted order
         self._pool_w: list = []
@@ -57,37 +58,38 @@ class TreeConditioner:
         for i in range(spec.n_intervals):
             if i == 0:
                 inv = np.zeros(self.count, dtype=np.int64)
-                keys = [TreeKey(mode, 0, ())]
-                states = np.zeros(1)
-            elif mode == MARKOV:
+                uniq = np.zeros((1, 0), dtype=np.int64)
+            elif mode == MARKOV:  # the 1-D unique is far faster than axis=0
                 uniq, inv = np.unique(self.codes[:, i - 1], return_inverse=True)
-                keys = [TreeKey(mode, i, (int(u),)) for u in uniq]
-                states = self.lattice.value_of(uniq)
+                uniq = uniq[:, None]
             else:
                 uniq, inv = np.unique(self.codes[:, :i], axis=0, return_inverse=True)
-                keys = [TreeKey(mode, i, tuple(int(u) for u in row)) for row in uniq]
-                states = self.lattice.value_of(uniq[:, -1])
-            counts = np.bincount(inv, minlength=len(keys))
+            n_keys = len(uniq)
+            counts = np.bincount(inv, minlength=n_keys)
             order = np.argsort(inv, kind="stable")
-            starts = np.searchsorted(inv[order], np.arange(len(keys)))
+            starts = np.searchsorted(inv[order], np.arange(n_keys))
             self._inverse.append(inv)
-            self._keys.append(keys)
+            self._key_codes.append(uniq)
             self._counts.append(counts)
-            self._states.append(np.asarray(states, dtype=float))
             self._order.append(order)
             self._starts.append(starts)
             # pooling weights for undersized keys: counts * gaussian(state dist)
             small = counts < self.min_count
-            if np.any(small) and len(keys) > 1:
-                dist = self._states[i][small][:, None] - self._states[i][None, :]
+            if np.any(small) and n_keys > 1:
+                states = self.lattice.value_of(uniq[:, -1])
+                dist = states[small][:, None] - states[None, :]
                 w = counts[None, :] * np.exp(-0.5 * (dist / sd) ** 2)
                 w /= w.sum(axis=1, keepdims=True)
                 self._pool_w.append((np.flatnonzero(small), w))
             else:
                 self._pool_w.append((np.zeros(0, dtype=np.int64), None))
 
+    def key_codes(self, interval: int) -> np.ndarray:
+        """Lattice codes of the keys at one interval, one sorted row per key."""
+        return self._key_codes[interval]
+
     def keys(self, interval: int) -> list[TreeKey]:
-        return self._keys[interval]
+        return [TreeKey(self.mode, interval, tuple(r)) for r in self._key_codes[interval].tolist()]
 
     def counts(self, interval: int) -> np.ndarray:
         return self._counts[interval]
@@ -97,6 +99,10 @@ class TreeConditioner:
 
     def n_fallback_keys(self) -> int:
         return int(sum(len(small) for small, _ in self._pool_w))
+
+    def n_lone_small_keys(self) -> int:
+        """Undersized keys alone at their interval: nothing to pool them with."""
+        return sum(int(c.size == 1 and c[0] < self.min_count) for c in self._counts)
 
     def _segment_sums(self, interval: int, values: np.ndarray) -> np.ndarray:
         """Per-bucket column sums via reduceat on the sorted sample order."""
@@ -138,8 +144,7 @@ class TreeConditioner:
             pooled_se = np.sqrt((w ** 2) @ (finite_se ** 2))
             mean[small] = self._pooled_means(interval, mean)
             se[small] = pooled_se
-        return BucketStats(keys=self._keys[interval], counts=counts, mean=mean,
-                           se=se, fallback=fallback)
+        return BucketStats(counts=counts, mean=mean, se=se, fallback=fallback)
 
     def regress_slab(self, interval: int, state: np.ndarray, values: np.ndarray,
                      degree: int = 2) -> np.ndarray:

@@ -21,14 +21,14 @@ from .conditioning import TreeConditioner
 from .errors import DivergenceError
 from .fbsde import FbsdeSolution, solve_agent
 from .models import MarketModel
-from .price import (DiscretePrice, blend, interval_matrix, materialize,
+from .price import (DiscretePrice, blend, interval_matrix, key_rows, materialize,
                     price_metric, zero_price)
 from .sampling import ScenarioBatch, discretize_at_level, sample_batch
 from .tree import MARKOV
 
 __all__ = [
     "apply_phi", "price_metric", "solve_fixed_point", "consistency_residual",
-    "mz_distance", "diagnostics", "refinement_study", "EquilibriumReport",
+    "mz_distance", "diagnostics", "check_levels", "refinement_study", "EquilibriumReport",
     "PhiStats", "DiagnosticsRecord",
 ]
 
@@ -38,7 +38,6 @@ class PhiStats:
     """Monte Carlo quality of one price-map application, per interval."""
 
     se: list            # interval -> (n_keys, m+1) standard errors of the price values
-    counts: list        # interval -> bucket counts
     fallback: list      # interval -> bool per key
     clip_excess: float  # how far raw values exceeded the C_B envelope (float dust)
 
@@ -126,8 +125,7 @@ def apply_phi(theta: DiscretePrice, batch: ScenarioBatch, model: MarketModel,
             **({"warm_start": warm.get(agent.population)} if agent.cost_mode != "affine" else {}))
     combo = _combined_response(model, sols["I"], sols["S"])
     C_B = model.bounds.C_B
-    values = {}
-    se_list, count_list, fb_list = [], [], []
+    tables, se_list, fb_list = [], [], []
     clip_excess = 0.0
     m = spec.m
     for i in range(spec.n_intervals):
@@ -135,15 +133,11 @@ def apply_phi(theta: DiscretePrice, batch: ScenarioBatch, model: MarketModel,
         stats = buckets.bucket_stats(i, slab)
         raw = -stats.mean
         clip_excess = max(clip_excess, float(np.max(np.abs(raw))) - C_B)
-        vals = np.clip(raw, -C_B, C_B)
-        for k, key in enumerate(stats.keys):
-            values[key] = vals[k]
+        tables.append(np.clip(raw, -C_B, C_B))
         se_list.append(stats.se)
-        count_list.append(stats.counts)
         fb_list.append(stats.fallback)
-    out = DiscretePrice(spec=spec, mode=buckets.mode, values=values)
-    stats = PhiStats(se=se_list, counts=count_list, fallback=fb_list,
-                     clip_excess=max(clip_excess, 0.0))
+    out = DiscretePrice.from_tables(buckets, tables)
+    stats = PhiStats(se=se_list, fallback=fb_list, clip_excess=max(clip_excess, 0.0))
     if return_internals:
         return out, stats, sols
     return out
@@ -169,6 +163,9 @@ def solve_fixed_point(batch: ScenarioBatch, model: MarketModel,
         warnings.append("markov key mode: conditioning on the current lattice state only")
     if buckets.n_fallback_keys():
         warnings.append(f"{buckets.n_fallback_keys()} undersized keys pooled via kernel fallback")
+    if buckets.n_lone_small_keys():
+        warnings.append(f"{buckets.n_lone_small_keys()} undersized keys (below min_bucket "
+                        f"{buckets.min_count}) are alone at their interval and cannot be pooled")
 
     theta = zero_price(batch.spec, buckets) if init is None else init
     trace, sup_p, sup_y = [], [], []
@@ -306,22 +303,17 @@ def consistency_residual(price: DiscretePrice, model: MarketModel,
     worst_ratio = 0.0
     skipped = 0
     for i in range(spec.n_intervals):
-        keys = buckets.keys(i)
-        fb = stats.fallback[i]
-        new_mat, _ = interval_matrix(phi, buckets, i)
-        for k, key in enumerate(keys):
-            stored = price.values.get(key)
-            if stored is None or fb[k]:
-                skipped += 1
-                continue
-            gap_row = np.abs(new_mat[k] - stored)
-            se_row = np.where(np.isfinite(stats.se[i][k]), stats.se[i][k], 0.0)
-            j = int(np.argmax(gap_row))
-            if gap_row[j] > out[i]:
-                out[i] = float(gap_row[j])
-                out_se[i] = float(se_row[j])
-            ratio = float(np.max(gap_row / (tol + 3.0 * np.sqrt(2.0) * se_row)))
-            worst_ratio = max(worst_ratio, ratio)
+        rows = key_rows(price, buckets, i)
+        judged = (rows >= 0) & ~stats.fallback[i]
+        skipped += int(judged.size - judged.sum())
+        if not judged.any():
+            continue
+        gap = np.abs(phi.tables[i][judged] - price.tables[i][rows[judged]])
+        se = np.where(np.isfinite(stats.se[i][judged]), stats.se[i][judged], 0.0)
+        worst_ratio = max(worst_ratio, float(np.max(gap / (tol + 3.0 * np.sqrt(2.0) * se))))
+        j = np.argmax(gap)  # the first key, then sub-time, at the largest gap
+        if gap.flat[j] > 0.0:
+            out[i], out_se[i] = gap.flat[j], se.flat[j]
     return ConsistencyResult(per_interval=out, per_interval_se=out_se,
                              worst_ratio=worst_ratio, tol=tol, skipped_keys=skipped)
 
@@ -348,6 +340,16 @@ def default_level_resolution(n: int, cap: int = 4) -> int:
     return min(2 * n, cap)
 
 
+def check_levels(levels, n: int) -> list:
+    """The levels of a refinement study: two or more, strictly ascending, in 1..n."""
+    levels = list(levels)
+    if (len(levels) < 2 or levels[0] < 1 or levels[-1] > n
+            or any(b <= a for a, b in zip(levels[:-1], levels[1:]))):
+        raise ValueError(f"refinement needs two or more strictly ascending levels in "
+                         f"1..{n} (the grid's n), got {levels}")
+    return levels
+
+
 def refinement_study(model: MarketModel, levels: list, batch: ScenarioBatch,
                      level_resolution=default_level_resolution) -> RefinementTable:
     """Pathwise-coupled Meyer-Zheng distances between successive dyadic levels.
@@ -359,11 +361,7 @@ def refinement_study(model: MarketModel, levels: list, batch: ScenarioBatch,
     deepest level of a study splits the batch into keys of a sample or two
     and exhausts memory pooling them.
     """
-    levels = list(levels)
-    if levels != sorted(levels) or len(levels) < 2:
-        raise ValueError("levels must be ascending with at least two entries")
-    if max(levels) > batch.spec.n:
-        raise ValueError("batch is too coarse for the requested levels")
+    levels = check_levels(levels, batch.spec.n)
     mode = model.solver.mode or MARKOV
     trajectories = {}
     reports = {}

@@ -13,24 +13,18 @@ class ModelError(PriceLabError):
         self.point = point
 
 
-class EstimationError(PriceLabError):
-    """A conditional-expectation estimate could not be formed (e.g. empty bucket, no fallback)."""
+class _TracedError(PriceLabError):
+    def __init__(self, message, trace):
+        super().__init__(message)
+        self.trace = list(trace)
 
 
-class PicardError(PriceLabError):
+class PicardError(_TracedError):
     """The inner Picard loop failed to converge; carries the residual trace."""
 
-    def __init__(self, message, trace):
-        super().__init__(message)
-        self.trace = list(trace)
 
-
-class DivergenceError(PriceLabError):
+class DivergenceError(_TracedError):
     """The price fixed-point iteration diverged; carries the residual trace."""
-
-    def __init__(self, message, trace):
-        super().__init__(message)
-        self.trace = list(trace)
 
 
 class ConfigError(PriceLabError):

@@ -199,7 +199,7 @@ class InformedCheckResult:
     passed: bool
     scaling: float
     fp_slack: float
-    rows: list  # (interval, key, sub_time, beta_direct, beta_inferred, gap, tol)
+    rows: list  # per interval: (key codes, t, beta_direct, beta_inferred, gap, tol)
 
     def summary(self) -> str:
         return (f"informed inference: max gap {self.max_gap:.3e} "
@@ -243,8 +243,7 @@ def informed_inference_check(scenario: InformedScenario, model: MarketModel,
     spec = batch.spec
     m = spec.m
     rows = []
-    max_gap = 0.0
-    worst = 0.0
+    max_gap = worst = 0.0
     sub_dt = spec.interval_length / m
     for i in range(spec.n_intervals):
         mat, _ = interval_matrix(price, buckets, i)
@@ -257,11 +256,8 @@ def informed_inference_check(scenario: InformedScenario, model: MarketModel,
         gap = np.abs(beta_direct - beta_inferred)
         max_gap = max(max_gap, float(gap.max()))
         worst = max(worst, float(np.max(gap / tol)))
-        for k, key in enumerate(stats_I.keys):
-            for s in range(m + 1):
-                rows.append((i, key.prefix, i * spec.interval_length + s * sub_dt,
-                             float(beta_direct[k, s]), float(beta_inferred[k, s]),
-                             float(gap[k, s]), float(tol[k, s])))
+        rows.append((buckets.key_codes(i), i * spec.interval_length + np.arange(m + 1) * sub_dt,
+                     beta_direct, beta_inferred, gap, tol))
     return InformedCheckResult(max_gap=max_gap, max_gap_over_tol=worst,
                                passed=worst <= 1.0, scaling=scale, fp_slack=fp_slack,
                                rows=rows)
@@ -278,6 +274,9 @@ def clearing_report_csv(path, report: ClearingReport) -> None:
 def informed_check_csv(path, result: InformedCheckResult) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("interval,key,t,beta_direct,beta_inferred,gap,tol\n")
-        for (i, prefix, t, bd, bi, gap, tol) in result.rows:
-            label = "|".join(str(p) for p in prefix) or "root"
-            fh.write(f"{i},{label},{t:.17g},{bd:.17g},{bi:.17g},{gap:.17g},{tol:.17g}\n")
+        for i, (codes, t, bd, bi, gap, tol) in enumerate(result.rows):
+            for k, prefix in enumerate(codes.tolist()):
+                label = "|".join(str(p) for p in prefix) or "root"
+                for s in range(t.size):
+                    fh.write(f"{i},{label},{t[s]:.17g},{bd[k, s]:.17g},{bi[k, s]:.17g},"
+                             f"{gap[k, s]:.17g},{tol[k, s]:.17g}\n")

@@ -138,13 +138,9 @@ class MarketModel:
 # ---------------------------------------------------------------------------
 # coefficient catalog (used by config files; tests may pass raw callables)
 
-def _broadcast(t, varpi):
-    return np.zeros_like(np.asarray(varpi, dtype=float))
-
-
 def coeff_zero(_params, slot):
     if slot in ("drift", "vol_common", "vol_idio"):
-        return lambda t, varpi: _broadcast(t, varpi)
+        return lambda t, varpi: np.zeros_like(np.asarray(varpi, dtype=float))
     if slot == "running_cost_affine":
         return lambda t, varpi, b, c: np.zeros_like(np.asarray(varpi, dtype=float))
     if slot == "terminal_cost_affine":
@@ -329,103 +325,59 @@ def validate(agent: AgentSpec, bounds: ModelBounds, probe_budget: int = 2000,
 # ---------------------------------------------------------------------------
 # presets
 
-def _affine_agent(pop, lam, weight, running, terminal, reads_factor=False,
-                  vol_common=0.2, vol_idio=0.3):
-    return AgentSpec(
-        population=pop, lam=lam, weight=weight,
-        drift=coeff_zero({}, "drift"),
-        vol_common=coeff_constant({"value": vol_common}, "vol_common"),
-        vol_idio=coeff_constant({"value": vol_idio}, "vol_idio"),
-        cost_mode=AFFINE, running_cost=running, terminal_cost=terminal,
-        reads_factor=reads_factor)
+def _agent(pop, vol_common=0.2, vol_idio=0.3, **costs):
+    """A preset agent: Lambda = 1, weight 1/2, zero drift, constant volatilities."""
+    return AgentSpec(population=pop, lam=1.0, weight=0.5, drift=coeff_zero({}, "drift"),
+                     vol_common=coeff_constant({"value": vol_common}, "vol_common"),
+                     vol_idio=coeff_constant({"value": vol_idio}, "vol_idio"), **costs)
+
+
+def _market(name, informed, standard, L=1.0, grid=GridSpec(n=2, l=1, m=8, T=1.0), **solver):
+    return MarketModel(name=name, informed=informed, standard=standard, grid=grid,
+                       factor=InformedFactorSpec(rho=0.5), bounds=ModelBounds(L=L, T=grid.T),
+                       solver=SolverDefaults(**solver))
 
 
 def preset(name: str) -> MarketModel:
     """Canned market instances used by the demos and the acceptance suite."""
-    grid = GridSpec(n=2, l=1, m=8, T=1.0)
-    if name == "zero":
-        run = coeff_zero({}, "running_cost_affine")
-        term = coeff_zero({}, "terminal_cost_affine")
-        return MarketModel(
-            name=name,
-            informed=_affine_agent(INFORMED, 1.0, 0.5, run, term),
-            standard=_affine_agent(STANDARD, 1.0, 0.5, run, term),
-            grid=grid, factor=InformedFactorSpec(rho=0.5),
-            bounds=ModelBounds(L=1.0, T=grid.T),
-            solver=SolverDefaults(damping=1.0, samples=2000))
-    if name == "deterministic":
-        run = coeff_constant({"value": 0.25}, "running_cost_affine")
-        term = coeff_constant({"value": 0.5}, "terminal_cost_affine")
-        return MarketModel(
-            name=name,
-            informed=_affine_agent(INFORMED, 1.0, 0.5, run, term),
-            standard=_affine_agent(STANDARD, 1.0, 0.5, run, term),
-            grid=grid, factor=InformedFactorSpec(rho=0.5),
-            bounds=ModelBounds(L=1.0, T=grid.T),
-            solver=SolverDefaults(damping=1.0, samples=2000))
-    if name == "terminal-common-noise":
-        L = 8.0
-        run = coeff_zero({}, "running_cost_affine")
-        term = coeff_clipped_common_noise({"scale": 1.0, "bound": L}, "terminal_cost_affine")
-        return MarketModel(
-            name=name,
-            informed=_affine_agent(INFORMED, 1.0, 0.5, run, term),
-            standard=_affine_agent(STANDARD, 1.0, 0.5, run, term),
-            grid=grid, factor=InformedFactorSpec(rho=0.5),
-            bounds=ModelBounds(L=L, T=grid.T),
-            solver=SolverDefaults(damping=1.0, samples=20000))
-    if name == "general-convex":
+    if name in ("zero", "deterministic", "terminal-common-noise"):
+        if name == "deterministic":
+            run = coeff_constant({"value": 0.25}, "running_cost_affine")
+            term = coeff_constant({"value": 0.5}, "terminal_cost_affine")
+        else:
+            run = coeff_zero({}, "running_cost_affine")
+            term = (coeff_zero({}, "terminal_cost_affine") if name == "zero" else
+                    coeff_clipped_common_noise({"scale": 1.0, "bound": 8.0}, "terminal_cost_affine"))
+        costs = dict(cost_mode=AFFINE, running_cost=run, terminal_cost=term)
+        L, samples = (8.0, 20000) if name == "terminal-common-noise" else (1.0, 2000)
+        return _market(name, _agent(INFORMED, **costs), _agent(STANDARD, **costs), L=L,
+                       damping=1.0, samples=samples)
+    if name in ("general-convex", "clearing"):
         f, df = coeff_tanh_state({"scale": 1.0}, "running_cost_convex")
         g, dg = coeff_tanh_state({"scale": 1.0}, "terminal_cost_convex")
-
-        def agent(pop, w):
-            return AgentSpec(population=pop, lam=1.0, weight=w,
-                             drift=coeff_zero({}, "drift"),
-                             vol_common=coeff_constant({"value": 0.2}, "vol_common"),
-                             vol_idio=coeff_constant({"value": 0.3}, "vol_idio"),
-                             cost_mode=GENERAL_CONVEX,
-                             running_cost=f, running_cost_dx=df,
-                             terminal_cost=g, terminal_cost_dx=dg)
-
-        return MarketModel(
-            name=name, informed=agent(INFORMED, 0.5), standard=agent(STANDARD, 0.5),
-            grid=GridSpec(n=2, l=1, m=4, T=1.0), factor=InformedFactorSpec(rho=0.5),
-            bounds=ModelBounds(L=1.0, T=grid.T),
-            solver=SolverDefaults(damping=0.5, samples=4000, tol=5e-4))
-    if name == "clearing":
+        costs = dict(cost_mode=GENERAL_CONVEX, running_cost=f, running_cost_dx=df,
+                     terminal_cost=g, terminal_cost_dx=dg)
+        if name == "general-convex":
+            return _market(name, _agent(INFORMED, **costs), _agent(STANDARD, **costs),
+                           grid=GridSpec(n=2, l=1, m=4, T=1.0), damping=0.5, samples=4000,
+                           tol=5e-4)
         # x-cost market driven by idiosyncratic noise only: the equilibrium
         # price is deterministic in time, so the tree carries no common-noise
         # discretization gap and the finite-market residual decays cleanly.
-        f, df = coeff_tanh_state({"scale": 1.0}, "running_cost_convex")
-        g, dg = coeff_tanh_state({"scale": 1.0}, "terminal_cost_convex")
-
-        def agent(pop, w):
-            return AgentSpec(population=pop, lam=1.0, weight=w,
-                             drift=coeff_zero({}, "drift"),
-                             vol_common=coeff_zero({}, "vol_common"),
-                             vol_idio=coeff_constant({"value": 0.3}, "vol_idio"),
-                             cost_mode=GENERAL_CONVEX,
-                             running_cost=f, running_cost_dx=df,
-                             terminal_cost=g, terminal_cost_dx=dg)
-
-        return MarketModel(
-            name=name, informed=agent(INFORMED, 0.5), standard=agent(STANDARD, 0.5),
-            grid=GridSpec(n=1, l=1, m=8, T=1.0), factor=InformedFactorSpec(rho=0.5),
-            bounds=ModelBounds(L=1.0, T=1.0),
-            solver=SolverDefaults(damping=0.5, samples=30000, tol=2e-4, max_iter=60))
+        return _market(name, _agent(INFORMED, 0.0, **costs), _agent(STANDARD, 0.0, **costs),
+                       grid=GridSpec(n=1, l=1, m=8, T=1.0), damping=0.5, samples=30000,
+                       tol=2e-4, max_iter=60)
     if name == "single-informed":
-        L = 8.0
-        run_i = coeff_zero({}, "running_cost_affine")
-        term_i = coeff_clipped_common_noise({"scale": 1.0, "bound": L}, "terminal_cost_affine")
-        run_s = coeff_clipped_price({"kappa": 0.25, "bound": L}, "running_cost_affine")
-        term_s = coeff_constant({"value": 0.5}, "terminal_cost_affine")
-        informed = _affine_agent(INFORMED, 1.0, 0.5, run_i, term_i, vol_idio=0.0)
-        standard = _affine_agent(STANDARD, 1.0, 0.5, run_s, term_s)
-        return MarketModel(
-            name=name, informed=informed, standard=standard,
-            grid=grid, factor=InformedFactorSpec(rho=0.5),
-            bounds=ModelBounds(L=L, T=grid.T),
-            solver=SolverDefaults(damping=0.5, samples=20000, tol=1e-4, max_iter=60))
+        informed = _agent(INFORMED, vol_idio=0.0, cost_mode=AFFINE,
+                          running_cost=coeff_zero({}, "running_cost_affine"),
+                          terminal_cost=coeff_clipped_common_noise(
+                              {"scale": 1.0, "bound": 8.0}, "terminal_cost_affine"))
+        standard = _agent(STANDARD, cost_mode=AFFINE,
+                          running_cost=coeff_clipped_price({"kappa": 0.25, "bound": 8.0},
+                                                           "running_cost_affine"),
+                          terminal_cost=coeff_constant({"value": 0.5}, "terminal_cost_affine"))
+        return _market(name, informed, standard, L=8.0, damping=0.5, samples=20000, tol=1e-4,
+                       max_iter=60)
     raise ModelError(f"unknown preset {name!r}")
 
 

@@ -1,14 +1,24 @@
 """The candidate discretized equilibrium price.
 
-A DiscretePrice maps each tree key to the m+1 price values on the sub-time
-grid of its interval.  As a process it is cadlag: on [t_i, t_{i+1}) the price
-is interval i's piece read along the realized key; the stored sub-time m
-value is the left limit at t_{i+1}.
+A DiscretePrice holds one table per interval: row k of `tables[i]` is the m+1
+values on interval i's sub-time grid for the key whose lattice codes are row
+k of `codes[i]` (prefix V_1..V_i, or the current state V_i in Markov mode;
+empty at interval 0).  Code rows are unique and sorted as
+TreeConditioner.key_codes gives them; a price built on a conditioner shares
+its code arrays.  `values` is a read-only TreeKey -> row Mapping view of the
+tables.  As a process the price is cadlag: on [t_i, t_{i+1}) it is interval
+i's piece read along the realized key; sub-time m holds the left limit.
+
+interval_matrix reads a key the price does not store (a fresh batch can
+realize one) from the stored key at that interval with the nearest current
+lattice state: of equally near states the lower, of keys sharing a state the
+first in sorted order; it counts these lookups.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,13 +39,44 @@ class PriceEnv:
 class DiscretePrice:
     spec: GridSpec
     mode: str
-    values: dict  # TreeKey -> np.ndarray(m+1)
+    codes: list   # interval -> (n_keys, prefix length) int, sorted unique rows
+    tables: list  # interval -> (n_keys, m+1) values, rows aligned with codes
+
+    @classmethod
+    def from_tables(cls, conditioner: TreeConditioner, tables) -> DiscretePrice:
+        """A price on the conditioner's keys, one table per interval."""
+        codes = [conditioner.key_codes(i) for i in range(conditioner.spec.n_intervals)]
+        return cls(spec=conditioner.spec, mode=conditioner.mode, codes=codes, tables=list(tables))
+
+    @property
+    def values(self) -> PriceValues:
+        return PriceValues(self)
 
     def sup_norm(self) -> float:
-        return max(float(np.max(np.abs(v))) for v in self.values.values())
+        return max(float(np.max(np.abs(t), initial=0.0)) for t in self.tables)
 
-    def keys_at(self, interval: int) -> list[TreeKey]:
-        return [k for k in self.values if k.interval == interval]
+
+@dataclass(frozen=True, eq=False)
+class PriceValues(Mapping):
+    """Read-only TreeKey -> (m+1,) view of a price's tables, in table order."""
+
+    price: DiscretePrice
+
+    def __getitem__(self, key: TreeKey) -> np.ndarray:
+        p, i = self.price, key.interval
+        if key.mode == p.mode and 0 <= i < len(p.codes) and p.codes[i].shape[1] == len(key.prefix):
+            hit = np.flatnonzero(np.all(p.codes[i] == key.prefix, axis=1))
+            if hit.size:
+                return p.tables[i][hit[0]]
+        raise KeyError(key)
+
+    def __iter__(self):
+        for i, codes in enumerate(self.price.codes):
+            for row in codes.tolist():
+                yield TreeKey(self.price.mode, i, tuple(row))
+
+    def __len__(self) -> int:
+        return sum(len(c) for c in self.price.codes)
 
 
 def zero_price(spec: GridSpec, conditioner: TreeConditioner) -> DiscretePrice:
@@ -43,40 +84,44 @@ def zero_price(spec: GridSpec, conditioner: TreeConditioner) -> DiscretePrice:
 
 
 def constant_price(spec: GridSpec, conditioner: TreeConditioner, level: float) -> DiscretePrice:
-    values = {}
-    for i in range(spec.n_intervals):
-        for key in conditioner.keys(i):
-            values[key] = np.full(spec.m + 1, float(level))
-    return DiscretePrice(spec=spec, mode=conditioner.mode, values=values)
+    return DiscretePrice.from_tables(conditioner, [
+        np.full((len(conditioner.key_codes(i)), spec.m + 1), float(level))
+        for i in range(spec.n_intervals)])
+
+
+def key_rows(price: DiscretePrice, conditioner: TreeConditioner, interval: int) -> np.ndarray:
+    """Row of the price's table for each of the conditioner's keys at one
+    interval; -1 where the price stores no such key."""
+    have = price.codes[interval]
+    both = np.concatenate([have, conditioner.key_codes(interval)])
+    _, ids = np.unique(both, axis=0, return_inverse=True)
+    slot = np.full(len(both), -1)
+    slot[ids[:len(have)]] = np.arange(len(have))
+    return slot[ids[len(have):]]
 
 
 def interval_matrix(price: DiscretePrice, conditioner: TreeConditioner, interval: int):
-    """Value matrix aligned with the conditioner's keys at one interval.
+    """Value matrix aligned with the conditioner's keys at one interval, and
+    the number of keys looked up by nearest state (see the module docstring).
 
-    Keys absent from the price (fresh batches can realize unseen prefixes)
-    fall back to the stored key at the same interval whose current lattice
-    state is nearest (deterministic tie-break); the number of such lookups is
-    returned.
+    When the price and the conditioner share their keys the stored table is
+    returned as it is, not copied.
     """
-    keys = conditioner.keys(interval)
-    m = price.spec.m
-    mat = np.empty((len(keys), m + 1))
-    stored = price.keys_at(interval)
-    missing = 0
-    by_key = price.values
-    stored_states = np.array([k.prefix[-1] if k.prefix else 0 for k in stored], dtype=float)
-    order = np.argsort(stored_states, kind="stable")
-    for j, key in enumerate(keys):
-        v = by_key.get(key)
-        if v is None:
-            if not stored:
-                raise KeyError(f"price has no values at interval {interval}")
-            missing += 1
-            state = key.prefix[-1] if key.prefix else 0
-            pos = int(np.argmin(np.abs(stored_states[order] - state)))
-            v = by_key[stored[order[pos]]]
-        mat[j] = v
-    return mat, missing
+    if price.mode != conditioner.mode:
+        raise ValueError("price and conditioner use different key modes")
+    have = price.codes[interval]
+    want = conditioner.key_codes(interval)
+    if have is want or np.array_equal(have, want):
+        return price.tables[interval], 0
+    if not len(have):
+        raise KeyError(f"price has no values at interval {interval}")
+    rows = key_rows(price, conditioner, interval)
+    lost = np.flatnonzero(rows < 0)
+    if lost.size:
+        states = have[:, -1]
+        order = np.argsort(states, kind="stable")
+        rows[lost] = order[np.argmin(np.abs(states[order] - want[lost, -1:]), axis=1)]
+    return price.tables[interval][rows], int(lost.size)
 
 
 def materialize(price: DiscretePrice, conditioner: TreeConditioner) -> PriceEnv:
@@ -97,22 +142,24 @@ def materialize(price: DiscretePrice, conditioner: TreeConditioner) -> PriceEnv:
     return PriceEnv(cadlag=cad, left_end=left, missing_keys=missing)
 
 
+def _require_same_keys(a: DiscretePrice, b: DiscretePrice, what: str) -> None:
+    if a.spec != b.spec or a.mode != b.mode:
+        raise ValueError(f"{what} requires matching grid spec and key mode")
+    if not all(ca is cb or np.array_equal(ca, cb) for ca, cb in zip(a.codes, b.codes)):
+        raise ValueError(f"{what} requires matching key sets")
+
+
 def price_metric(a: DiscretePrice, b: DiscretePrice) -> float:
     """Max over intervals, keys and sub-times of the absolute difference."""
-    if a.spec != b.spec or a.mode != b.mode:
-        raise ValueError("price metric requires matching grid spec and key mode")
-    if set(a.values) != set(b.values):
-        raise ValueError("price metric requires matching key sets")
-    worst = 0.0
-    for k, va in a.values.items():
-        worst = max(worst, float(np.max(np.abs(va - b.values[k]))))
-    return worst
+    _require_same_keys(a, b, "price metric")
+    return max(float(np.max(np.abs(ta - tb), initial=0.0)) for ta, tb in zip(a.tables, b.tables))
 
 
 def blend(a: DiscretePrice, b: DiscretePrice, weight_b: float) -> DiscretePrice:
-    """(1-w)*a + w*b, key by key."""
-    values = {k: (1.0 - weight_b) * a.values[k] + weight_b * b.values[k] for k in a.values}
-    return DiscretePrice(spec=a.spec, mode=a.mode, values=values)
+    """(1-w)*a + w*b, table by table."""
+    _require_same_keys(a, b, "blend")
+    return replace(a, tables=[(1.0 - weight_b) * ta + weight_b * tb
+                              for ta, tb in zip(a.tables, b.tables)])
 
 
 def price_to_csv(path, price: DiscretePrice) -> None:
@@ -123,9 +170,9 @@ def price_to_csv(path, price: DiscretePrice) -> None:
     dt = spec.interval_length / spec.m
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("interval,key,sub_time,price\n")
-        for key in sorted(price.values, key=lambda k: (k.interval, k.prefix)):
-            vals = price.values[key]
-            t0 = key.interval * spec.interval_length
-            label = "|".join(f"{-bound + idx * step:.17g}" for idx in key.prefix) or "root"
-            for s in range(spec.m + 1):
-                fh.write(f"{key.interval},{label},{t0 + s * dt:.17g},{vals[s]:.17g}\n")
+        for i, (codes, table) in enumerate(zip(price.codes, price.tables)):
+            t0 = i * spec.interval_length
+            for prefix, vals in zip(codes.tolist(), table):
+                label = "|".join(f"{-bound + idx * step:.17g}" for idx in prefix) or "root"
+                for s in range(spec.m + 1):
+                    fh.write(f"{i},{label},{t0 + s * dt:.17g},{vals[s]:.17g}\n")

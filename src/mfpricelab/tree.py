@@ -199,9 +199,3 @@ def transition_matrix(spec: GridSpec) -> TransitionKernel:
     sigma = np.sqrt(spec.interval_length)
     mat = kernel_row(lattice.points(), lattice, sigma)
     return TransitionKernel(lattice=lattice, sigma=sigma, matrix=mat)
-
-
-def node_codes(node_paths: np.ndarray, lattice: Lattice) -> np.ndarray:
-    """Lattice indices (int) of projected node values, samples x (2^n - 1)."""
-    return lattice.index_of(np.asarray(node_paths))
-

@@ -272,12 +272,9 @@ def test_criterion_11_oracle_equivalences():
     base_sol = solve_affine(batch, zero_price(spec2, buckets), tracker, buckets,
                             ModelBounds(L=8.0, T=1.0), informed_state=False)
     from mfpricelab.price import DiscretePrice
-    vals = {}
-    for i in range(spec2.n_intervals):
-        st = buckets.bucket_stats(i, base_sol.response[:, i * spec2.m:(i + 1) * spec2.m + 1])
-        for k, key in enumerate(st.keys):
-            vals[key] = -st.mean[k]
-    price = DiscretePrice(spec=spec2, mode=FULL_PREFIX, values=vals)
+    price = DiscretePrice.from_tables(buckets, [
+        -buckets.bucket_stats(i, base_sol.response[:, i * spec2.m:(i + 1) * spec2.m + 1]).mean
+        for i in range(spec2.n_intervals)])
     sol_c = solve_convex(batch, price, mk("convex"), buckets, bounds)
     sol_a = solve_affine(batch, price, mk("affine"), buckets, bounds)
     route_ok = True

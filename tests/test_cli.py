@@ -228,6 +228,22 @@ class TestMainEntry:
         assert main(argv) == 2
         assert "max_iter" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["seed", "seeds", "levels", "n_values", "n_scenarios",
+                                     "N_S", "probe_budget"])
+    def test_bad_run_integer_is_config_error(self, tmp_path, capsys, key):
+        cfg = MINIMAL.format(out=tmp_path / "b") + f"{key} = abc\n"
+        assert main(["solve", "--config", str(write(tmp_path, cfg))]) == 2
+        assert f"[run] {key}: expected" in capsys.readouterr().err
+
+    def test_lone_undersized_key_warns(self, tmp_path):
+        # one sample: every interval has a single key below min_bucket, which
+        # no other key can be pooled with
+        out = tmp_path / "one"
+        main(["solve", "--model", "terminal-common-noise", "--samples", "1",
+              "--out-dir", str(out)])
+        report = (out / "report.txt").read_text(encoding="utf-8")
+        assert "warning: 4 undersized keys (below min_bucket 30) are alone" in report
+
     def test_solve_csv_independent_of_hash_seed(self, tmp_path):
         # results depend on (config, seed) only, not on the process's str hashing
         csv = []

@@ -24,13 +24,18 @@ def fit_one_column(cond, interval, state, vals):
 
 
 class TestBucketStats:
+    def test_unknown_key_mode_rejected(self):
+        nodes, _ = make_nodes(10)
+        with pytest.raises(ValueError, match="key mode"):
+            TreeConditioner(SPEC, nodes, "nonsense")
+
     def test_matches_manual_group_means(self):
         nodes, rng = make_nodes(500)
         cond = TreeConditioner(SPEC, nodes, FULL_PREFIX, min_count=1)
         vals = rng.normal(size=500)
         stats = cond.bucket_stats(2, vals)
         inv = cond.inverse(2)
-        for k in range(len(stats.keys)):
+        for k in range(len(stats.counts)):
             members = vals[inv == k]
             assert stats.mean[k, 0] == pytest.approx(members.mean())
             if members.size > 1:
@@ -42,7 +47,7 @@ class TestBucketStats:
         cond = TreeConditioner(SPEC, nodes, FULL_PREFIX, min_count=1)
         vals = rng.normal(size=100)
         stats = cond.bucket_stats(0, vals)
-        assert len(stats.keys) == 1
+        assert len(stats.counts) == 1
         assert stats.mean[0, 0] == pytest.approx(vals.mean())
 
     def test_smooth_is_projection(self):

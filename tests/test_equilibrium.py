@@ -7,8 +7,8 @@ from mfpricelab.equilibrium import (apply_phi, consistency_residual, diagnostics
                                     mz_distance, refinement_study, solve_fixed_point)
 from mfpricelab.errors import DivergenceError
 from mfpricelab.models import preset
-from mfpricelab.price import (DiscretePrice, constant_price, materialize,
-                              price_metric, price_to_csv, zero_price)
+from mfpricelab.price import (constant_price, materialize, price_metric,
+                              price_to_csv, zero_price)
 from mfpricelab.sampling import sample_batch
 from mfpricelab.tree import FULL_PREFIX, GridSpec
 
@@ -39,8 +39,7 @@ class TestPriceMetric:
         base = zero_price(model.grid, buckets)
 
         def noisy():
-            vals = {k: rng.normal(size=model.grid.m + 1) for k in base.values}
-            return DiscretePrice(spec=model.grid, mode=base.mode, values=vals)
+            return replace(base, tables=[rng.normal(size=t.shape) for t in base.tables])
 
         for _ in range(100):
             x, y, z = noisy(), noisy(), noisy()
@@ -163,8 +162,7 @@ class TestContinuityProbe:
         base = apply_phi(theta, batch, model, buckets=buckets)
         dists = []
         for eps in (0.8, 0.4, 0.2, 0.1):
-            pert = DiscretePrice(spec=theta.spec, mode=theta.mode,
-                                 values={k: v + eps for k, v in theta.values.items()})
+            pert = replace(theta, tables=[t + eps for t in theta.tables])
             dists.append(price_metric(apply_phi(pert, batch, model, buckets=buckets), base))
         assert all(b <= a + 1e-9 for a, b in zip(dists[:-1], dists[1:]))
         assert dists[-1] < dists[0]
@@ -234,11 +232,14 @@ class TestDiagnosticsExamples:
 
 class TestRefinement:
     def test_same_level_zero(self):
+        # a level solved twice on one batch gives the same price, so the
+        # coupling distance of a level to itself is 0
         model = preset("terminal-common-noise").with_grid(GridSpec(n=2, l=1, m=4, T=1.0))
         batch = sample_batch(model.grid, 11, 3000, model.factor)
-        table = refinement_study(model.with_solver(damping=1.0, tol=1e-3, max_iter=5),
-                                 [2, 2], batch, level_resolution=lambda n: 1)
-        assert table.rows[0].median_dm == 0.0
+        a, b = (refinement_study(model.with_solver(damping=1.0, tol=1e-3, max_iter=5),
+                                 [1, 2], batch, level_resolution=lambda n: 1) for _ in range(2))
+        assert price_metric(a.level_reports[2].price, b.level_reports[2].price) == 0.0
+        assert a.medians() == b.medians()
 
     def test_deterministic_level_independent(self):
         model = preset("deterministic").with_grid(GridSpec(n=2, l=1, m=4, T=1.0))
@@ -267,6 +268,12 @@ class TestRefinement:
         with pytest.raises(ValueError):
             refinement_study(model, [2, 1], batch)
 
+    def test_repeated_levels_rejected(self):
+        model = preset("deterministic")
+        batch = sample_batch(model.grid, 13, 100, model.factor)
+        with pytest.raises(ValueError, match="strictly ascending"):
+            refinement_study(model, [1, 1], batch)
+
     def test_batch_too_coarse(self):
         model = preset("deterministic")
         batch = sample_batch(model.grid, 14, 100, model.factor)
@@ -294,9 +301,9 @@ class TestTowerConsistency:
         j_child = (i + 1) * spec.m
         parent_stats = buckets.bucket_stats(i, sol.Y[:, j_child])
         child_stats = buckets.bucket_stats(i + 1, sol.Y[:, j_child])
-        child_keys = {k.prefix: idx for idx, k in enumerate(child_stats.keys)}
+        child_keys = {k.prefix: idx for idx, k in enumerate(buckets.keys(i + 1))}
         checked = 0
-        for kp, key in enumerate(parent_stats.keys):
+        for kp, key in enumerate(buckets.keys(i)):
             if parent_stats.fallback[kp] or parent_stats.counts[kp] < 2000:
                 continue
             v_idx = key.prefix[-1]

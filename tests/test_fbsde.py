@@ -193,13 +193,10 @@ class TestSolveConvex:
         tracker = affine_agent(term=lambda w, b, c: np.clip(b, -8, 8))
         base = solve_affine(batch, zero_price(SPEC, buckets), tracker, buckets,
                             ModelBounds(L=8.0, T=1.0), informed_state=False)
-        price_vals = {}
-        for i in range(SPEC.n_intervals):
-            stats = buckets.bucket_stats(i, base.response[:, i * SPEC.m:(i + 1) * SPEC.m + 1])
-            for k, key in enumerate(stats.keys):
-                price_vals[key] = -stats.mean[k]
         from mfpricelab.price import DiscretePrice
-        price = DiscretePrice(spec=SPEC, mode=FULL_PREFIX, values=price_vals)
+        price = DiscretePrice.from_tables(buckets, [
+            -buckets.bucket_stats(i, base.response[:, i * SPEC.m:(i + 1) * SPEC.m + 1]).mean
+            for i in range(SPEC.n_intervals)])
 
         sol_c = solve_convex(batch, price, conv, buckets, BOUNDS)
         sol_a = solve_affine(batch, price, aff, buckets, BOUNDS)
