@@ -1,16 +1,18 @@
 """Empirical conditional expectations on the noise tree.
 
 A TreeConditioner is the one partition of a batch by tree key (full prefix
-or Markov key): it precomputes, per interval, the bucket id of every sample
-and the keys' lattice codes, one sorted row per key (keys() builds TreeKeys).
-Conditional expectations are bucket means (bucket_stats); undersized buckets
-(below min_count) fall back to a kernel-weighted average over the keys at the
-same interval, weighted by bucket count and the Gaussian one-step transition
+or Markov key): it precomputes, per interval, the bucket id of every sample,
+the keys' lattice codes (one sorted row per key; keys() builds TreeKeys) and
+the sample order that makes every bucket one contiguous slice.  Conditional
+expectations are bucket means (bucket_stats); undersized buckets (below
+min_count) fall back to a kernel-weighted average over the keys at the same
+interval, weighted by bucket count and the Gaussian one-step transition
 density in the current lattice state.  Within-bucket refinement by a
 continuous state (e.g. (X_t, B_t, C_t)) is ridge-stabilized least squares on
-a total-degree-2 polynomial basis, solved for all buckets at once through
-segment-summed normal equations (regress_slab); its undersized buckets get
-the same pooled means.
+a total-degree-2 polynomial basis (regress_slab): values and basis are
+gathered once into one block in bucket order, each fitted bucket's centred
+Gram matrix is one matrix product over its slice, and all fitted buckets are
+solved in one batched call; its undersized buckets get the same pooled means.
 """
 
 from __future__ import annotations
@@ -124,12 +126,14 @@ class TreeConditioner:
         """Means of the undersized keys at one interval, pooled over all keys.
 
         Written as own mean plus weighted deltas, so pooling a field of
-        identical values is exact (no weight-normalization rounding).
+        identical values is exact (no weight-normalization rounding).  One
+        column at a time, so the deltas take no more memory than the weights.
         """
         small, w = self._pool_w[interval]
-        pooled = np.empty((small.size, mean.shape[1]))
-        for j, k in enumerate(small):
-            pooled[j] = mean[k] + w[j] @ (mean - mean[k])
+        own = mean[small]
+        pooled = np.empty_like(own)
+        for c in range(mean.shape[1]):
+            pooled[:, c] = own[:, c] + np.einsum("sj,sj->s", w, mean[None, :, c] - own[:, c, None])
         return pooled
 
     def bucket_stats(self, interval: int, values: np.ndarray) -> BucketStats:
@@ -151,59 +155,70 @@ class TreeConditioner:
         """Within-bucket least squares, one fit per (bucket, value column).
 
         `state` has shape (count, k, d): the regression state per column.
-        Predictions equal the bucket mean plus the fitted centered-basis
+        `[values | basis]` is written once, in bucket order, into one
+        (count, k, 1+p) block, so every bucket is a contiguous slice and one
+        reduceat gives all bucket means.  Each fitted bucket (count >=
+        max(min_count, p+2)) is centred in place and its augmented Gram
+        `[cy|cb]^T [cy|cb]` is one matmul batched over the k columns; the
+        right-hand side is the Gram's first column.  All fitted buckets are
+        solved in one batched call, with a ridge of 1e-9 * trace/p.
+        Predictions equal the bucket mean plus the fitted centred-basis
         component, so they average back to the bucket mean exactly.  Buckets
-        too small to support the basis use the plain mean; near-singular
-        normal equations are ridge-stabilized and counted in rank_fallbacks.
+        between min_count and p+2 use the plain mean, undersized buckets the
+        pooled mean; if the batched solve fails, every fitted bucket keeps
+        its mean and counts in rank_fallbacks.
         """
         values = np.asarray(values, dtype=float)
-        count, k = values.shape
-        basis = _poly_basis_slab(np.asarray(state, dtype=float), degree)
-        p = basis.shape[2]
-        inv = self._inverse[interval]
+        order = self._order[interval]
+        starts = self._starts[interval]
         counts = self._counts[interval]
-        nk = counts.size
-        mean_y, _ = self._column_means(interval, values)
-        mean_b = self._segment_sums(interval, basis.reshape(count, k * p)).reshape(nk, k, p)
-        mean_b /= counts[:, None, None]
-        cb = basis - mean_b[inv]
-        cy = values - mean_y[inv]
-        beta = np.zeros((nk, k, p))
-        fit = counts >= max(self.min_count, p + 2)
-        chunk = max(1, int(4e7 // (count * p * p)))
-        for c0 in range(0, k, chunk):
-            c1 = min(c0 + chunk, k)
-            kk = c1 - c0
-            outer = np.einsum("nki,nkj->nkij", cb[:, c0:c1], cb[:, c0:c1])
-            gram = self._segment_sums(interval, outer.reshape(count, kk * p * p)).reshape(nk, kk, p, p)
-            rhs = self._segment_sums(interval, (cb[:, c0:c1] * cy[:, c0:c1, None]).reshape(count, kk * p)).reshape(nk, kk, p)
-            scale = np.maximum(np.trace(gram, axis1=2, axis2=3) / p, 1e-30)
-            gram = gram + (_RIDGE * scale)[:, :, None, None] * np.eye(p)[None, None, :, :]
-            if np.any(fit):
-                try:
-                    beta[fit, c0:c1] = np.linalg.solve(gram[fit], rhs[fit][..., None])[..., 0]
-                except np.linalg.LinAlgError:
-                    # reduced-basis fallback: keep the bucket means (beta = 0)
-                    self.rank_fallbacks += int(np.sum(fit))
-        preds = mean_y[inv] + np.einsum("nkp,nkp->nk", cb, beta[inv])
+        block = _design_block(values.take(order, axis=0),
+                              np.asarray(state, dtype=float).take(order, axis=0), degree)
+        k, p = block.shape[1], block.shape[2] - 1
+        means = np.add.reduceat(block, starts, axis=0)
+        means /= counts[:, None, None]
+        fit = np.flatnonzero(counts >= max(self.min_count, p + 2))
+        rows = [slice(a, a + n) for a, n in zip(starts[fit].tolist(), counts[fit].tolist())]
+        gram = np.empty((fit.size, k, p + 1, p + 1))
+        for j, (b, r) in enumerate(zip(fit, rows)):
+            seg = block[r]
+            seg -= means[b]
+            np.matmul(seg.transpose(1, 2, 0), seg.transpose(1, 0, 2), out=gram[j])
+        mean_y = means[:, :, 0]
         small, _ = self._pool_w[interval]
         if small.size:
-            pooled = self._pooled_means(interval, mean_y)
-            pool_rows = np.isin(inv, small)
-            preds[pool_rows] = pooled[np.searchsorted(small, inv[pool_rows])]
-        return preds
+            mean_y[small] = self._pooled_means(interval, mean_y)
+        preds = np.repeat(mean_y, counts, axis=0)
+        if fit.size:
+            rhs = gram[:, :, 1:, :1]
+            lhs = gram[:, :, 1:, 1:]
+            scale = np.maximum(np.trace(lhs, axis1=2, axis2=3) / p, 1e-30)
+            lhs += (_RIDGE * scale)[:, :, None, None] * np.eye(p)
+            try:
+                beta = np.linalg.solve(lhs, rhs)[..., 0]
+            except np.linalg.LinAlgError:
+                # keep the bucket means of every fitted bucket
+                self.rank_fallbacks += fit.size
+            else:
+                for j, r in enumerate(rows):
+                    preds[r] += np.einsum("nkp,kp->nk", block[r, :, 1:], beta[j])
+        out = np.empty_like(preds)
+        out[order] = preds
+        return out
 
 
-def _poly_basis_slab(state: np.ndarray, degree: int) -> np.ndarray:
-    """Total-degree polynomial basis without the constant term (handled by
-    centering): terms x_i, then x_i*x_j for i<=j when degree >= 2.
-    state has shape (count, k, d); returns (count, k, p)."""
+def _design_block(values: np.ndarray, state: np.ndarray, degree: int) -> np.ndarray:
+    """[values | basis] per sample and column, shape (count, k, 1+p).
+
+    The basis is the total-degree polynomial without the constant term
+    (handled by centering): terms x_i, then x_i*x_j for i<=j when degree >= 2.
+    `values` has shape (count, k) and `state` (count, k, d).
+    """
     d = state.shape[2]
-    cols = [state[:, :, a] for a in range(d)]
-    out = list(cols)
-    if degree >= 2:
-        for a in range(d):
-            for b in range(a, d):
-                out.append(cols[a] * cols[b])
-    return np.stack(out, axis=2)
-
+    pairs = [(a, b) for a in range(d) for b in range(a, d)] if degree >= 2 else []
+    block = np.empty(values.shape + (1 + d + len(pairs),))
+    block[:, :, 0] = values
+    block[:, :, 1:1 + d] = state
+    for c, (a, b) in enumerate(pairs, start=1 + d):
+        np.multiply(state[:, :, a], state[:, :, b], out=block[:, :, c])
+    return block

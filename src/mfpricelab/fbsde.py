@@ -116,7 +116,11 @@ def backward_integral(values: np.ndarray, end_values: np.ndarray, spec) -> np.nd
 
 def euler_state(batch: ScenarioBatch, env: PriceEnv, agent: AgentSpec,
                 alpha: np.ndarray, start_index: int = 0, x0=None) -> np.ndarray:
-    """Euler-Maruyama integration of the controlled state from start_index on."""
+    """Euler-Maruyama integration of the controlled state from start_index on.
+
+    The increments (alpha + drift) dt + s0 dB + si dW do not depend on X, so
+    the state is one running sum of them along time, started at x0.
+    """
     spec = batch.spec
     t = _row_times(batch)
     P = env.cadlag
@@ -128,12 +132,11 @@ def euler_state(batch: ScenarioBatch, env: PriceEnv, agent: AgentSpec,
         x0 = xi
     X = np.zeros((batch.count, spec.n_fine))
     X[:, start_index] = x0
-    dB = np.diff(batch.b, axis=1)
-    dW = np.diff(w, axis=1)
-    dt = spec.dt_fine
-    for j in range(start_index, spec.n_fine - 1):
-        X[:, j + 1] = (X[:, j] + (alpha[:, j] + drift[:, j]) * dt
-                       + s0[:, j] * dB[:, j] + si[:, j] * dW[:, j])
+    now = slice(start_index, -1)
+    X[:, start_index + 1:] = ((alpha[:, now] + drift[:, now]) * spec.dt_fine
+                              + s0[:, now] * np.diff(batch.b[:, start_index:], axis=1)
+                              + si[:, now] * np.diff(w[:, start_index:], axis=1))
+    np.cumsum(X[:, start_index:], axis=1, out=X[:, start_index:])
     return X
 
 

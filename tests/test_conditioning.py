@@ -117,3 +117,114 @@ class TestRegression:
         for c in range(3):
             col = fit_one_column(cond, 1, state[:, c, :], vals[:, c])
             assert np.allclose(slab[:, c], col)
+
+
+def reference_regress(cond, interval, state, values):
+    """Naive within-bucket fit: one centred degree-2 least squares per bucket
+    and column, with the 1e-9 * trace/p ridge; plain means for buckets too
+    small for the basis, and the Gaussian-kernel pooled means, recomputed
+    from the key states, for undersized keys."""
+    inv, counts = cond.inverse(interval), cond.counts(interval)
+    d = state.shape[2]
+    quad = [state[:, :, a] * state[:, :, b] for a in range(d) for b in range(a, d)]
+    basis = np.concatenate([state, np.stack(quad, axis=2)], axis=2)
+    p = basis.shape[2]
+    means = np.array([values[inv == b].mean(axis=0) for b in range(counts.size)])
+    small = np.flatnonzero(counts < cond.min_count) if counts.size > 1 else []
+    key_states = cond.lattice.value_of(cond.key_codes(interval)[:, -1]) if counts.size > 1 else None
+    preds = np.empty_like(values)
+    for b in range(counts.size):
+        rows = np.flatnonzero(inv == b)
+        if b in small:
+            w = counts * np.exp(-0.5 * (key_states - key_states[b]) ** 2 / SPEC.interval_length)
+            preds[rows] = means[b] + (w / w.sum()) @ (means - means[b])
+            continue
+        for c in range(values.shape[1]):
+            y = values[rows, c]
+            if counts[b] < max(cond.min_count, p + 2):
+                preds[rows, c] = y.mean()
+                continue
+            cx = basis[rows, c] - basis[rows, c].mean(axis=0)
+            gram = cx.T @ cx
+            gram += 1e-9 * max(np.trace(gram) / p, 1e-30) * np.eye(p)
+            beta = np.linalg.solve(gram, cx.T @ (y - y.mean()))
+            preds[rows, c] = y.mean() + cx @ beta
+    return preds
+
+
+def slab_inputs(count, k, d, seed):
+    rng = np.random.default_rng(seed)
+    state = rng.normal(size=(count, k, d))
+    values = np.sin(state.sum(axis=2)) + state[:, :, 0] ** 2 + 0.3 * rng.normal(size=(count, k))
+    return state, values
+
+
+class TestRegressionReference:
+    @pytest.mark.parametrize("mode", [FULL_PREFIX, MARKOV])
+    @pytest.mark.parametrize("d,min_count", [(1, 30), (2, 30), (3, 6)])
+    def test_matches_per_bucket_loop(self, mode, d, min_count):
+        nodes, _ = make_nodes(1500, seed=11)
+        cond = TreeConditioner(SPEC, nodes, mode, min_count=min_count)
+        state, values = slab_inputs(1500, 3, d, seed=d)
+        p = d + d * (d + 1) // 2
+        kinds = set()
+        for i in range(SPEC.n_intervals):
+            counts = cond.counts(i)
+            kinds.update(np.where(counts < min_count, "pooled" if counts.size > 1 else "lone",
+                                  np.where(counts < p + 2, "plain", "fitted")).tolist())
+            np.testing.assert_allclose(cond.regress_slab(i, state, values),
+                                       reference_regress(cond, i, state, values), rtol=0, atol=1e-10)
+        assert {"pooled", "fitted"} <= kinds
+        if min_count < p + 2 and mode == FULL_PREFIX:
+            assert "plain" in kinds
+
+    @pytest.mark.parametrize("mode", [FULL_PREFIX, MARKOV])
+    def test_failed_solve_keeps_bucket_means(self, mode, monkeypatch):
+        nodes, _ = make_nodes(1500, seed=12)
+        cond = TreeConditioner(SPEC, nodes, mode, min_count=30)
+        state, values = slab_inputs(1500, 3, 2, seed=4)
+
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("singular")
+
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        p = 5  # d = 2: two linear and three quadratic terms
+        n_fitted = 0
+        for i in range(SPEC.n_intervals):
+            before = cond.rank_fallbacks
+            preds = cond.regress_slab(i, state, values)
+            means = cond.bucket_stats(i, values).mean[cond.inverse(i)]
+            np.testing.assert_array_equal(preds, means)
+            fitted = int(np.sum(cond.counts(i) >= max(cond.min_count, p + 2)))
+            assert cond.rank_fallbacks - before == fitted
+            n_fitted += fitted
+        assert n_fitted > 0
+
+    @pytest.mark.parametrize("mode", [FULL_PREFIX, MARKOV])
+    def test_constant_field_is_exact(self, mode):
+        nodes, rng = make_nodes(2000, seed=13)
+        cond = TreeConditioner(SPEC, nodes, mode, min_count=40)
+        assert cond.n_fallback_keys() > 0
+        values = np.full((2000, 3), 1.25)
+        state = rng.normal(size=(2000, 3, 2))
+        for i in range(SPEC.n_intervals):
+            assert np.all(cond.bucket_stats(i, values).mean == 1.25)
+            assert np.all(cond.regress_slab(i, state, values) == 1.25)
+
+    def test_no_per_sample_outer_products(self):
+        # the kernel's working set is a few (count, k, p+1) blocks, not
+        # (count, k, p, p) per-sample products
+        import tracemalloc
+
+        count, k, d = 20_000, 5, 3
+        p = d + d * (d + 1) // 2
+        nodes, _ = make_nodes(count, seed=14)
+        cond = TreeConditioner(SPEC, nodes, FULL_PREFIX, min_count=30)
+        state, values = slab_inputs(count, k, d, seed=5)
+        tracemalloc.start()
+        try:
+            cond.regress_slab(2, state, values)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * count * k * (p + 1) * 8
