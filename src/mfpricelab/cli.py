@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .errors import ConfigError, PriceLabError
+from .market import FINITE_MARKET, MEAN_FIELD
 from .models import (AFFINE, GENERAL_CONVEX, AgentSpec, MarketModel, ModelBounds,
                      PRESET_NAMES, make_coefficient, preset, validate)
 from .sampling import InformedFactorSpec, sample_batch
@@ -149,26 +150,33 @@ def _with_solver(model: MarketModel, settings: dict) -> MarketModel:
 
 def _run_settings(run_raw: dict, model: MarketModel) -> dict:
     """The [run] settings other than the solver's: values given in run_raw
-    over the one table of run defaults, for config files and `--model` alike.
-    `levels` defaults to 1..min(3, n), so no default level is deeper than the grid.
-    """
-    def ints(key, default, many=False):
+    over the one table of run defaults, for config files, `--model` and the
+    `--seed`/`--out-dir` flags alike.  `levels` defaults to 1..min(3, n), so
+    no default level is deeper than the grid.  The seed must be >= 0, every
+    other count >= 1."""
+    def ints(key, default, many=False, low=1):
         text = str(run_raw.get(key, default))
         try:
-            return [int(v) for v in text.split(",")] if many else int(text)
+            values = [int(v) for v in text.split(",")] if many else [int(text)]
         except ValueError:
             raise ConfigError(f"[run] {key}: expected integers, got {text!r}")
+        if min(values) < low:
+            raise ConfigError(f"[run] {key}: expected integers >= {low}, got {text!r}")
+        return values if many else values[0]
 
+    scaling = run_raw.get("penalty_scaling", MEAN_FIELD)
+    if scaling not in (MEAN_FIELD, FINITE_MARKET):
+        raise ConfigError(f"[run] penalty_scaling: expected {MEAN_FIELD} or {FINITE_MARKET}, got {scaling!r}")
     levels = ",".join(str(n) for n in range(1, min(3, model.grid.n) + 1))
     return {
-        "seed": ints("seed", model.solver.seed),
+        "seed": ints("seed", model.solver.seed, low=0),
         "out_dir": run_raw.get("out_dir", "out"),
         "levels": ints("levels", levels, many=True),
         "n_values": ints("n_values", "8,16,32,64,128,256,512", many=True),
         "seeds": ints("seeds", 5),
         "n_scenarios": ints("n_scenarios", 48),
         "N_S": ints("N_S", 100),
-        "penalty_scaling": run_raw.get("penalty_scaling", "mean-field"),
+        "penalty_scaling": scaling,
         "probe_budget": ints("probe_budget", 2000),
     }
 
@@ -361,15 +369,14 @@ def main(argv=None) -> int:
         p.add_argument("--model", type=str, default=None,
                        help="preset name when no config file is given")
     args = parser.parse_args(argv)
+    flags = {k: v for k, v in (("seed", args.seed), ("out_dir", args.out_dir)) if v is not None}
     try:
         if args.config:
             spec = parse_config(args.config, command=args.command)
+            spec.run.update((k, v) for k, v in _run_settings(flags, spec.model).items() if k in flags)
         else:
             model = _preset(args.model or "zero")
-            spec = RunSpec(command=args.command, model=model, run=_run_settings({}, model))
-        for key, val in {"seed": args.seed, "out_dir": args.out_dir}.items():
-            if val is not None:
-                spec.run[key] = val
+            spec = RunSpec(command=args.command, model=model, run=_run_settings(flags, model))
         spec.model = _with_solver(spec.model, {
             "mode": args.mode, "damping": args.damping, "tol": args.tol,
             "max_iter": args.max_iter, "samples": args.samples})

@@ -19,8 +19,8 @@ import numpy as np
 
 from .conditioning import TreeConditioner
 from .errors import DivergenceError
-from .fbsde import FbsdeSolution, solve_agent
-from .models import MarketModel
+from .fbsde import AFFINE_DIRECT, FbsdeSolution, solve_agent
+from .models import AFFINE, MarketModel
 from .price import (DiscretePrice, blend, interval_matrix, key_rows, materialize,
                     price_metric, zero_price)
 from .sampling import ScenarioBatch, discretize_at_level, sample_batch
@@ -122,7 +122,7 @@ def apply_phi(theta: DiscretePrice, batch: ScenarioBatch, model: MarketModel,
     for agent in model.agents():
         sols[agent.population] = solve_agent(
             batch, theta, agent, buckets, model.bounds, informed_state=informed_state, env=env,
-            **({"warm_start": warm.get(agent.population)} if agent.cost_mode != "affine" else {}))
+            **({"warm_start": warm.get(agent.population)} if agent.cost_mode != AFFINE else {}))
     combo = _combined_response(model, sols["I"], sols["S"])
     C_B = model.bounds.C_B
     tables, se_list, fb_list = [], [], []
@@ -178,7 +178,7 @@ def solve_fixed_point(batch: ScenarioBatch, model: MarketModel,
         phi, stats, sols = apply_phi(theta, batch, model, buckets=buckets,
                                      informed_state=informed_state,
                                      warm=warm, return_internals=True)
-        warm = {p: s.Y for p, s in sols.items() if s.mode != "AffineDirect"}
+        warm = {p: s.Y for p, s in sols.items() if s.mode != AFFINE_DIRECT}
         new_theta = blend(theta, phi, sd.damping)
         resid = price_metric(new_theta, theta)
         trace.append(resid)
@@ -224,8 +224,7 @@ def _conditional_variation(field_cad: np.ndarray, buckets: TreeConditioner) -> t
     var = 0.0
     count = buckets.count
     for j in range(spec.n_intervals):
-        hi = (j + 1) * m if (j + 1) * m < spec.n_fine else spec.n_fine - 1
-        diff = field_cad[:, hi] - field_cad[:, j * m]
+        diff = field_cad[:, (j + 1) * m] - field_cad[:, j * m]
         stats = buckets.bucket_stats(j, diff)
         frac = stats.counts / count
         total += float(np.sum(frac * np.abs(stats.mean[:, 0])))

@@ -7,7 +7,7 @@ terms of the BSDE are never materialized):
   convex costs:  Picard loop over (X -> response -> regression -> Y), with the
                  response  d_x g(X_T, env_T) + int_t^T d_x f(s, X_s, env_s) ds
                  regressed on a polynomial basis of (X_t, B_t[, C_t]) within
-                 each tree bucket.
+                 each tree bucket; the converged pass is the solution.
 
 Forward dynamics use Euler-Maruyama on the fine grid; all time integrals use
 the trapezoid rule, interval by interval so that the cadlag price enters with
@@ -18,7 +18,7 @@ L*(1 + (T-t)), which the conditional-expectation representation guarantees.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -44,9 +44,10 @@ class FbsdeSolution:
     interval endpoint belongs to the new interval); `Y_end`, `alpha_end` hold
     the left limits at interval ends, used by interval-wise integrals.
     `response` is the raw per-sample conditional-expectation target (the
-    bracket), kept for standard-error estimates downstream.  `X` is None for
-    affine costs: their adjoint does not depend on the state, so nothing
-    needs the state path (per_sample_cost re-integrates it from a control).
+    bracket) smoothed into `Y`, read by the price map and standard errors.
+    `X` is None for affine costs: their adjoint does not depend on the state,
+    so nothing needs the state path (per_sample_cost re-integrates it from a
+    control).  A convex solution is its last Picard pass, `X` the state under `alpha`.
     """
 
     X: Optional[np.ndarray]
@@ -57,7 +58,6 @@ class FbsdeSolution:
     Y_end: np.ndarray = None
     alpha_end: np.ndarray = None
     response: np.ndarray = None
-    residual_trace: list = field(default_factory=list)
 
 
 def optimal_control(y, price, lam: float):
@@ -225,7 +225,9 @@ def solve_convex(batch: ScenarioBatch, price: DiscretePrice, agent: AgentSpec,
                  buckets: TreeConditioner, bounds: ModelBounds,
                  start_index: int = 0, x0=None, env: Optional[PriceEnv] = None,
                  warm_start: Optional[np.ndarray] = None) -> FbsdeSolution:
-    """Damped Picard iteration for general convex costs."""
+    """Damped Picard iteration for general convex costs.  The first pass whose
+    smoothed response Y_hat is within _PICARD_TOL of its iterate Y is the
+    solution (Y_hat, Y_end, response), plus one Euler pass under alpha(Y_hat)."""
     if agent.cost_mode != GENERAL_CONVEX:
         raise ValueError(f"solve_convex requires general convex costs, got {agent.cost_mode}")
     if env is None:
@@ -236,35 +238,27 @@ def solve_convex(batch: ScenarioBatch, price: DiscretePrice, agent: AgentSpec,
 
     Y = np.zeros_like(env.cadlag) if warm_start is None else warm_start.copy()
     trace = []
-    response = None
-    X = None
-    for it in range(1, _PICARD_MAX + 1):
+    for _ in range(_PICARD_MAX):
         alpha = optimal_control(Y, env.cadlag, agent.lam)
         X = euler_state(batch, env, agent, alpha, start_index=start_index, x0=x0)
         response = _convex_response(batch, env, agent, X)
         states[0] = X
-        Y_hat, _ = _smooth_response(response, batch, buckets, bounds, states,
-                                    start_index=start_index)
+        Y_hat, Y_end = _smooth_response(response, batch, buckets, bounds, states,
+                                        start_index=start_index)
         delta = float(np.max(np.abs(Y_hat[:, start_index:] - Y[:, start_index:])))
         trace.append(delta)
-        Y = (1.0 - _PICARD_DAMPING) * Y + _PICARD_DAMPING * Y_hat
         if delta <= _PICARD_TOL:
             break
+        Y = (1.0 - _PICARD_DAMPING) * Y + _PICARD_DAMPING * Y_hat
     else:
         raise PicardError(f"Picard loop did not converge (last update {trace[-1]:.3e})", trace)
 
-    alpha = optimal_control(Y, env.cadlag, agent.lam)
-    X = euler_state(batch, env, agent, alpha, start_index=start_index, x0=x0)
-    response = _convex_response(batch, env, agent, X)
-    states[0] = X
-    Y, Y_end = _smooth_response(response, batch, buckets, bounds, states,
-                                start_index=start_index)
-    alpha = optimal_control(Y, env.cadlag, agent.lam)
+    alpha = optimal_control(Y_hat, env.cadlag, agent.lam)
     alpha_end = optimal_control(Y_end, env.left_end, agent.lam)
     X = euler_state(batch, env, agent, alpha, start_index=start_index, x0=x0)
-    return FbsdeSolution(X=X, Y=Y, alpha=alpha, mode=CONVEX_PICARD,
+    return FbsdeSolution(X=X, Y=Y_hat, alpha=alpha, mode=CONVEX_PICARD,
                          picard_iters=len(trace), Y_end=Y_end, alpha_end=alpha_end,
-                         response=response, residual_trace=trace)
+                         response=response)
 
 
 def solve_agent(batch, price, agent, buckets, bounds, informed_state: bool = True,

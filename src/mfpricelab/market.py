@@ -76,18 +76,14 @@ def clearing_bound(model: MarketModel, N: int) -> float:
     return 8.0 * model.bounds.T * model.bounds.C_B ** 2 * s / N
 
 
-def _population_batch(common, population: str, xi, w):
-    """Flattened finite-market batch: common rows repeated per agent, fresh
-    idiosyncratics for the given population (the other one is never read)."""
+def _population_batch(common, xi, w):
+    """Flattened finite-market batch: common rows repeated per agent, and the
+    fresh idiosyncratics (xi, w) in both populations' slots, since only the
+    solved population's slot is read."""
     n_rows = xi.shape[0]
-    repeat = n_rows // common.count
-    reps = np.repeat(np.arange(common.count), repeat)
-    kw = dict(count=n_rows, b=common.b[reps], c=common.c[reps], node_path=common.node_path[reps])
-    if population == "I":
-        kw.update(w_I=w, xi_I=xi, w_S=w, xi_S=xi)
-    else:
-        kw.update(w_S=w, xi_S=xi, w_I=w, xi_I=xi)
-    return replace(common, **kw)
+    reps = np.repeat(np.arange(common.count), n_rows // common.count)
+    return replace(common, count=n_rows, b=common.b[reps], c=common.c[reps],
+                   node_path=common.node_path[reps], w_I=w, xi_I=xi, w_S=w, xi_S=xi)
 
 
 def _agent_controls(price: DiscretePrice, model: MarketModel, common, population: str,
@@ -98,7 +94,7 @@ def _agent_controls(price: DiscretePrice, model: MarketModel, common, population
     (M, n_agents, n_intervals)."""
     agent = model.informed if population == "I" else model.standard
     xi, w = idiosyncratic_copies(common.spec, seed, common.count, n_agents, population)
-    batch = _population_batch(common, population, xi, w)
+    batch = _population_batch(common, xi, w)
     buckets = TreeConditioner(batch.spec, batch.node_path, mode=price.mode,
                               min_count=model.solver.min_bucket)
     sol = solve_agent(batch, price, agent, buckets, model.bounds)

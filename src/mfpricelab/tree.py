@@ -2,18 +2,18 @@
 
 The common noise is observed at dyadic times t_i = i*T/2^n and projected onto
 a bounded lattice with step 2^-l and bound 2^l.  This module holds the grid
-geometry, the projections, the exact one-step transition kernel and the tree
-key (the full projected prefix, or just the current lattice state in Markov
-mode).  Partitioning samples by key is done once per batch, by
-conditioning.TreeConditioner.
+geometry, the projections, the exact one-step transition kernel (from
+math.erfc) and the tree key (the full projected prefix, or just the current
+lattice state in Markov mode).  Partitioning samples by key is done once per
+batch, by conditioning.TreeConditioner.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm
 
 from .errors import ModelError
 
@@ -173,20 +173,15 @@ class TransitionKernel:
         return self.matrix[self.lattice.index_of(np.asarray([v]))[0]]
 
 
-def _cell_edges(lattice: Lattice) -> tuple[np.ndarray, np.ndarray]:
-    pts = lattice.points()
-    lo = pts.copy()
-    hi = pts + lattice.step
-    lo[0] = -np.inf
-    hi[-1] = np.inf
-    return lo, hi
-
-
 def kernel_row(v, lattice: Lattice, sigma: float) -> np.ndarray:
-    """One kernel row evaluated on demand (avoids materializing large matrices)."""
-    lo, hi = _cell_edges(lattice)
+    """Kernel rows from the states v: one math.erfc per distinct standardized
+    cell edge (edge - v)/sigma, of which lattice states have only ~2*size."""
+    edges = lattice.value_of(np.arange(lattice.size + 1))
+    edges[0], edges[-1] = -np.inf, np.inf
     v = np.atleast_1d(np.asarray(v, dtype=float))[:, None]
-    rows = norm.cdf((hi[None, :] - v) / sigma) - norm.cdf((lo[None, :] - v) / sigma)
+    z, where = np.unique((edges[None, :] - v) / sigma, return_inverse=True)
+    cdf = np.array([0.5 * math.erfc(-x / math.sqrt(2.0)) for x in z])[where.reshape(v.size, -1)]
+    rows = np.diff(cdf, axis=1)
     rows /= rows.sum(axis=1, keepdims=True)
     return rows[0] if rows.shape[0] == 1 else rows
 

@@ -228,12 +228,20 @@ class TestMainEntry:
         assert main(argv) == 2
         assert "max_iter" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["seed", "seeds", "levels", "n_values", "n_scenarios",
-                                     "N_S", "probe_budget"])
-    def test_bad_run_integer_is_config_error(self, tmp_path, capsys, key):
-        cfg = MINIMAL.format(out=tmp_path / "b") + f"{key} = abc\n"
-        assert main(["solve", "--config", str(write(tmp_path, cfg))]) == 2
-        assert f"[run] {key}: expected" in capsys.readouterr().err
+    @pytest.mark.parametrize("command,key,value", [
+        *(pytest.param("solve", key, "abc", id=key)
+          for key in ("seed", "seeds", "levels", "n_values", "n_scenarios", "N_S", "probe_budget")),
+        ("clearing", "seeds", "0"), ("informed", "N_S", "0"), ("validate", "probe_budget", "0"),
+        ("informed", "penalty_scaling", "bogus"), ("solve", "--seed", "-1")])
+    def test_bad_run_integer_is_config_error(self, tmp_path, capsys, command, key, value):
+        cfg = MINIMAL.format(out=tmp_path / "b")
+        if key.startswith("--"):
+            argv = [key, value]
+        else:
+            cfg += f"{key} = {value}\n"
+            argv = []
+        assert main([command, "--config", str(write(tmp_path, cfg)), *argv]) == 2
+        assert f"[run] {key.lstrip('-')}: expected" in capsys.readouterr().err
 
     def test_lone_undersized_key_warns(self, tmp_path):
         # one sample: every interval has a single key below min_bucket, which
@@ -243,6 +251,15 @@ class TestMainEntry:
               "--out-dir", str(out)])
         report = (out / "report.txt").read_text(encoding="utf-8")
         assert "warning: 4 undersized keys (below min_bucket 30) are alone" in report
+
+    def test_import_loads_no_scipy(self):
+        # numpy is the only runtime dependency
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+        code = ("import sys, mfpricelab, mfpricelab.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]"
 
     def test_solve_csv_independent_of_hash_seed(self, tmp_path):
         # results depend on (config, seed) only, not on the process's str hashing

@@ -238,6 +238,22 @@ class TestSolveConvex:
         scale = np.maximum(np.abs(sol.X), 1.0)
         assert np.max(np.abs(again - sol.X) / scale) <= 1e-10
 
+    def test_last_pass_is_the_solution(self, batch, buckets, monkeypatch):
+        # N Picard passes cost N smoothings and N+1 Euler passes: the
+        # converged pass is returned, plus one Euler pass under its control
+        from mfpricelab import fbsde
+        calls = {"_smooth_response": 0, "euler_state": 0}
+        for name in calls:
+            def counted(*args, _inner=getattr(fbsde, name), _name=name, **kw):
+                calls[_name] += 1
+                return _inner(*args, **kw)
+            monkeypatch.setattr(fbsde, name, counted)
+        agent = preset("general-convex").standard
+        sol = solve_convex(batch, constant_price(SPEC, buckets, -0.2), agent, buckets, BOUNDS)
+        assert sol.picard_iters > 1
+        assert calls == {"_smooth_response": sol.picard_iters,
+                         "euler_state": sol.picard_iters + 1}
+
     def test_boundedness(self, batch, buckets):
         model = preset("general-convex")
         price = zero_price(SPEC, buckets)

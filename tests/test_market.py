@@ -84,7 +84,7 @@ class TestClearingResidual:
         M, n_agents = 256, 2
         common = sample_batch(model.grid, 903, M, model.factor)
         xi, w = idiosyncratic_copies(model.grid, 904, M, n_agents, "S")
-        flat = _population_batch(common, "S", xi, w)
+        flat = _population_batch(common, xi, w)
         buckets = TreeConditioner(flat.spec, flat.node_path, price.mode, min_count=30)
         sol = solve_agent(flat, price, model.standard, buckets, model.bounds)
         j = model.grid.m  # time t_1
