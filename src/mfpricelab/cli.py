@@ -307,9 +307,11 @@ def run(spec: RunSpec) -> tuple[int, dict]:
                        "detail": f"{ok_seeds}/{spec.run['seeds']} seeds decreasing (need {need})"})
     elif spec.command == "clearing":
         from .equilibrium import solve_fixed_point
-        from .market import clearing_report_csv, rate_study
-        if len(spec.run["n_values"]) < 4:
-            raise ConfigError("clearing needs >= 4 market sizes for a slope")
+        from .market import check_sizes, clearing_report_csv, rate_study
+        try:
+            check_sizes(spec.run["n_values"])
+        except ValueError as exc:
+            raise ConfigError(str(exc))
         batch = sample_batch(model.grid, spec.run["seed"], samples, model.factor)
         eq = solve_fixed_point(batch, model)
         seeds = [spec.run["seed"] + 1000 + k for k in range(spec.run["seeds"])]

@@ -3,16 +3,15 @@
 A TreeConditioner is the one partition of a batch by tree key (full prefix
 or Markov key): it precomputes, per interval, the bucket id of every sample,
 the keys' lattice codes (one sorted row per key; keys() builds TreeKeys) and
-the sample order that makes every bucket one contiguous slice.  Conditional
-expectations are bucket means (bucket_stats); undersized buckets (below
-min_count) fall back to a kernel-weighted average over the keys at the same
+the sample order that makes every bucket one contiguous slice.  The one
+conditional-expectation kernel, regress_slab, is ridge-stabilized least
+squares within each bucket on a total-degree-2 polynomial basis of a
+continuous state (e.g. (X_t, B_t, C_t)); with no state the basis is empty
+and the fit is the bucket mean (degree 0).  Undersized buckets (below
+min_count) take a kernel-weighted average of the bucket means at the same
 interval, weighted by bucket count and the Gaussian one-step transition
-density in the current lattice state.  Within-bucket refinement by a
-continuous state (e.g. (X_t, B_t, C_t)) is ridge-stabilized least squares on
-a total-degree-2 polynomial basis (regress_slab): values and basis are
-gathered once into one block in bucket order, each fitted bucket's centred
-Gram matrix is one matrix product over its slice, and all fitted buckets are
-solved in one batched call; its undersized buckets get the same pooled means.
+density in the current lattice state.  bucket_stats adds standard errors to
+the pooled means, for the price map, diagnostics and checks that read them.
 """
 
 from __future__ import annotations
@@ -106,22 +105,6 @@ class TreeConditioner:
         """Undersized keys alone at their interval: nothing to pool them with."""
         return sum(int(c.size == 1 and c[0] < self.min_count) for c in self._counts)
 
-    def _segment_sums(self, interval: int, values: np.ndarray) -> np.ndarray:
-        """Per-bucket column sums via reduceat on the sorted sample order."""
-        return np.add.reduceat(values[self._order[interval]], self._starts[interval], axis=0)
-
-    def _column_means(self, interval: int, values: np.ndarray):
-        counts = self._counts[interval]
-        vals = values if values.ndim == 2 else values[:, None]
-        sums = self._segment_sums(interval, vals)
-        sq = self._segment_sums(interval, vals ** 2)
-        mean = sums / counts[:, None]
-        var = np.maximum(sq / counts[:, None] - mean ** 2, 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            se = np.sqrt(var / np.maximum(counts[:, None] - 1, 0))
-        se[counts < 2] = np.inf
-        return mean, se
-
     def _pooled_means(self, interval: int, mean: np.ndarray) -> np.ndarray:
         """Means of the undersized keys at one interval, pooled over all keys.
 
@@ -137,9 +120,17 @@ class TreeConditioner:
         return pooled
 
     def bucket_stats(self, interval: int, values: np.ndarray) -> BucketStats:
-        """Bucket means with standard errors; undersized keys pooled."""
-        mean, se = self._column_means(interval, np.asarray(values, dtype=float))
+        """Bucket means with standard errors (one gather in bucket order); undersized keys pooled."""
+        values = np.asarray(values, dtype=float)
         counts = self._counts[interval]
+        starts = self._starts[interval]
+        gathered = (values if values.ndim == 2 else values[:, None])[self._order[interval]]
+        mean = np.add.reduceat(gathered, starts, axis=0) / counts[:, None]
+        sq = np.add.reduceat(np.square(gathered, out=gathered), starts, axis=0)
+        var = np.maximum(sq / counts[:, None] - mean ** 2, 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            se = np.sqrt(var / np.maximum(counts[:, None] - 1, 0))
+        se[counts < 2] = np.inf
         fallback = np.zeros(counts.size, dtype=bool)
         small, w = self._pool_w[interval]
         if small.size:
@@ -154,7 +145,8 @@ class TreeConditioner:
                      degree: int = 2) -> np.ndarray:
         """Within-bucket least squares, one fit per (bucket, value column).
 
-        `state` has shape (count, k, d): the regression state per column.
+        `state` has shape (count, k, d): the regression state per column;
+        with d = 0 no bucket is fitted and the result is the bucket mean.
         `[values | basis]` is written once, in bucket order, into one
         (count, k, 1+p) block, so every bucket is a contiguous slice and one
         reduceat gives all bucket means.  Each fitted bucket (count >=
@@ -168,28 +160,24 @@ class TreeConditioner:
         pooled mean; if the batched solve fails, every fitted bucket keeps
         its mean and counts in rank_fallbacks.
         """
-        values = np.asarray(values, dtype=float)
-        order = self._order[interval]
-        starts = self._starts[interval]
-        counts = self._counts[interval]
-        block = _design_block(values.take(order, axis=0),
+        order, starts, counts = self._order[interval], self._starts[interval], self._counts[interval]
+        block = _design_block(np.asarray(values, dtype=float).take(order, axis=0),
                               np.asarray(state, dtype=float).take(order, axis=0), degree)
         k, p = block.shape[1], block.shape[2] - 1
-        means = np.add.reduceat(block, starts, axis=0)
-        means /= counts[:, None, None]
-        fit = np.flatnonzero(counts >= max(self.min_count, p + 2))
-        rows = [slice(a, a + n) for a, n in zip(starts[fit].tolist(), counts[fit].tolist())]
-        gram = np.empty((fit.size, k, p + 1, p + 1))
-        for j, (b, r) in enumerate(zip(fit, rows)):
-            seg = block[r]
-            seg -= means[b]
-            np.matmul(seg.transpose(1, 2, 0), seg.transpose(1, 0, 2), out=gram[j])
+        means = np.add.reduceat(block, starts, axis=0) / counts[:, None, None]
         mean_y = means[:, :, 0]
-        small, _ = self._pool_w[interval]
+        small, _ = self._pool_w[interval]  # never a fitted bucket
         if small.size:
             mean_y[small] = self._pooled_means(interval, mean_y)
         preds = np.repeat(mean_y, counts, axis=0)
+        fit = np.flatnonzero(counts >= max(self.min_count, p + 2)) if p else np.arange(0)
         if fit.size:
+            rows = [slice(a, a + n) for a, n in zip(starts[fit].tolist(), counts[fit].tolist())]
+            gram = np.empty((fit.size, k, p + 1, p + 1))
+            for j, (b, r) in enumerate(zip(fit, rows)):
+                seg = block[r]
+                seg -= means[b]
+                np.matmul(seg.transpose(1, 2, 0), seg.transpose(1, 0, 2), out=gram[j])
             rhs = gram[:, :, 1:, :1]
             lhs = gram[:, :, 1:, 1:]
             scale = np.maximum(np.trace(lhs, axis1=2, axis2=3) / p, 1e-30)

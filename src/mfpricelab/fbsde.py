@@ -5,9 +5,12 @@ terms of the BSDE are never materialized):
 
   affine costs:  Y_t = E[ g(env_T) + int_t^T c(s, env_s) ds | key_t (+state) ]
   convex costs:  Picard loop over (X -> response -> regression -> Y), with the
-                 response  d_x g(X_T, env_T) + int_t^T d_x f(s, X_s, env_s) ds
-                 regressed on a polynomial basis of (X_t, B_t[, C_t]) within
-                 each tree bucket; the converged pass is the solution.
+                 response  d_x g(X_T, env_T) + int_t^T d_x f(s, X_s, env_s) ds;
+                 the converged pass is the solution.
+
+Each conditional expectation is TreeConditioner.regress_slab on a state built
+once per solve: (X_t, B_t[, C_t]) for convex costs, (B_t[, C_t]) for the
+affine informed agent, none (bucket means) for the affine standard agent.
 
 Forward dynamics use Euler-Maruyama on the fine grid; all time integrals use
 the trapezoid rule, interval by interval so that the cadlag price enters with
@@ -168,11 +171,11 @@ def _convex_response(batch: ScenarioBatch, env: PriceEnv, agent: AgentSpec, X: n
 
 
 def _smooth_response(response: np.ndarray, batch: ScenarioBatch, conditioner: TreeConditioner,
-                     bounds: ModelBounds, state_arrays: list, start_index: int = 0):
+                     bounds: ModelBounds, state: np.ndarray, start_index: int = 0):
     """Per-sample conditional expectation of the response at every fine time.
 
     Conditioning is the tree key of the enclosing interval, refined by least
-    squares on the continuous state when state columns are supplied.  Returns
+    squares on the (count, n_fine, d) state (d = 0: bucket means).  Returns
     the cadlag field and its interval-end left limits (the sub-time m column
     of each interval, conditioned on that interval's key).
     """
@@ -183,12 +186,7 @@ def _smooth_response(response: np.ndarray, batch: ScenarioBatch, conditioner: Tr
     Y_end = np.zeros((batch.count, spec.n_intervals))
     for i in range(start_index // m, spec.n_intervals):
         sl = slice(i * m, (i + 1) * m + 1)
-        cols = response[:, sl]
-        if state_arrays:
-            state = np.stack([a[:, sl] for a in state_arrays], axis=2)
-            preds = conditioner.regress_slab(i, state, cols)
-        else:
-            preds = conditioner.bucket_stats(i, cols).mean[conditioner.inverse(i)]
+        preds = conditioner.regress_slab(i, state[:, sl], response[:, sl])
         preds = np.clip(preds, -env_bound[:, sl], env_bound[:, sl])
         Y[:, i * m:(i + 1) * m] = preds[:, :m]
         Y_end[:, i] = preds[:, m]
@@ -210,10 +208,13 @@ def solve_affine(batch: ScenarioBatch, price: DiscretePrice, agent: AgentSpec,
     if env is None:
         env = materialize(price, buckets)
     response = _affine_response(batch, env, agent)
-    states = []
-    if agent.population == "I" and informed_state:
-        states = [batch.b, batch.c] if agent.reads_factor else [batch.b]
-    Y, Y_end = _smooth_response(response, batch, buckets, bounds, states,
+    if agent.population != "I" or not informed_state:
+        state = np.empty((batch.count, batch.spec.n_fine, 0))
+    elif agent.reads_factor:
+        state = np.stack([batch.b, batch.c], axis=2)
+    else:
+        state = batch.b[:, :, None]
+    Y, Y_end = _smooth_response(response, batch, buckets, bounds, state,
                                 start_index=start_index)
     alpha = optimal_control(Y, env.cadlag, agent.lam)
     alpha_end = optimal_control(Y_end, env.left_end, agent.lam)
@@ -232,9 +233,9 @@ def solve_convex(batch: ScenarioBatch, price: DiscretePrice, agent: AgentSpec,
         raise ValueError(f"solve_convex requires general convex costs, got {agent.cost_mode}")
     if env is None:
         env = materialize(price, buckets)
-    states = [None, batch.b]  # X column filled per iteration
-    if agent.population == "I" and agent.reads_factor:
-        states.append(batch.c)
+    fixed = [batch.b, batch.c] if agent.population == "I" and agent.reads_factor else [batch.b]
+    state = np.empty((batch.count, batch.spec.n_fine, 1 + len(fixed)))  # (X, B[, C])
+    state[:, :, 1:] = np.stack(fixed, axis=2)  # X is written on every pass
 
     Y = np.zeros_like(env.cadlag) if warm_start is None else warm_start.copy()
     trace = []
@@ -242,8 +243,8 @@ def solve_convex(batch: ScenarioBatch, price: DiscretePrice, agent: AgentSpec,
         alpha = optimal_control(Y, env.cadlag, agent.lam)
         X = euler_state(batch, env, agent, alpha, start_index=start_index, x0=x0)
         response = _convex_response(batch, env, agent, X)
-        states[0] = X
-        Y_hat, Y_end = _smooth_response(response, batch, buckets, bounds, states,
+        state[:, :, 0] = X
+        Y_hat, Y_end = _smooth_response(response, batch, buckets, bounds, state,
                                         start_index=start_index)
         delta = float(np.max(np.abs(Y_hat[:, start_index:] - Y[:, start_index:])))
         trace.append(delta)

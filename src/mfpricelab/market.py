@@ -136,6 +136,14 @@ def clearing_residual(price: DiscretePrice, model: MarketModel, N_I: int, N_S: i
                             per_scenario=vals)
 
 
+def check_sizes(N_values) -> list:
+    """A rate study's market sizes, ascending: four or more, the largest >= 4x the smallest."""
+    N_values = sorted(int(n) for n in N_values)
+    if len(N_values) < 4 or N_values[-1] < 4 * N_values[0]:
+        raise ValueError(f"rate study needs >= 4 market sizes spanning >= 2 octaves, got {N_values}")
+    return N_values
+
+
 def rate_study(price: DiscretePrice, model: MarketModel, N_values: list, seeds: list,
                n_scenarios: int = 48) -> ClearingReport:
     """Residual decay across market sizes.
@@ -143,9 +151,7 @@ def rate_study(price: DiscretePrice, model: MarketModel, N_values: list, seeds: 
     Per seed, one pooled FBSDE solve at the largest size; smaller markets are
     nested subsets of the same agents (common random numbers across N).
     """
-    N_values = sorted(int(n) for n in N_values)
-    if len(N_values) < 4 or N_values[-1] < 4 * N_values[0]:
-        raise ValueError("rate study needs >= 4 sizes spanning >= 2 octaves")
+    N_values = check_sizes(N_values)
     w_I = model.informed.weight
     split = {N: (max(1, round(w_I * N)), N - max(1, round(w_I * N))) for N in N_values}
     N_max = N_values[-1]

@@ -100,6 +100,8 @@ class SolverDefaults:
             raise ValueError("max_iter must be >= 1")
         if self.mode not in (None, FULL_PREFIX, MARKOV):
             raise ValueError(f"mode must be {FULL_PREFIX} or {MARKOV}, got {self.mode!r}")
+        if self.min_bucket < 1:
+            raise ValueError("min_bucket must be >= 1")
 
     def key_mode(self, n: int) -> str:
         """The set mode; if None, prefix for n <= 2 and Markov deeper, where

@@ -228,6 +228,23 @@ class TestMainEntry:
         assert main(argv) == 2
         assert "max_iter" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_min_bucket_below_one_is_config_error(self, tmp_path, capsys, conditioner_builds,
+                                                  value):
+        cfg = MINIMAL.format(out=tmp_path / "mb") + f"min_bucket = {value}\n"
+        assert main(["solve", "--config", str(write(tmp_path, cfg))]) == 2
+        assert "min_bucket" in capsys.readouterr().err
+        assert conditioner_builds == []
+
+    def test_clearing_sizes_checked_before_solve(self, tmp_path, capsys, conditioner_builds):
+        # four sizes spanning less than two octaves: refused before any solve
+        cfg = ("[run]\nmodel = clearing\ncommand = clearing\n"
+               f"out_dir = {tmp_path / 'c'}\nsamples = 400\nseeds = 1\nn_scenarios = 4\n"
+               "n_values = 8,9,10,11\n")
+        assert main(["clearing", "--config", str(write(tmp_path, cfg))]) == 2
+        assert "octaves" in capsys.readouterr().err
+        assert conditioner_builds == []
+
     @pytest.mark.parametrize("command,key,value", [
         *(pytest.param("solve", key, "abc", id=key)
           for key in ("seed", "seeds", "levels", "n_values", "n_scenarios", "N_S", "probe_budget")),

@@ -179,6 +179,19 @@ class TestRegressionReference:
             assert "plain" in kinds
 
     @pytest.mark.parametrize("mode", [FULL_PREFIX, MARKOV])
+    @pytest.mark.parametrize("min_count", [30, 1])
+    def test_empty_state_is_bucket_mean(self, mode, min_count):
+        # d = 0: no basis, no fit; the degree-0 fit is the pooled bucket mean
+        nodes, _ = make_nodes(1500, seed=11)
+        cond = TreeConditioner(SPEC, nodes, mode, min_count=min_count)
+        state, values = slab_inputs(1500, 3, 1, seed=3)
+        empty = state[:, :, :0]
+        for i in range(SPEC.n_intervals):
+            np.testing.assert_array_equal(cond.regress_slab(i, empty, values),
+                                          cond.bucket_stats(i, values).mean[cond.inverse(i)])
+        assert (cond.n_fallback_keys() > 0) == (min_count > 1)
+
+    @pytest.mark.parametrize("mode", [FULL_PREFIX, MARKOV])
     def test_failed_solve_keeps_bucket_means(self, mode, monkeypatch):
         nodes, _ = make_nodes(1500, seed=12)
         cond = TreeConditioner(SPEC, nodes, mode, min_count=30)
@@ -206,10 +219,11 @@ class TestRegressionReference:
         cond = TreeConditioner(SPEC, nodes, mode, min_count=40)
         assert cond.n_fallback_keys() > 0
         values = np.full((2000, 3), 1.25)
-        state = rng.normal(size=(2000, 3, 2))
-        for i in range(SPEC.n_intervals):
-            assert np.all(cond.bucket_stats(i, values).mean == 1.25)
-            assert np.all(cond.regress_slab(i, state, values) == 1.25)
+        for d in (0, 2):
+            state = rng.normal(size=(2000, 3, d))
+            for i in range(SPEC.n_intervals):
+                assert np.all(cond.bucket_stats(i, values).mean == 1.25)
+                assert np.all(cond.regress_slab(i, state, values) == 1.25)
 
     def test_no_per_sample_outer_products(self):
         # the kernel's working set is a few (count, k, p+1) blocks, not

@@ -139,6 +139,25 @@ class TestSolveAffine:
         sol = solve_affine(batch, constant_price(SPEC, buckets, -0.2), agent, buckets, BOUNDS)
         assert sol.X is None
 
+    def test_no_bucket_stats_call(self, batch, buckets, monkeypatch):
+        # every adjoint is a regress_slab fit (the degree-0 bucket mean when
+        # there is no state), so no solve computes standard errors
+        calls = []
+        real = TreeConditioner.bucket_stats
+
+        def spy(self, *args, **kwargs):
+            calls.append(args[0])
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(TreeConditioner, "bucket_stats", spy)
+        price = constant_price(SPEC, buckets, -0.2)
+        for pop, reads_factor, informed_state in [("S", False, True), ("I", False, True),
+                                                  ("I", True, True), ("I", False, False)]:
+            agent = affine_agent(term=lambda w, b, c: np.clip(b + c, -1, 1), pop=pop,
+                                 reads_factor=reads_factor)
+            solve_affine(batch, price, agent, buckets, BOUNDS, informed_state=informed_state)
+        assert calls == []
+
     def test_control_identity(self, batch, buckets):
         agent = affine_agent(term=lambda w, b, c: np.clip(b, -1, 1))
         price = constant_price(SPEC, buckets, 0.1)

@@ -129,7 +129,8 @@ class TestValidation:
 class TestSolverDefaults:
     # damping 0 and tol 0: test_equilibrium's test_option_validation
     @pytest.mark.parametrize("change", [{"samples": 0}, {"damping": 1.5}, {"max_iter": 0},
-                                        {"mode": "bogus"}])
+                                        {"mode": "bogus"}, {"min_bucket": 0},
+                                        {"min_bucket": -5}])
     def test_rejects_bad_settings(self, change):
         with pytest.raises(ValueError, match=next(iter(change))):
             preset("zero").with_solver(**change)
