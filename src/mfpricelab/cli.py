@@ -139,6 +139,25 @@ def _preset(name: str) -> MarketModel:
     return preset(name)
 
 
+def _grid_from(raw: dict, grid: GridSpec, L: float) -> tuple[GridSpec, ModelBounds]:
+    """The [grid] values over a base grid and coefficient bound L."""
+    try:
+        grid = GridSpec(n=int(raw.get("n", grid.n)), l=int(raw.get("l", grid.l)),
+                        m=int(raw.get("m", grid.m)), T=float(raw.get("T", grid.T)))
+        return grid, ModelBounds(L=float(raw.get("L", L)), T=grid.T)
+    except ValueError as exc:
+        raise ConfigError(f"[grid] {exc}")
+
+
+def _factor_from(raw: dict, factor: InformedFactorSpec) -> InformedFactorSpec:
+    """The [factor] values over a base factor law."""
+    try:
+        return replace(factor, kind=raw.get("kind", factor.kind),
+                       rho=float(raw.get("rho", factor.rho)))
+    except ValueError as exc:
+        raise ConfigError(f"[factor] {exc}")
+
+
 def _with_solver(model: MarketModel, settings: dict) -> MarketModel:
     """The model with the solver settings that are not None folded in."""
     try:
@@ -198,30 +217,20 @@ def parse_config(path, command: str = None) -> RunSpec:
     preset_name = run_raw.get("model")
     if preset_name:
         model = _preset(preset_name)
-        if grid_raw:
-            g = model.grid
-            grid = GridSpec(n=int(grid_raw.get("n", g.n)), l=int(grid_raw.get("l", g.l)),
-                            m=int(grid_raw.get("m", g.m)), T=float(grid_raw.get("T", g.T)))
-            model = model.with_grid(grid)
-            if "L" in grid_raw:
-                model = replace(model, bounds=ModelBounds(L=float(grid_raw["L"]), T=grid.T))
+        grid, bounds = _grid_from(grid_raw, model.grid, model.bounds.L)
+        model = replace(model, grid=grid, bounds=bounds,
+                        factor=_factor_from(factor_raw, model.factor))
     else:
         if "informed" not in sections or "standard" not in sections:
             raise ConfigError("config must name a preset or define [informed] and [standard]")
-        try:
-            grid = GridSpec(n=int(grid_raw.get("n", 2)), l=int(grid_raw.get("l", 1)),
-                            m=int(grid_raw.get("m", 8)), T=float(grid_raw.get("T", 1.0)))
-        except ValueError as exc:
-            raise ConfigError(f"[grid] {exc}")
-        factor = InformedFactorSpec(kind=factor_raw.get("kind", "correlated-bm"),
-                                    rho=float(factor_raw.get("rho", 0.5)))
+        grid, bounds = _grid_from(grid_raw, GridSpec(n=2, l=1, m=8, T=1.0), 1.0)
+        factor = _factor_from(factor_raw, InformedFactorSpec())
         try:
             model = MarketModel(
                 name=Path(path).stem,
                 informed=_agent_from("informed", sections["informed"], "I", grid.T),
                 standard=_agent_from("standard", sections["standard"], "S", grid.T),
-                grid=grid, factor=factor,
-                bounds=ModelBounds(L=float(grid_raw.get("L", 1.0)), T=grid.T))
+                grid=grid, factor=factor, bounds=bounds)
         except ValueError as exc:
             raise ConfigError(str(exc))
 
@@ -231,11 +240,12 @@ def parse_config(path, command: str = None) -> RunSpec:
 
 
 def _echo_config(spec: RunSpec) -> dict:
-    g = spec.model.grid
+    g, f = spec.model.grid, spec.model.factor
     return {
         "command": spec.command,
         "model": spec.model.name,
         "grid": {"n": g.n, "l": g.l, "m": g.m, "T": g.T, "L": spec.model.bounds.L},
+        "factor": {"kind": f.kind, "rho": f.rho},
         "solver": {k: getattr(spec.model.solver, k) for k in _SOLVER_KEYS},
         "run": dict(spec.run),
     }

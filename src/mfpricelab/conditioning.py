@@ -146,7 +146,8 @@ class TreeConditioner:
         """Within-bucket least squares, one fit per (bucket, value column).
 
         `state` has shape (count, k, d): the regression state per column;
-        with d = 0 no bucket is fitted and the result is the bucket mean.
+        with d = 0 no bucket is fitted and the result is the pooled bucket
+        mean, gathered per sample through the bucket ids.  Otherwise
         `[values | basis]` is written once, in bucket order, into one
         (count, k, 1+p) block, so every bucket is a contiguous slice and one
         reduceat gives all bucket means.  Each fitted bucket (count >=
@@ -155,22 +156,38 @@ class TreeConditioner:
         right-hand side is the Gram's first column.  All fitted buckets are
         solved in one batched call, with a ridge of 1e-9 * trace/p.
         Predictions equal the bucket mean plus the fitted centred-basis
-        component, so they average back to the bucket mean exactly.  Buckets
-        between min_count and p+2 use the plain mean, undersized buckets the
-        pooled mean; if the batched solve fails, every fitted bucket keeps
-        its mean and counts in rank_fallbacks.
+        component, so they average back to the bucket mean exactly.
+        Buckets between min_count and p+2 use the plain mean, undersized
+        buckets the pooled mean; if the batched solve fails, every fitted
+        bucket keeps its mean and counts in rank_fallbacks.
         """
         order, starts, counts = self._order[interval], self._starts[interval], self._counts[interval]
-        block = _design_block(np.asarray(values, dtype=float).take(order, axis=0),
-                              np.asarray(state, dtype=float).take(order, axis=0), degree)
-        k, p = block.shape[1], block.shape[2] - 1
+        values = np.asarray(values, dtype=float)
+        state = np.asarray(state, dtype=float)
+        d = state.shape[2]
+        pairs = [(a, b) for a in range(d) for b in range(a, d)] if degree >= 2 else []
+        p = d + len(pairs)
+        small, _ = self._pool_w[interval]  # never a fitted bucket
+        if not p:
+            mean_y = np.add.reduceat(values[order], starts, axis=0) / counts[:, None]
+            if small.size:
+                mean_y[small] = self._pooled_means(interval, mean_y)
+            return mean_y[self._inverse[interval]]
+        # basis: x_i, then x_i*x_j for i <= j (the constant is the centring)
+        block = np.empty(values.shape + (1 + p,))
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        block[rank, :, 0] = values
+        block[rank, :, 1:1 + d] = state
+        for c, (a, b) in enumerate(pairs, start=1 + d):
+            np.multiply(block[:, :, 1 + a], block[:, :, 1 + b], out=block[:, :, c])
+        k = block.shape[1]
         means = np.add.reduceat(block, starts, axis=0) / counts[:, None, None]
         mean_y = means[:, :, 0]
-        small, _ = self._pool_w[interval]  # never a fitted bucket
         if small.size:
             mean_y[small] = self._pooled_means(interval, mean_y)
         preds = np.repeat(mean_y, counts, axis=0)
-        fit = np.flatnonzero(counts >= max(self.min_count, p + 2)) if p else np.arange(0)
+        fit = np.flatnonzero(counts >= max(self.min_count, p + 2))
         if fit.size:
             rows = [slice(a, a + n) for a, n in zip(starts[fit].tolist(), counts[fit].tolist())]
             gram = np.empty((fit.size, k, p + 1, p + 1))
@@ -193,20 +210,3 @@ class TreeConditioner:
         out = np.empty_like(preds)
         out[order] = preds
         return out
-
-
-def _design_block(values: np.ndarray, state: np.ndarray, degree: int) -> np.ndarray:
-    """[values | basis] per sample and column, shape (count, k, 1+p).
-
-    The basis is the total-degree polynomial without the constant term
-    (handled by centering): terms x_i, then x_i*x_j for i<=j when degree >= 2.
-    `values` has shape (count, k) and `state` (count, k, d).
-    """
-    d = state.shape[2]
-    pairs = [(a, b) for a in range(d) for b in range(a, d)] if degree >= 2 else []
-    block = np.empty(values.shape + (1 + d + len(pairs),))
-    block[:, :, 0] = values
-    block[:, :, 1:1 + d] = state
-    for c, (a, b) in enumerate(pairs, start=1 + d):
-        np.multiply(state[:, :, a], state[:, :, b], out=block[:, :, c])
-    return block

@@ -21,8 +21,8 @@ from .conditioning import TreeConditioner
 from .errors import DivergenceError
 from .fbsde import AFFINE_DIRECT, FbsdeSolution, solve_agent
 from .models import AFFINE, MarketModel
-from .price import (DiscretePrice, blend, interval_matrix, key_rows, materialize,
-                    price_metric, zero_price)
+from .price import (DiscretePrice, blend, fine_path, interval_matrix, interval_view, key_rows,
+                    materialize, price_metric, zero_price)
 from .sampling import ScenarioBatch, discretize_at_level, sample_batch
 from .tree import MARKOV
 
@@ -123,14 +123,12 @@ def apply_phi(theta: DiscretePrice, batch: ScenarioBatch, model: MarketModel,
         sols[agent.population] = solve_agent(
             batch, theta, agent, buckets, model.bounds, informed_state=informed_state, env=env,
             **({"warm_start": warm.get(agent.population)} if agent.cost_mode != AFFINE else {}))
-    combo = _combined_response(model, sols["I"], sols["S"])
+    combo = interval_view(_combined_response(model, sols["I"], sols["S"]), spec.m)
     C_B = model.bounds.C_B
     tables, se_list, fb_list = [], [], []
     clip_excess = 0.0
-    m = spec.m
     for i in range(spec.n_intervals):
-        slab = combo[:, i * m:(i + 1) * m + 1]
-        stats = buckets.bucket_stats(i, slab)
+        stats = buckets.bucket_stats(i, combo[:, i])
         raw = -stats.mean
         clip_excess = max(clip_excess, float(np.max(np.abs(raw))) - C_B)
         tables.append(np.clip(raw, -C_B, C_B))
@@ -183,7 +181,7 @@ def solve_fixed_point(batch: ScenarioBatch, model: MarketModel,
         resid = price_metric(new_theta, theta)
         trace.append(resid)
         sup_p.append(new_theta.sup_norm())
-        sup_y.append({p: float(np.max(np.abs(s.Y))) for p, s in sols.items()})
+        sup_y.append({p: _sup_fine(s.Y) for p, s in sols.items()})
         theta = new_theta
         if resid > 10.0 * model.bounds.C_B:
             raise DivergenceError(f"fixed-point iteration diverged (residual {resid:.3e})", trace)
@@ -214,17 +212,22 @@ def mz_distance(x: np.ndarray, y: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return 0.5 * ((integrand[..., :-1] + integrand[..., 1:]) * dt).sum(axis=-1)
 
 
-def _conditional_variation(field_cad: np.ndarray, buckets: TreeConditioner) -> tuple[float, float]:
+def _sup_fine(slab: np.ndarray) -> float:
+    """Sup of a cadlag slab over its fine-grid points (left limits only at T)."""
+    return float(np.max(np.abs(fine_path(slab))))
+
+
+def _conditional_variation(path: np.ndarray, buckets: TreeConditioner) -> tuple[float, float]:
     """Tree estimate of the conditional variation over the dyadic partition:
     sum_j E |E[ A_{t_{j+1}} - A_{t_j} | key_j ]| with bucket means, plus the
-    quadrature-combined standard error of the estimate."""
+    quadrature-combined standard error of the estimate; A is a fine-grid path."""
     spec = buckets.spec
     m = spec.m
     total = 0.0
     var = 0.0
     count = buckets.count
     for j in range(spec.n_intervals):
-        diff = field_cad[:, (j + 1) * m] - field_cad[:, j * m]
+        diff = path[:, (j + 1) * m] - path[:, j * m]
         stats = buckets.bucket_stats(j, diff)
         frac = stats.counts / count
         total += float(np.sum(frac * np.abs(stats.mean[:, 0])))
@@ -241,25 +244,23 @@ def diagnostics(price: DiscretePrice, solutions: dict, batch: ScenarioBatch,
     dt_sub = spec.interval_length / spec.m
     lip_max = 0.0
     lip_excess = -np.inf
-    combo = _combined_response(model, solutions["I"], solutions["S"])
+    combo = interval_view(_combined_response(model, solutions["I"], solutions["S"]), spec.m)
     for i in range(spec.n_intervals):
         mat, _ = interval_matrix(price, buckets, i)
         slopes = np.abs(np.diff(mat, axis=1)) / dt_sub
         lip_max = max(lip_max, float(slopes.max()))
-        slab = combo[:, i * spec.m:(i + 1) * spec.m + 1]
-        inc_stats = buckets.bucket_stats(i, np.diff(slab, axis=1))
+        inc_stats = buckets.bucket_stats(i, np.diff(combo[:, i], axis=1))
         se = np.where(np.isfinite(inc_stats.se), inc_stats.se, 0.0)
         excess = slopes - 2.0 * L - 10.0 * se / dt_sub
         lip_excess = max(lip_excess, float(excess.max()))
 
-    env = materialize(price, buckets)
-    cv_p, cv_p_se = _conditional_variation(env.cadlag, buckets)
-    cv_i, cv_i_se = _conditional_variation(solutions["I"].Y, buckets)
-    cv_s, cv_s_se = _conditional_variation(solutions["S"].Y, buckets)
+    cv_p, cv_p_se = _conditional_variation(fine_path(materialize(price, buckets).path), buckets)
+    cv_i, cv_i_se = _conditional_variation(fine_path(solutions["I"].Y), buckets)
+    cv_s, cv_s_se = _conditional_variation(fine_path(solutions["S"].Y), buckets)
     return DiagnosticsRecord(
         sup_price=price.sup_norm(),
-        sup_Y_I=float(np.max(np.abs(solutions["I"].Y))),
-        sup_Y_S=float(np.max(np.abs(solutions["S"].Y))),
+        sup_Y_I=_sup_fine(solutions["I"].Y),
+        sup_Y_S=_sup_fine(solutions["S"].Y),
         time_lipschitz_max=lip_max,
         time_lipschitz_bound_excess=lip_excess,
         cond_variation_price=cv_p, cond_variation_price_se=cv_p_se,
@@ -370,7 +371,7 @@ def refinement_study(model: MarketModel, levels: list, batch: ScenarioBatch,
         buckets = TreeConditioner(sub_spec, node, mode=mode, min_count=model.solver.min_bucket)
         report = solve_fixed_point(sub_batch, model.with_grid(sub_spec), buckets=buckets)
         reports[n] = report
-        trajectories[n] = materialize(report.price, buckets).cadlag
+        trajectories[n] = fine_path(materialize(report.price, buckets).path)
     rows = []
     for a, b in zip(levels[:-1], levels[1:]):
         dm = mz_distance(trajectories[a], trajectories[b], batch.fine_grid)

@@ -21,7 +21,7 @@ from .equilibrium import apply_phi
 from .errors import ModelError, PriceLabError
 from .fbsde import backward_integral, solve_agent
 from .models import AFFINE, MarketModel
-from .price import DiscretePrice, interval_matrix
+from .price import DiscretePrice, interval_matrix, interval_view
 from .sampling import idiosyncratic_copies, sample_batch
 
 MEAN_FIELD = "mean-field"
@@ -88,18 +88,15 @@ def _population_batch(common, xi, w):
 
 def _agent_controls(price: DiscretePrice, model: MarketModel, common, population: str,
                     n_agents: int, seed: int):
-    """Per-scenario, per-agent optimal controls under the mean-field price.
-
-    Returns (alpha, alpha_end) with shapes (M, n_agents, n_fine) and
-    (M, n_agents, n_intervals)."""
+    """Per-scenario, per-agent optimal control slabs under the mean-field
+    price, shape (M, n_agents, n_intervals, m+1)."""
     agent = model.informed if population == "I" else model.standard
     xi, w = idiosyncratic_copies(common.spec, seed, common.count, n_agents, population)
     batch = _population_batch(common, xi, w)
     buckets = TreeConditioner(batch.spec, batch.node_path, mode=price.mode,
                               min_count=model.solver.min_bucket)
     sol = solve_agent(batch, price, agent, buckets, model.bounds)
-    M = common.count
-    return (sol.alpha.reshape(M, n_agents, -1), sol.alpha_end.reshape(M, n_agents, -1))
+    return sol.alpha.reshape((common.count, n_agents) + sol.alpha.shape[1:])
 
 
 def _residual_from_controls(controls: dict, spec, n_use: dict) -> np.ndarray:
@@ -108,14 +105,8 @@ def _residual_from_controls(controls: dict, spec, n_use: dict) -> np.ndarray:
     Agents are summed in value order so the estimate is exactly invariant
     under relabeling (float addition is not associative)."""
     N = sum(n_use.values())
-    parts, parts_end = [], []
-    for pop, (a, a_end) in controls.items():
-        k = n_use[pop]
-        parts.append(np.sort(a[:, :k, :], axis=1).sum(axis=1))
-        parts_end.append(np.sort(a_end[:, :k, :], axis=1).sum(axis=1))
-    avg = sum(parts) / N
-    avg_end = sum(parts_end) / N
-    return backward_integral(avg ** 2, avg_end ** 2, spec)[:, 0]
+    parts = [np.sort(a[:, :n_use[pop]], axis=1).sum(axis=1) for pop, a in controls.items()]
+    return backward_integral((sum(parts) / N) ** 2, spec)[:, 0]
 
 
 def clearing_residual(price: DiscretePrice, model: MarketModel, N_I: int, N_S: int,
@@ -247,10 +238,11 @@ def informed_inference_check(scenario: InformedScenario, model: MarketModel,
     rows = []
     max_gap = worst = 0.0
     sub_dt = spec.interval_length / m
+    resp_I, resp_S = (interval_view(sols[p].response, m) for p in "IS")
     for i in range(spec.n_intervals):
         mat, _ = interval_matrix(price, buckets, i)
-        stats_I = buckets.bucket_stats(i, sols["I"].response[:, i * m:(i + 1) * m + 1])
-        stats_S = buckets.bucket_stats(i, sols["S"].response[:, i * m:(i + 1) * m + 1])
+        stats_I = buckets.bucket_stats(i, resp_I[:, i])
+        stats_S = buckets.bucket_stats(i, resp_S[:, i])
         beta_direct = scale * (-lam_bar_I) * (stats_I.mean + mat)
         beta_inferred = scale * ratio * lam_bar_S * (mat + stats_S.mean)
         se = np.where(np.isfinite(stats_S.se), stats_S.se, np.inf)

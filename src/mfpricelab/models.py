@@ -32,6 +32,10 @@ class ModelBounds:
     L: float
     T: float
 
+    def __post_init__(self):
+        if not self.L > 0:
+            raise ValueError(f"coefficient bound L must be > 0, got {self.L}")
+
     @property
     def C_B(self) -> float:
         return self.L * (1.0 + self.T)

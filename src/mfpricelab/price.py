@@ -9,6 +9,15 @@ its code arrays.  `values` is a read-only TreeKey -> row Mapping view of the
 tables.  As a process the price is cadlag: on [t_i, t_{i+1}) it is interval
 i's piece read along the realized key; sub-time m holds the left limit.
 
+Per-sample paths come in two layouts.  A cadlag field (the materialized
+price, an adjoint, a control) is a (count, n_intervals, m+1) slab whose
+[:, i] is interval i's piece, sub-time m its left limit at t_{i+1}: the
+tables' own layout read along each sample's key.  A continuous path (noise,
+state, a backward integral) is a (count, n_fine) fine-grid array, read per
+interval through interval_view, which copies nothing.  fine_path turns a
+slab into its fine-grid cadlag path (each interval's sub-times 0..m-1, then
+the left limit at T).
+
 interval_matrix reads a key the price does not store (a fresh batch can
 realize one) from the stored key at that interval with the nearest current
 lattice state: of equally near states the lower, of keys sharing a state the
@@ -21,6 +30,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .conditioning import TreeConditioner
 from .tree import GridSpec, TreeKey
@@ -30,8 +40,7 @@ from .tree import GridSpec, TreeKey
 class PriceEnv:
     """Per-sample materialization of a DiscretePrice along a batch's keys."""
 
-    cadlag: np.ndarray    # (count, n_fine), right-continuous
-    left_end: np.ndarray  # (count, n_intervals), left limits at interval ends
+    path: np.ndarray  # (count, n_intervals, m+1) cadlag slab
     missing_keys: int = 0
 
 
@@ -125,21 +134,31 @@ def interval_matrix(price: DiscretePrice, conditioner: TreeConditioner, interval
 
 
 def materialize(price: DiscretePrice, conditioner: TreeConditioner) -> PriceEnv:
-    """Per-sample price paths on the fine grid (cadlag) plus interval left limits."""
+    """Per-sample price slab: path[:, i] is tables[i] read along each sample's key."""
     spec = price.spec
-    count = conditioner.count
-    m = spec.m
-    cad = np.empty((count, spec.n_fine))
-    left = np.empty((count, spec.n_intervals))
+    path = np.empty((conditioner.count, spec.n_intervals, spec.m + 1))
     missing = 0
     for i in range(spec.n_intervals):
         mat, miss = interval_matrix(price, conditioner, i)
         missing += miss
-        rows = mat[conditioner.inverse(i)]
-        cad[:, i * m:(i + 1) * m] = rows[:, :m]
-        left[:, i] = rows[:, m]
-    cad[:, -1] = left[:, -1]
-    return PriceEnv(cadlag=cad, left_end=left, missing_keys=missing)
+        path[:, i] = mat[conditioner.inverse(i)]
+    return PriceEnv(path=path, missing_keys=missing)
+
+
+def interval_view(path: np.ndarray, m: int) -> np.ndarray:
+    """(count, n_intervals, m+1, ...) view of a continuous fine-grid path
+    (count, n_fine, ...): interval i's sub-times, both ends included."""
+    return np.moveaxis(sliding_window_view(path, m + 1, axis=1), -1, 2)[:, ::m]
+
+
+def fine_path(slab: np.ndarray) -> np.ndarray:
+    """The fine-grid cadlag path (count, n_fine) of a slab: every interval's
+    sub-times 0..m-1, then the last interval's left limit at T."""
+    count, n_int, m1 = slab.shape
+    out = np.empty((count, n_int * (m1 - 1) + 1))
+    out[:, :-1].reshape(count, n_int, m1 - 1)[...] = slab[:, :, :-1]
+    out[:, -1] = slab[:, -1, -1]
+    return out
 
 
 def _require_same_keys(a: DiscretePrice, b: DiscretePrice, what: str) -> None:

@@ -199,23 +199,30 @@ def save_batch(path, batch: ScenarioBatch) -> None:
 
 
 def load_batch(path) -> ScenarioBatch:
+    """A save_batch file; a file that is short anywhere raises PriceLabError."""
     with open(path, "rb") as fh:
-        head = fh.read(struct.calcsize("<8siiidqq"))
-        magic, n, l, m, T, seed, count = struct.unpack("<8siiidqq", head)
+        def chunk(size, what):
+            raw = fh.read(size)
+            if len(raw) < size:
+                raise PriceLabError(f"batch file {path} is short: {what} has "
+                                    f"{len(raw)} of {size} bytes")
+            return raw
+
+        magic, n, l, m, T, seed, count = struct.unpack(
+            "<8siiidqq", chunk(struct.calcsize("<8siiidqq"), "the header"))
         if magic != _MAGIC:
             raise PriceLabError(f"not a batch file: {path}")
         spec = GridSpec(n=n, l=l, m=m, T=T)
         nf = spec.n_fine
 
-        def read(shape):
-            size = int(np.prod(shape))
-            arr = np.frombuffer(fh.read(size * 8), dtype=np.float64)
+        def read(shape, name):
+            arr = np.frombuffer(chunk(int(np.prod(shape)) * 8, f"array {name}"), dtype=np.float64)
             return arr.reshape(shape, order="F") if len(shape) == 2 else arr
 
-        b = read((count, nf)); c = read((count, nf))
-        w_I = read((count, nf)); w_S = read((count, nf))
-        xi_I = read((count,)); xi_S = read((count,))
-        node = read((count, spec.n_nodes))
+        b = read((count, nf), "b"); c = read((count, nf), "c")
+        w_I = read((count, nf), "w_I"); w_S = read((count, nf), "w_S")
+        xi_I = read((count,), "xi_I"); xi_S = read((count,), "xi_S")
+        node = read((count, spec.n_nodes), "node_path")
     return ScenarioBatch(spec=spec, count=count, fine_grid=spec.fine_times(), b=b, c=c,
                          w_I=w_I, w_S=w_S, xi_I=xi_I, xi_S=xi_S, node_path=node, seed=seed)
 

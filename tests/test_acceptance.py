@@ -32,7 +32,7 @@ from mfpricelab.market import (InformedScenario, clearing_bound, clearing_residu
                                informed_inference_check, rate_study)
 from mfpricelab.models import (AgentSpec, ModelBounds, coeff_constant, coeff_zero,
                                preset)
-from mfpricelab.price import interval_matrix, zero_price
+from mfpricelab.price import fine_path, interval_matrix, interval_view, zero_price
 from mfpricelab.sampling import sample_batch
 from mfpricelab.tree import (FULL_PREFIX, GridSpec, Lattice, project_scalar,
                              transition_matrix)
@@ -307,14 +307,15 @@ def test_criterion_11_oracle_equivalences():
     # (d) perturbed-cost optimality: J(a+eps*eta) >= J(a) - 3 SE, 20 trials
     agent = mk("affine")
     sol = solve_affine(batch, price, agent, buckets, bounds)
-    base_cost = per_sample_cost(batch, price, agent, sol.alpha, buckets,
-                                control_end=sol.alpha_end)
+    base_cost = per_sample_cost(batch, price, agent, sol.alpha, buckets)
     _, wpath = batch.idiosyncratic(agent.population)
     opt_ok = True
     for _ in range(20):
         a1, a2, a3 = rng.normal(size=3)
         eta = np.sin(a1 * batch.b + a2 * wpath + a3 * batch.fine_grid[None, :])
-        pert = per_sample_cost(batch, price, agent, sol.alpha + 0.1 * eta, buckets)
+        # a continuous perturbed path: its left limits are the next interval's starts
+        pert_path = interval_view(fine_path(sol.alpha) + 0.1 * eta, batch.spec.m)
+        pert = per_sample_cost(batch, price, agent, pert_path, buckets)
         diff = pert - base_cost
         opt_ok &= bool(diff.mean() >= -3 * diff.std(ddof=1) / np.sqrt(batch.count))
 

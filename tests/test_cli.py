@@ -260,6 +260,32 @@ class TestMainEntry:
         assert main([command, "--config", str(write(tmp_path, cfg)), *argv]) == 2
         assert f"[run] {key.lstrip('-')}: expected" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("model,section,text", [
+        ("zero", "grid", "n = 0"),
+        ("zero", "grid", "L = x"),
+        ("zero", "grid", "L = -1"),
+        (None, "factor", "rho = 3"),
+        (None, "factor", "kind = bogus"),
+        ("single-informed", "factor", "rho = 0.9"),
+    ])
+    def test_grid_and_factor_values(self, tmp_path, capsys, model, section, text):
+        # a bad [grid] or [factor] value exits 2 naming its section; a good
+        # [factor] value is applied to a preset and echoed in the manifest
+        out = tmp_path / "gf"
+        if model:
+            cfg = f"[run]\nmodel = {model}\nout_dir = {out}\n"
+        else:
+            cfg = FULL_MODEL.format(out=out)
+        cfg += f"[{section}]\n{text}\n"
+        rc = main(["validate", "--config", str(write(tmp_path, cfg))])
+        if text == "rho = 0.9":
+            assert rc == 0
+            manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+            assert manifest["config"]["factor"] == {"kind": "correlated-bm", "rho": 0.9}
+        else:
+            assert rc == 2
+            assert f"[{section}]" in capsys.readouterr().err
+
     def test_lone_undersized_key_warns(self, tmp_path):
         # one sample: every interval has a single key below min_bucket, which
         # no other key can be pooled with

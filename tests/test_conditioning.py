@@ -227,18 +227,22 @@ class TestRegressionReference:
 
     def test_no_per_sample_outer_products(self):
         # the kernel's working set is a few (count, k, p+1) blocks, not
-        # (count, k, p, p) per-sample products
+        # (count, k, p, p) per-sample products; with no state (d = 0) it is
+        # one sorted copy of the values and the gathered means, no block
         import tracemalloc
 
-        count, k, d = 20_000, 5, 3
-        p = d + d * (d + 1) // 2
+        count, k = 20_000, 5
         nodes, _ = make_nodes(count, seed=14)
         cond = TreeConditioner(SPEC, nodes, FULL_PREFIX, min_count=30)
-        state, values = slab_inputs(count, k, d, seed=5)
-        tracemalloc.start()
-        try:
-            cond.regress_slab(2, state, values)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * count * k * (p + 1) * 8
+        for d in (3, 0):
+            p = d + d * (d + 1) // 2
+            arrays = 4 * (p + 1) if p else 2.5  # (count, k) float arrays
+            state, values = slab_inputs(count, k, max(d, 1), seed=5)
+            state = state[:, :, :d]
+            tracemalloc.start()
+            try:
+                cond.regress_slab(2, state, values)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < arrays * count * k * 8, d

@@ -7,7 +7,7 @@ from mfpricelab.equilibrium import (apply_phi, consistency_residual, diagnostics
                                     mz_distance, refinement_study, solve_fixed_point)
 from mfpricelab.errors import DivergenceError
 from mfpricelab.models import preset
-from mfpricelab.price import (constant_price, materialize, price_metric,
+from mfpricelab.price import (constant_price, fine_path, materialize, price_metric,
                               price_to_csv, zero_price)
 from mfpricelab.sampling import sample_batch
 from mfpricelab.tree import FULL_PREFIX, GridSpec
@@ -299,8 +299,9 @@ class TestTowerConsistency:
         lat = kern.lattice
         i = 1
         j_child = (i + 1) * spec.m
-        parent_stats = buckets.bucket_stats(i, sol.Y[:, j_child])
-        child_stats = buckets.bucket_stats(i + 1, sol.Y[:, j_child])
+        Y = fine_path(sol.Y)
+        parent_stats = buckets.bucket_stats(i, Y[:, j_child])
+        child_stats = buckets.bucket_stats(i + 1, Y[:, j_child])
         child_keys = {k.prefix: idx for idx, k in enumerate(buckets.keys(i + 1))}
         checked = 0
         for kp, key in enumerate(buckets.keys(i)):

@@ -8,7 +8,7 @@ from mfpricelab.fbsde import (backward_integral, cost_functional, decoupling_gam
                               per_sample_cost, solve_affine, solve_convex)
 from mfpricelab.models import (AFFINE, GENERAL_CONVEX, AgentSpec, ModelBounds,
                                coeff_constant, coeff_zero, preset)
-from mfpricelab.price import constant_price, materialize, zero_price
+from mfpricelab.price import constant_price, fine_path, interval_view, materialize, zero_price
 from mfpricelab.sampling import sample_batch
 from mfpricelab.tree import FULL_PREFIX, GridSpec
 
@@ -74,17 +74,15 @@ class TestOptimalControl:
 
 class TestBackwardIntegral:
     def test_constant_integrand(self, batch):
-        vals = np.ones((5, SPEC.n_fine))
-        ends = np.ones((5, SPEC.n_intervals))
-        got = backward_integral(vals, ends, SPEC)
+        vals = np.ones((5, SPEC.n_intervals, SPEC.m + 1))
+        got = backward_integral(vals, SPEC)
         assert np.allclose(got, (SPEC.T - batch.fine_grid)[None, :])
 
     def test_linear_integrand_exact(self, batch):
         # trapezoid integrates piecewise-linear functions exactly
         t = batch.fine_grid
-        vals = np.tile(t, (3, 1))
-        ends = np.tile(SPEC.interval_times()[1:], (3, 1))
-        got = backward_integral(vals, ends, SPEC)
+        vals = interval_view(np.tile(t, (3, 1)), SPEC.m)
+        got = backward_integral(vals, SPEC)
         assert np.allclose(got, (SPEC.T ** 2 - t ** 2)[None, :] / 2.0, atol=1e-12)
 
 
@@ -103,9 +101,9 @@ class TestSolveAffine:
         price = zero_price(SPEC, buckets)
         sol = solve_affine(batch, price, agent, buckets, BOUNDS)
         expect = g0 + c0 * (SPEC.T - batch.fine_grid)
-        assert np.allclose(sol.Y, expect[None, :], atol=1e-12)
+        assert np.allclose(fine_path(sol.Y), expect[None, :], atol=1e-12)
         ends = g0 + c0 * (SPEC.T - SPEC.interval_times()[1:])
-        assert np.allclose(sol.Y_end, ends[None, :], atol=1e-12)
+        assert np.allclose(sol.Y[:, :, SPEC.m], ends[None, :], atol=1e-12)
 
     def test_martingale_tower(self, batch, buckets):
         # terminal cost = clipped B_T: Y at t_i is the bucket mean of B_T,
@@ -124,7 +122,7 @@ class TestSolveAffine:
             gap = np.abs(stats_T.mean[keep, 0] - stats_t.mean[keep, 0])
             assert np.all(gap <= 3 * se + 1e-12)
             # and the solver's Y at t_i equals the bucket mean of B_T
-            ymeans = buckets.bucket_stats(i, sol.Y[:, j]).mean[keep, 0]
+            ymeans = buckets.bucket_stats(i, fine_path(sol.Y)[:, j]).mean[keep, 0]
             assert np.allclose(ymeans, stats_T.mean[keep, 0], atol=1e-10)
 
     def test_mode_error(self, batch, buckets):
@@ -163,7 +161,7 @@ class TestSolveAffine:
         price = constant_price(SPEC, buckets, 0.1)
         sol = solve_affine(batch, price, agent, buckets, BOUNDS)
         env = materialize(price, buckets)
-        assert np.array_equal(sol.alpha, optimal_control(sol.Y, env.cadlag, agent.lam))
+        assert np.array_equal(sol.alpha, optimal_control(sol.Y, env.path, agent.lam))
 
     def test_envelope_bound(self, batch, buckets):
         agent = affine_agent(run=coeff_constant({"value": 1.0}, "running_cost_affine"),
@@ -171,7 +169,7 @@ class TestSolveAffine:
         price = zero_price(SPEC, buckets)
         sol = solve_affine(batch, price, agent, buckets, BOUNDS)
         env_bound = BOUNDS.L * (1 + BOUNDS.T - batch.fine_grid)
-        assert np.all(np.abs(sol.Y) <= env_bound[None, :] + 1e-12)
+        assert np.all(np.abs(sol.Y) <= interval_view(env_bound[None, :], SPEC.m) + 1e-12)
         assert np.max(np.abs(sol.Y)) <= BOUNDS.C_B
 
 
@@ -196,7 +194,7 @@ class TestSolveConvex:
         sol = solve_convex(batch, price, agent, buckets, BOUNDS)
         expect = g0 + c0 * (SPEC.T - batch.fine_grid)
         # deterministic response: the regression is exact up to ridge dust
-        assert np.allclose(sol.Y, expect[None, :], atol=1e-5)
+        assert np.allclose(fine_path(sol.Y), expect[None, :], atol=1e-5)
 
     def test_affine_instance_with_price_dependence(self, batch, buckets):
         # response depends on the (stochastic) price path; the convex route's
@@ -284,14 +282,14 @@ class TestCostFunctional:
     def test_zero_everything(self, batch, buckets):
         agent = affine_agent()
         price = zero_price(SPEC, buckets)
-        control = np.zeros((batch.count, SPEC.n_fine))
+        control = np.zeros((batch.count, SPEC.n_intervals, SPEC.m + 1))
         assert cost_functional(batch, price, agent, control, buckets) == 0.0
 
     def test_pure_quadratic_closed_form(self, batch, buckets):
         a0 = 0.8
         agent = affine_agent(vol_common=0.0, vol_idio=0.0)
         price = zero_price(SPEC, buckets)
-        control = np.full((batch.count, SPEC.n_fine), a0)
+        control = np.full((batch.count, SPEC.n_intervals, SPEC.m + 1), a0)
         got = cost_functional(batch, price, agent, control, buckets)
         assert got == pytest.approx(0.5 * agent.lam * a0 ** 2 * SPEC.T, rel=1e-12)
 
@@ -307,15 +305,16 @@ class TestCostFunctional:
                              term=lambda w, b, c: np.clip(b, -1, 1))
         price = constant_price(SPEC, buckets, -0.1)
         sol = solve_affine(batch, price, agent, buckets, BOUNDS)
-        base = per_sample_cost(batch, price, agent, sol.alpha, buckets,
-                               control_end=sol.alpha_end)
+        base = per_sample_cost(batch, price, agent, sol.alpha, buckets)
         rng = np.random.default_rng(10)
         eps = 0.1
         _, w = batch.idiosyncratic(agent.population)
         for _ in range(20):
             a1, a2, a3 = rng.normal(size=3)
             eta = np.sin(a1 * batch.b + a2 * w + a3 * batch.fine_grid[None, :])
-            pert = per_sample_cost(batch, price, agent, sol.alpha + eps * eta, buckets)
+            # a continuous perturbed path: its left limits are the next interval's starts
+            pert_path = interval_view(fine_path(sol.alpha) + eps * eta, SPEC.m)
+            pert = per_sample_cost(batch, price, agent, pert_path, buckets)
             diff = pert - base
             se = diff.std(ddof=1) / np.sqrt(batch.count)
             assert diff.mean() >= -3 * se

@@ -7,6 +7,7 @@ from mfpricelab.market import (FINITE_MARKET, InformedScenario, clearing_bound,
                                clearing_residual, informed_inference_check,
                                rate_study, _agent_controls, _residual_from_controls)
 from mfpricelab.models import ModelBounds, preset
+from mfpricelab.price import fine_path
 from mfpricelab.sampling import sample_batch
 
 
@@ -70,7 +71,7 @@ class TestClearingResidual:
         }
         vals = _residual_from_controls(controls, model.grid, {"I": 6, "S": 6})
         perm = np.random.default_rng(0).permutation(6)
-        permuted = {p: (a[:, perm, :], ae[:, perm, :]) for p, (a, ae) in controls.items()}
+        permuted = {p: a[:, perm] for p, a in controls.items()}
         vals_p = _residual_from_controls(permuted, model.grid, {"I": 6, "S": 6})
         assert np.array_equal(vals, vals_p)
 
@@ -89,8 +90,9 @@ class TestClearingResidual:
         sol = solve_agent(flat, price, model.standard, buckets, model.bounds)
         j = model.grid.m  # time t_1
         i = 1
-        means = buckets.bucket_stats(i, sol.Y[:, j]).mean[buckets.inverse(i), 0]
-        dev = (sol.Y[:, j] - means).reshape(M, n_agents)
+        Y = fine_path(sol.Y)
+        means = buckets.bucket_stats(i, Y[:, j]).mean[buckets.inverse(i), 0]
+        dev = (Y[:, j] - means).reshape(M, n_agents)
         prod = dev[:, 0] * dev[:, 1]
         se = prod.std(ddof=1) / np.sqrt(M)
         assert abs(prod.mean()) <= 5 * se

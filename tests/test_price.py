@@ -1,8 +1,11 @@
-"""A stored price read on a batch that realizes keys the price does not store.
+"""A stored price read on a batch that realizes keys the price does not store,
+and the two layouts of per-sample paths.
 
 interval_matrix gives a missing key the row of the stored key at the same
 interval whose current lattice state is nearest: among equally near states
 the lower one, among keys sharing that state the first in sorted key order.
+materialize reads the tables along each sample's key into a cadlag slab
+(count, n_intervals, m+1); fine_path turns a slab into its fine-grid path.
 """
 
 from dataclasses import replace
@@ -13,7 +16,7 @@ import pytest
 from mfpricelab.conditioning import TreeConditioner
 from mfpricelab.equilibrium import apply_phi
 from mfpricelab.models import preset
-from mfpricelab.price import interval_matrix, zero_price
+from mfpricelab.price import fine_path, interval_matrix, interval_view, materialize, zero_price
 from mfpricelab.sampling import sample_batch
 from mfpricelab.tree import FULL_PREFIX, MARKOV, Lattice, TreeKey
 
@@ -65,3 +68,40 @@ def test_interval_without_stored_key_raises(mode):
     assert interval_matrix(price, query, 0)[1] == 0
     with pytest.raises(KeyError):
         interval_matrix(price, query, 1)
+
+
+@pytest.mark.parametrize("mode", [FULL_PREFIX, MARKOV])
+def test_materialize_reads_tables_along_keys(mode):
+    price = stored_price(mode)
+    own = TreeConditioner(SPEC, nodes(STORED, 5), mode, min_count=1)
+    env = materialize(price, own)
+    assert env.path.shape == (own.count, SPEC.n_intervals, SPEC.m + 1)
+    assert env.missing_keys == 0
+    for i in range(SPEC.n_intervals):
+        np.testing.assert_array_equal(env.path[:, i], price.tables[i][own.inverse(i)])
+    # a batch with keys the price does not store reads their nearest-state rows
+    query = TreeConditioner(SPEC, nodes(QUERY), mode, min_count=1)
+    env = materialize(price, query)
+    missing = 0
+    for i in range(SPEC.n_intervals):
+        mat, miss = interval_matrix(price, query, i)
+        np.testing.assert_array_equal(env.path[:, i], mat[query.inverse(i)])
+        missing += miss
+    assert env.missing_keys == missing > 0
+
+
+def test_fine_path_and_interval_view():
+    m = SPEC.m
+    slab = np.arange(3 * SPEC.n_intervals * (m + 1), dtype=float).reshape(3, SPEC.n_intervals, m + 1)
+    path = fine_path(slab)
+    assert path.shape == (3, SPEC.n_fine)
+    # sub-times 0..m-1 of every interval, then the left limit at T
+    np.testing.assert_array_equal(path[:, :-1], slab[:, :, :m].reshape(3, -1))
+    np.testing.assert_array_equal(path[:, -1], slab[:, -1, m])
+    # a continuous path read per interval: no copy, each interval's left
+    # limit is the next one's start, and fine_path gives the path back
+    cont = np.random.default_rng(0).normal(size=(3, SPEC.n_fine))
+    view = interval_view(cont, m)
+    assert view.shape == slab.shape and np.shares_memory(view, cont)
+    np.testing.assert_array_equal(view[:, :-1, m], view[:, 1:, 0])
+    np.testing.assert_array_equal(fine_path(view), cont)

@@ -4,6 +4,7 @@ import pytest
 from mfpricelab.sampling import (InformedFactorSpec, InitialLaw, ScenarioBatch,
                                  _stream_rng, discretize_at_level, load_batch,
                                  sample_batch, save_batch, summary_csv)
+from mfpricelab.errors import PriceLabError
 from mfpricelab.tree import GridSpec, project_path
 
 SPEC = GridSpec(n=2, l=1, m=4, T=1.0)
@@ -138,6 +139,16 @@ class TestPersistence:
         assert back.spec == batch.spec and back.count == batch.count and back.seed == batch.seed
         for name in ("b", "c", "w_I", "w_S", "xi_I", "xi_S", "node_path"):
             assert np.array_equal(getattr(back, name), getattr(batch, name))
+
+    def test_short_file_raises(self, tmp_path):
+        path = tmp_path / "batch.bin"
+        save_batch(path, sample_batch(SPEC, 63, 37))
+        data = path.read_bytes()
+        for name, size, what in [("half.bin", len(data) // 2, "array"), ("tiny.bin", 10, "header")]:
+            short = tmp_path / name
+            short.write_bytes(data[:size])
+            with pytest.raises(PriceLabError, match=f"{name}.*{what}"):
+                load_batch(short)
 
     def test_summary_csv(self, tmp_path):
         batch = sample_batch(SPEC, 62, 100)
