@@ -95,13 +95,9 @@ def _check_keys(section: str, entries: dict, allowed: set, dotted_roots: set = f
 
 
 def _coefficient_from(entries: dict, slot_key: str, slot: str, default_name: str):
-    name = entries.get(slot_key, default_name)
-    params = {}
     prefix = slot_key + "."
-    for key, value in entries.items():
-        if key.startswith(prefix):
-            params[key[len(prefix):]] = float(value)
-    return make_coefficient(name, params, slot)
+    params = {k[len(prefix):]: float(v) for k, v in entries.items() if k.startswith(prefix)}
+    return make_coefficient(entries.get(slot_key, default_name), params, slot)
 
 
 def _agent_from(section: str, entries: dict, population: str, grid_T: float) -> AgentSpec:

@@ -10,8 +10,12 @@ continuous state (e.g. (X_t, B_t, C_t)); with no state the basis is empty
 and the fit is the bucket mean (degree 0).  Undersized buckets (below
 min_count) take a kernel-weighted average of the bucket means at the same
 interval, weighted by bucket count and the Gaussian one-step transition
-density in the current lattice state.  bucket_stats adds standard errors to
-the pooled means, for the price map, diagnostics and checks that read them.
+density in the current lattice state.  A weight depends on a key only
+through its state and count, so the conditioner keeps one (undersized keys x
+states) weight array per interval and pools through per-state sums: storage
+grows with keys and lattice states, never with keys squared.  bucket_stats
+adds standard errors to the pooled means, for the price map, diagnostics and
+checks that read them.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ class TreeConditioner:
         self._counts: list[np.ndarray] = []
         self._order: list[np.ndarray] = []    # samples sorted by bucket id
         self._starts: list[np.ndarray] = []   # segment starts in the sorted order
-        self._pool_w: list = []
+        self._pool: dict = {}  # interval -> (undersized keys, key state ids, N_s, weights)
         sd = np.sqrt(spec.interval_length)
         for i in range(spec.n_intervals):
             if i == 0:
@@ -74,16 +78,16 @@ class TreeConditioner:
             self._counts.append(counts)
             self._order.append(order)
             self._starts.append(starts)
-            # pooling weights for undersized keys: counts * gaussian(state dist)
-            small = counts < self.min_count
-            if np.any(small) and n_keys > 1:
-                states = self.lattice.value_of(uniq[:, -1])
-                dist = states[small][:, None] - states[None, :]
-                w = counts[None, :] * np.exp(-0.5 * (dist / sd) ** 2)
-                w /= w.sum(axis=1, keepdims=True)
-                self._pool_w.append((np.flatnonzero(small), w))
-            else:
-                self._pool_w.append((np.zeros(0, dtype=np.int64), None))
+            # undersized keys pool over lattice states: gaussian(state distance),
+            # normalized so that sum_s w[a, s] * N_s = 1 (N_s: samples in state s)
+            small = np.flatnonzero(counts < self.min_count)
+            if small.size and n_keys > 1:
+                codes, sid = np.unique(uniq[:, -1], return_inverse=True)
+                n_s = np.bincount(sid, weights=counts)
+                states = self.lattice.value_of(codes)
+                w = np.exp(-0.5 * ((states[sid[small], None] - states[None, :]) / sd) ** 2)
+                w /= (w @ n_s)[:, None]
+                self._pool[i] = (small, sid, n_s, w)
 
     def key_codes(self, interval: int) -> np.ndarray:
         """Lattice codes of the keys at one interval, one sorted row per key."""
@@ -99,25 +103,31 @@ class TreeConditioner:
         return self._inverse[interval]
 
     def n_fallback_keys(self) -> int:
-        return int(sum(len(small) for small, _ in self._pool_w))
+        return int(sum(pool[0].size for pool in self._pool.values()))
+
+    def pooled_share(self, interval: int) -> float:
+        """Share of the samples at one interval that sit in pooled keys."""
+        small = self._pool[interval][0] if interval in self._pool else []
+        return float(self._counts[interval][small].sum() / self.count)
 
     def n_lone_small_keys(self) -> int:
         """Undersized keys alone at their interval: nothing to pool them with."""
         return sum(int(c.size == 1 and c[0] < self.min_count) for c in self._counts)
 
-    def _pooled_means(self, interval: int, mean: np.ndarray) -> np.ndarray:
-        """Means of the undersized keys at one interval, pooled over all keys.
-
-        Written as own mean plus weighted deltas, so pooling a field of
-        identical values is exact (no weight-normalization rounding).  One
-        column at a time, so the deltas take no more memory than the weights.
-        """
-        small, w = self._pool_w[interval]
+    def _pool_means(self, interval: int, mean: np.ndarray) -> None:
+        """Pool the undersized keys' rows of a (n_keys, k) mean array in place:
+        own_a + sum_s w[a, s] * (S_s - N_s * own_a), S_s the count-weighted sum
+        of the key means in state s (one bincount over (state, column) bins),
+        so a field of identical values pools exactly."""
+        if interval not in self._pool:
+            return
+        small, sid, n_s, w = self._pool[interval]
+        k = mean.shape[1]
+        bins = (sid[:, None] * k + np.arange(k)).ravel()
+        sums = np.bincount(bins, (self._counts[interval][:, None] * mean).ravel(), n_s.size * k)
         own = mean[small]
-        pooled = np.empty_like(own)
-        for c in range(mean.shape[1]):
-            pooled[:, c] = own[:, c] + np.einsum("sj,sj->s", w, mean[None, :, c] - own[:, c, None])
-        return pooled
+        delta = sums.reshape(n_s.size, k) - n_s[:, None] * own[:, None, :]
+        mean[small] = own + np.einsum("as,ask->ak", w, delta)
 
     def bucket_stats(self, interval: int, values: np.ndarray) -> BucketStats:
         """Bucket means with standard errors (one gather in bucket order); undersized keys pooled."""
@@ -132,13 +142,14 @@ class TreeConditioner:
             se = np.sqrt(var / np.maximum(counts[:, None] - 1, 0))
         se[counts < 2] = np.inf
         fallback = np.zeros(counts.size, dtype=bool)
-        small, w = self._pool_w[interval]
-        if small.size:
+        if interval in self._pool:
+            small, sid, n_s, w = self._pool[interval]
             fallback[small] = True
             finite_se = np.where(np.isfinite(se), se, 0.0)
-            pooled_se = np.sqrt((w ** 2) @ (finite_se ** 2))
-            mean[small] = self._pooled_means(interval, mean)
-            se[small] = pooled_se
+            # sqrt(sum_s w[a, s]^2 * sum over the state's keys of counts^2 * se^2)
+            se_sums = [np.bincount(sid, np.square(counts * s), n_s.size) for s in finite_se.T]
+            se[small] = np.sqrt(np.square(w) @ np.stack(se_sums, axis=1))
+            self._pool_means(interval, mean)
         return BucketStats(counts=counts, mean=mean, se=se, fallback=fallback)
 
     def regress_slab(self, interval: int, state: np.ndarray, values: np.ndarray,
@@ -167,11 +178,9 @@ class TreeConditioner:
         d = state.shape[2]
         pairs = [(a, b) for a in range(d) for b in range(a, d)] if degree >= 2 else []
         p = d + len(pairs)
-        small, _ = self._pool_w[interval]  # never a fitted bucket
         if not p:
             mean_y = np.add.reduceat(values[order], starts, axis=0) / counts[:, None]
-            if small.size:
-                mean_y[small] = self._pooled_means(interval, mean_y)
+            self._pool_means(interval, mean_y)
             return mean_y[self._inverse[interval]]
         # basis: x_i, then x_i*x_j for i <= j (the constant is the centring)
         block = np.empty(values.shape + (1 + p,))
@@ -184,8 +193,7 @@ class TreeConditioner:
         k = block.shape[1]
         means = np.add.reduceat(block, starts, axis=0) / counts[:, None, None]
         mean_y = means[:, :, 0]
-        if small.size:
-            mean_y[small] = self._pooled_means(interval, mean_y)
+        self._pool_means(interval, mean_y)  # an undersized key is never fitted
         preds = np.repeat(mean_y, counts, axis=0)
         fit = np.flatnonzero(counts >= max(self.min_count, p + 2))
         if fit.size:

@@ -86,8 +86,7 @@ class EquilibriumReport:
                 f"thresholds: C_B={bounds.C_B:g} (sup bounds), 2L={2 * bounds.L:g} "
                 f"(time-Lipschitz), 2LT={2 * bounds.L * bounds.T:g} (price variation), "
                 f"TL={bounds.T * bounds.L:g} (adjoint variation)")
-        for w in self.warnings:
-            lines.append(f"warning: {w}")
+        lines += [f"warning: {w}" for w in self.warnings]
         return "\n".join(lines)
 
 
@@ -160,7 +159,9 @@ def solve_fixed_point(batch: ScenarioBatch, model: MarketModel,
     if buckets.mode == MARKOV:
         warnings.append("markov key mode: conditioning on the current lattice state only")
     if buckets.n_fallback_keys():
-        warnings.append(f"{buckets.n_fallback_keys()} undersized keys pooled via kernel fallback")
+        share, worst = max((buckets.pooled_share(i), i) for i in range(batch.spec.n_intervals))
+        warnings.append(f"{buckets.n_fallback_keys()} undersized keys pooled via kernel fallback; at "
+                        f"interval {worst} they hold a share {share:.3g} of the samples, the most of any")
     if buckets.n_lone_small_keys():
         warnings.append(f"{buckets.n_lone_small_keys()} undersized keys (below min_bucket "
                         f"{buckets.min_count}) are alone at their interval and cannot be pooled")
@@ -358,8 +359,8 @@ def refinement_study(model: MarketModel, levels: list, batch: ScenarioBatch,
     per level, with lattice resolution level_resolution(n), and evaluated
     sample by sample on the shared fine grid.  Keys are Markov unless
     model.solver.mode sets them, for every level alike: with prefix keys the
-    deepest level of a study splits the batch into keys of a sample or two
-    and exhausts memory pooling them.
+    deepest level of a study splits the batch into keys of a sample or two,
+    nearly all of them pooled.
     """
     levels = check_levels(levels, batch.spec.n)
     mode = model.solver.mode or MARKOV

@@ -280,10 +280,8 @@ def decoupling_probe(agent: AgentSpec, price: DiscretePrice, batch: ScenarioBatc
     jt = int(round(t / spec.dt_fine))
     if abs(jt * spec.dt_fine - t) > 1e-12 or not 0 <= jt < spec.n_fine:
         raise ValueError("probe time must lie on the fine grid")
-    sols = []
-    for x0 in (x1, x2):
-        sols.append(solve_agent(batch, price, agent, buckets, bounds,
-                                start_index=jt, x0=float(x0)))
+    sols = [solve_agent(batch, price, agent, buckets, bounds, start_index=jt, x0=float(x0))
+            for x0 in (x1, x2)]
     gap = np.abs(fine_path(sols[0].Y)[:, jt] - fine_path(sols[1].Y)[:, jt])
     ratio = float(np.max(gap) / abs(x1 - x2))
     return {"ratio": ratio, "gamma_p": decoupling_gamma(bounds.T, bounds.L, agent.lam)}

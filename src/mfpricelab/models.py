@@ -109,7 +109,7 @@ class SolverDefaults:
 
     def key_mode(self, n: int) -> str:
         """The set mode; if None, prefix for n <= 2 and Markov deeper, where
-        prefix keys hold too few samples each and their pooling exhausts memory."""
+        prefix keys hold a sample or two each and nearly all of them are pooled."""
         if self.mode is not None:
             return self.mode
         return FULL_PREFIX if n <= 2 else MARKOV

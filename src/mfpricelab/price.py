@@ -116,6 +116,8 @@ def interval_matrix(price: DiscretePrice, conditioner: TreeConditioner, interval
     When the price and the conditioner share their keys the stored table is
     returned as it is, not copied.
     """
+    if price.spec != conditioner.spec:
+        raise ValueError(f"price on grid {price.spec} read on a conditioner on grid {conditioner.spec}")
     if price.mode != conditioner.mode:
         raise ValueError("price and conditioner use different key modes")
     have = price.codes[interval]

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -152,6 +157,21 @@ def reference_regress(cond, interval, state, values):
     return preds
 
 
+def reference_pooled_se(cond, interval, values):
+    """Naive standard errors of the undersized keys' pooled means: per key,
+    sqrt(sum_j w_j^2 * se_j^2) over all keys j with the normalized weights
+    w_j ~ counts_j * gaussian(state distance), a single sample's se taken as 0."""
+    inv, counts = cond.inverse(interval), cond.counts(interval)
+    se = np.array([values[inv == b].std(axis=0, ddof=1) / np.sqrt(counts[b]) if counts[b] > 1
+                   else np.zeros(values.shape[1]) for b in range(counts.size)])
+    key_states = cond.lattice.value_of(cond.key_codes(interval)[:, -1])
+    out = {}
+    for b in np.flatnonzero(counts < cond.min_count):
+        w = counts * np.exp(-0.5 * (key_states - key_states[b]) ** 2 / SPEC.interval_length)
+        out[b] = np.sqrt((w / w.sum()) ** 2 @ se ** 2)
+    return out
+
+
 def slab_inputs(count, k, d, seed):
     rng = np.random.default_rng(seed)
     state = rng.normal(size=(count, k, d))
@@ -214,6 +234,19 @@ class TestRegressionReference:
         assert n_fitted > 0
 
     @pytest.mark.parametrize("mode", [FULL_PREFIX, MARKOV])
+    def test_pooled_se_matches_per_key_loop(self, mode):
+        nodes, _ = make_nodes(1500, seed=11)
+        cond = TreeConditioner(SPEC, nodes, mode, min_count=30)
+        _, values = slab_inputs(1500, 3, 1, seed=6)
+        pooled = 0
+        for i in range(1, SPEC.n_intervals):
+            se = cond.bucket_stats(i, values).se
+            for b, expect in reference_pooled_se(cond, i, values).items():
+                np.testing.assert_allclose(se[b], expect, rtol=1e-12, atol=0)
+                pooled += 1
+        assert pooled > 0
+
+    @pytest.mark.parametrize("mode", [FULL_PREFIX, MARKOV])
     def test_constant_field_is_exact(self, mode):
         nodes, rng = make_nodes(2000, seed=13)
         cond = TreeConditioner(SPEC, nodes, mode, min_count=40)
@@ -246,3 +279,38 @@ class TestRegressionReference:
             finally:
                 tracemalloc.stop()
             assert peak < arrays * count * k * 8, d
+
+
+DEEP_PREFIX_SCRIPT = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+import numpy as np
+from mfpricelab.conditioning import TreeConditioner
+from mfpricelab.tree import FULL_PREFIX, GridSpec, project_path
+spec = GridSpec(n=4, l=2, m=4, T=1.0)
+count = 20_000
+b = np.random.default_rng(0).normal(size=(count, spec.n_nodes)).cumsum(axis=1)
+cond = TreeConditioner(spec, project_path(b * np.sqrt(spec.interval_length), spec.l), FULL_PREFIX)
+values = np.full((count, spec.m + 1), 1.25)
+for i in range(spec.n_intervals):
+    assert np.all(cond.bucket_stats(i, values).mean == 1.25), i
+    assert np.all(cond.regress_slab(i, np.empty((count, spec.m + 1, 0)), values) == 1.25), i
+# VmHWM: this process's own peak (ru_maxrss keeps the parent's peak across exec on Linux)
+peak_kb = next(int(line.split()[1]) for line in open("/proc/self/status") if line.startswith("VmHWM:"))
+print(cond.n_fallback_keys(), peak_kb)
+"""
+
+
+def test_deep_prefix_memory():
+    # pooling storage grows with keys and lattice states: a deep prefix tree
+    # whose keys hold a sample or two each stays small; the subprocess's
+    # address-space cap turns a regression into a MemoryError, not a host OOM
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", DEEP_PREFIX_SCRIPT], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr[-2000:]
+    pooled, peak_rss_kb = map(int, run.stdout.split())
+    assert pooled > 100_000
+    assert peak_rss_kb < 400 * 1024

@@ -150,6 +150,15 @@ class TestSolveFixedPoint:
         report = solve_fixed_point(batch, model.with_solver(damping=1.0, mode="markov"))
         assert any("markov" in w for w in report.warnings)
 
+    def test_pooling_warning_states_share(self):
+        # a deep prefix tree: every key of the last interval holds a sample or
+        # two, so all of that interval's samples sit in pooled keys
+        spec = GridSpec(n=3, l=2, m=2, T=1.0)
+        model = preset("deterministic").with_grid(spec).with_solver(damping=1.0, mode=FULL_PREFIX)
+        report = solve_fixed_point(sample_batch(spec, 5, 600, model.factor), model)
+        [warning] = [w for w in report.warnings if "pooled via kernel fallback" in w]
+        assert f"at interval {spec.n_intervals - 1} they hold a share 1 of the samples" in warning
+
 
 class TestContinuityProbe:
     def test_shrinking_perturbations(self):

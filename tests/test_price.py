@@ -3,9 +3,10 @@ and the two layouts of per-sample paths.
 
 interval_matrix gives a missing key the row of the stored key at the same
 interval whose current lattice state is nearest: among equally near states
-the lower one, among keys sharing that state the first in sorted key order.
-materialize reads the tables along each sample's key into a cadlag slab
-(count, n_intervals, m+1); fine_path turns a slab into its fine-grid path.
+the lower one, among keys sharing that state the first in sorted key order;
+a price read on a batch of another grid raises ValueError.  materialize
+reads the tables along each sample's key into a cadlag slab (count,
+n_intervals, m+1); fine_path turns a slab into its fine-grid path.
 """
 
 from dataclasses import replace
@@ -15,10 +16,11 @@ import pytest
 
 from mfpricelab.conditioning import TreeConditioner
 from mfpricelab.equilibrium import apply_phi
+from mfpricelab.market import clearing_residual, rate_study
 from mfpricelab.models import preset
 from mfpricelab.price import fine_path, interval_matrix, interval_view, materialize, zero_price
 from mfpricelab.sampling import sample_batch
-from mfpricelab.tree import FULL_PREFIX, MARKOV, Lattice, TreeKey
+from mfpricelab.tree import FULL_PREFIX, MARKOV, GridSpec, Lattice, TreeKey
 
 MODEL = preset("terminal-common-noise")
 SPEC = MODEL.grid  # n = 2, l = 1: lattice indices 0..8
@@ -88,6 +90,22 @@ def test_materialize_reads_tables_along_keys(mode):
         np.testing.assert_array_equal(env.path[:, i], mat[query.inverse(i)])
         missing += miss
     assert env.missing_keys == missing > 0
+
+
+@pytest.mark.parametrize("mode", [FULL_PREFIX, MARKOV])
+def test_price_on_another_grid_raises(mode):
+    # lattice codes of one resolution are not keys of another: every read of
+    # a price on a batch of another grid (the price map, a rate study) fails
+    price = stored_price(mode)
+    finer = GridSpec(n=SPEC.n, l=SPEC.l + 1, m=SPEC.m, T=SPEC.T)
+    model = MODEL.with_grid(finer).with_solver(mode=mode)
+    batch = sample_batch(finer, 2, 200, MODEL.factor)
+    with pytest.raises(ValueError, match="grid"):
+        materialize(price, TreeConditioner(finer, batch.node_path, mode))
+    with pytest.raises(ValueError, match="grid"):
+        rate_study(price, model, [2, 4, 8, 16], seeds=[1], n_scenarios=4)
+    with pytest.raises(ValueError, match="grid"):
+        clearing_residual(price, model, 2, 2, seed=1, n_scenarios=4)
 
 
 def test_fine_path_and_interval_view():
