@@ -9,12 +9,11 @@ everything on the right is observable by the standard population.
 import numpy as np
 
 from mfpricelab import preset, sample_batch
-from mfpricelab.market import InformedScenario, informed_inference_check, informed_check_csv
+from mfpricelab.market import informed_inference_check, informed_check_csv
 
 model = preset("single-informed").with_solver(samples=12000)
 batch = sample_batch(model.grid, 19, model.solver.samples, model.factor)
-result = informed_inference_check(InformedScenario(N_S=100, rho=model.factor.rho),
-                                  model, batch)
+result = informed_inference_check(model, batch)
 print(result.summary())
 informed_check_csv("informed_demo.csv", result)
 print("per-key comparison written to informed_demo.csv")

@@ -11,8 +11,8 @@ from .errors import (ConfigError, DivergenceError, ModelError, PicardError,
 from .fbsde import (FbsdeSolution, cost_functional, decoupling_gamma,
                     decoupling_probe, optimal_control, per_sample_cost,
                     solve_affine, solve_convex)
-from .market import (ClearingReport, InformedScenario, clearing_bound,
-                     clearing_residual, informed_inference_check, rate_study)
+from .market import (ClearingReport, clearing_bound, clearing_residual,
+                     informed_inference_check, rate_study)
 from .models import (AFFINE, GENERAL_CONVEX, AgentSpec, MarketModel,
                      ModelBounds, preset, validate)
 from .price import DiscretePrice, materialize, price_to_csv, zero_price

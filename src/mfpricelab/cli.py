@@ -20,7 +20,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .errors import ConfigError, PriceLabError
-from .market import FINITE_MARKET, MEAN_FIELD
 from .models import (AFFINE, GENERAL_CONVEX, AgentSpec, MarketModel, ModelBounds,
                      PRESET_NAMES, make_coefficient, preset, validate)
 from .sampling import InformedFactorSpec, sample_batch
@@ -33,7 +32,7 @@ _SOLVER_KEYS = {"samples": int, "damping": float, "tol": float, "max_iter": int,
                 "mode": str, "min_bucket": int}
 _RUN_KEYS = {
     "command", "model", "seed", "out_dir", "levels", "n_values", "seeds", "n_scenarios",
-    "N_S", "penalty_scaling", "probe_budget", *_SOLVER_KEYS,
+    "probe_budget", *_SOLVER_KEYS,
 }
 _GRID_KEYS = {"n", "l", "m", "T", "L"}
 _FACTOR_KEYS = {"kind", "rho"}
@@ -179,9 +178,6 @@ def _run_settings(run_raw: dict, model: MarketModel) -> dict:
             raise ConfigError(f"[run] {key}: expected integers >= {low}, got {text!r}")
         return values if many else values[0]
 
-    scaling = run_raw.get("penalty_scaling", MEAN_FIELD)
-    if scaling not in (MEAN_FIELD, FINITE_MARKET):
-        raise ConfigError(f"[run] penalty_scaling: expected {MEAN_FIELD} or {FINITE_MARKET}, got {scaling!r}")
     levels = ",".join(str(n) for n in range(1, min(3, model.grid.n) + 1))
     return {
         "seed": ints("seed", model.solver.seed, low=0),
@@ -190,8 +186,6 @@ def _run_settings(run_raw: dict, model: MarketModel) -> dict:
         "n_values": ints("n_values", "8,16,32,64,128,256,512", many=True),
         "seeds": ints("seeds", 5),
         "n_scenarios": ints("n_scenarios", 48),
-        "N_S": ints("N_S", 100),
-        "penalty_scaling": scaling,
         "probe_budget": ints("probe_budget", 2000),
     }
 
@@ -318,6 +312,9 @@ def run(spec: RunSpec) -> tuple[int, dict]:
             check_sizes(spec.run["n_values"])
         except ValueError as exc:
             raise ConfigError(str(exc))
+        if spec.run["seeds"] * spec.run["n_scenarios"] < 2:
+            raise ConfigError("[run] seeds * n_scenarios: a standard error needs >= 2 "
+                              "scenarios in all")
         batch = sample_batch(model.grid, spec.run["seed"], samples, model.factor)
         eq = solve_fixed_point(batch, model)
         seeds = [spec.run["seed"] + 1000 + k for k in range(spec.run["seeds"])]
@@ -334,11 +331,9 @@ def run(spec: RunSpec) -> tuple[int, dict]:
             checks.append({"name": "clearing rate", "passed": bool(ok),
                            "detail": f"slope {report.slope:.3f}"})
     elif spec.command == "informed":
-        from .market import InformedScenario, informed_check_csv, informed_inference_check
-        scenario = InformedScenario(N_S=spec.run["N_S"], rho=model.factor.rho,
-                                    penalty_scaling=spec.run["penalty_scaling"])
+        from .market import informed_check_csv, informed_inference_check
         batch = sample_batch(model.grid, spec.run["seed"], samples, model.factor)
-        result = informed_inference_check(scenario, model, batch)
+        result = informed_inference_check(model, batch)
         emit("informed.csv", lambda p: informed_check_csv(p, result))
         emit("report.txt", lambda p: p.write_text(result.summary() + "\n", encoding="utf-8"))
         checks.append({"name": "inference identity within 3 bucket SE", "passed": bool(result.passed),

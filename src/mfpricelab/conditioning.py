@@ -136,8 +136,8 @@ class TreeConditioner:
         starts = self._starts[interval]
         gathered = (values if values.ndim == 2 else values[:, None])[self._order[interval]]
         mean = np.add.reduceat(gathered, starts, axis=0) / counts[:, None]
-        sq = np.add.reduceat(np.square(gathered, out=gathered), starts, axis=0)
-        var = np.maximum(sq / counts[:, None] - mean ** 2, 0.0)
+        gathered -= np.repeat(mean, counts, axis=0)  # centred: no E[x^2] - mean^2 cancellation
+        var = np.add.reduceat(np.square(gathered, out=gathered), starts, axis=0) / counts[:, None]
         with np.errstate(divide="ignore", invalid="ignore"):
             se = np.sqrt(var / np.maximum(counts[:, None] - 1, 0))
         se[counts < 2] = np.inf
@@ -152,8 +152,7 @@ class TreeConditioner:
             self._pool_means(interval, mean)
         return BucketStats(counts=counts, mean=mean, se=se, fallback=fallback)
 
-    def regress_slab(self, interval: int, state: np.ndarray, values: np.ndarray,
-                     degree: int = 2) -> np.ndarray:
+    def regress_slab(self, interval: int, state: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Within-bucket least squares, one fit per (bucket, value column).
 
         `state` has shape (count, k, d): the regression state per column;
@@ -176,7 +175,7 @@ class TreeConditioner:
         values = np.asarray(values, dtype=float)
         state = np.asarray(state, dtype=float)
         d = state.shape[2]
-        pairs = [(a, b) for a in range(d) for b in range(a, d)] if degree >= 2 else []
+        pairs = [(a, b) for a in range(d) for b in range(a, d)]
         p = d + len(pairs)
         if not p:
             mean_y = np.add.reduceat(values[order], starts, axis=0) / counts[:, None]

@@ -19,7 +19,7 @@ import numpy as np
 
 from .conditioning import TreeConditioner
 from .errors import DivergenceError
-from .fbsde import AFFINE_DIRECT, FbsdeSolution, solve_agent
+from .fbsde import FbsdeSolution, solve_agent
 from .models import AFFINE, MarketModel
 from .price import (DiscretePrice, blend, fine_path, interval_matrix, interval_view, key_rows,
                     materialize, price_metric, zero_price)
@@ -69,7 +69,6 @@ class EquilibriumReport:
     iterate_sup_Y: list = field(default_factory=list)
     phi_stats: Optional[PhiStats] = None
     warnings: list = field(default_factory=list)
-    solutions: Optional[dict] = None
 
     def summary(self, bounds=None) -> str:
         d = self.diagnostics
@@ -177,7 +176,8 @@ def solve_fixed_point(batch: ScenarioBatch, model: MarketModel,
         phi, stats, sols = apply_phi(theta, batch, model, buckets=buckets,
                                      informed_state=informed_state,
                                      warm=warm, return_internals=True)
-        warm = {p: s.Y for p, s in sols.items() if s.mode != AFFINE_DIRECT}
+        warm = {a.population: sols[a.population].Y for a in model.agents()
+                if a.cost_mode != AFFINE}
         new_theta = blend(theta, phi, sd.damping)
         resid = price_metric(new_theta, theta)
         trace.append(resid)
@@ -194,7 +194,7 @@ def solve_fixed_point(batch: ScenarioBatch, model: MarketModel,
     return EquilibriumReport(price=theta, iterations=iterations, residual_trace=trace,
                              diagnostics=diag, converged=converged, tol=sd.tol,
                              iterate_sup_price=sup_p, iterate_sup_Y=sup_y,
-                             phi_stats=stats, warnings=warnings, solutions=sols)
+                             phi_stats=stats, warnings=warnings)
 
 
 def mz_distance(x: np.ndarray, y: np.ndarray, grid: np.ndarray) -> np.ndarray:

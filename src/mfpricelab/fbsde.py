@@ -38,8 +38,6 @@ from .models import AFFINE, GENERAL_CONVEX, AgentSpec, ModelBounds
 from .price import DiscretePrice, PriceEnv, fine_path, interval_view, materialize
 from .sampling import ScenarioBatch
 
-AFFINE_DIRECT = "AffineDirect"
-CONVEX_PICARD = "ConvexPicard"
 _PICARD_DAMPING = 0.5
 _PICARD_MAX = 60
 _PICARD_TOL = 1e-6
@@ -61,7 +59,6 @@ class FbsdeSolution:
     X: Optional[np.ndarray]
     Y: np.ndarray
     alpha: np.ndarray
-    mode: str
     picard_iters: int = 0
     response: np.ndarray = None
 
@@ -191,7 +188,7 @@ def solve_affine(batch: ScenarioBatch, price: DiscretePrice, agent: AgentSpec,
         state = batch.b[:, :, None]
     Y = _smooth_response(response, batch, buckets, bounds, state, start_index=start_index)
     return FbsdeSolution(X=None, Y=Y, alpha=optimal_control(Y, env.path, agent.lam),
-                         mode=AFFINE_DIRECT, response=response)
+                         response=response)
 
 
 def solve_convex(batch: ScenarioBatch, price: DiscretePrice, agent: AgentSpec,
@@ -228,8 +225,8 @@ def solve_convex(batch: ScenarioBatch, price: DiscretePrice, agent: AgentSpec,
 
     alpha = optimal_control(Y_hat, env.path, agent.lam)
     X = euler_state(batch, env, agent, alpha, start_index=start_index, x0=x0)
-    return FbsdeSolution(X=X, Y=Y_hat, alpha=alpha, mode=CONVEX_PICARD,
-                         picard_iters=len(trace), response=response)
+    return FbsdeSolution(X=X, Y=Y_hat, alpha=alpha, picard_iters=len(trace),
+                         response=response)
 
 
 def solve_agent(batch, price, agent, buckets, bounds, informed_state: bool = True,

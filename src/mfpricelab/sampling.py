@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -20,7 +20,6 @@ from .tree import GridSpec, project_path
 
 CORRELATED_BM = "correlated-bm"
 SECTION6 = "section6"
-CUSTOM = "custom"
 
 # stream tags (stable across versions; order must never change)
 _STREAMS = {"b": 1, "c_perp": 2, "w_I": 3, "w_S": 4, "xi_I": 5, "xi_S": 6}
@@ -33,20 +32,16 @@ class InformedFactorSpec:
     correlated-bm: C = rho*B + sqrt(1-rho^2)*B_perp (default convention).
     section6:      C = rho^2*B + sqrt(1-rho^2)*B_perp (the paper's displayed
                    form; unusual, selectable for fidelity).
-    custom:        transform(fine_times, b, b_perp) -> C.
     """
 
     kind: str = CORRELATED_BM
     rho: float = 0.5
-    transform: Optional[Callable] = None
 
     def __post_init__(self):
-        if self.kind not in (CORRELATED_BM, SECTION6, CUSTOM):
+        if self.kind not in (CORRELATED_BM, SECTION6):
             raise ValueError(f"unknown factor kind {self.kind!r}")
         if abs(self.rho) > 1.0:
             raise ValueError(f"|rho| must be <= 1, got {self.rho}")
-        if self.kind == CUSTOM and self.transform is None:
-            raise ValueError("custom factor requires a transform")
 
 
 @dataclass(frozen=True)
@@ -111,13 +106,10 @@ def _brownian(rng: np.random.Generator, count: int, times: np.ndarray) -> np.nda
     return out
 
 
-def informed_factor_path(factor: InformedFactorSpec, times: np.ndarray,
-                         b: np.ndarray, b_perp: np.ndarray) -> np.ndarray:
-    if factor.kind == CORRELATED_BM:
-        return factor.rho * b + np.sqrt(1.0 - factor.rho ** 2) * b_perp
-    if factor.kind == SECTION6:
-        return factor.rho ** 2 * b + np.sqrt(1.0 - factor.rho ** 2) * b_perp
-    return factor.transform(times, b, b_perp)
+def informed_factor_path(factor: InformedFactorSpec, b: np.ndarray,
+                         b_perp: np.ndarray) -> np.ndarray:
+    loading = factor.rho if factor.kind == CORRELATED_BM else factor.rho ** 2
+    return loading * b + np.sqrt(1.0 - factor.rho ** 2) * b_perp
 
 
 def sample_batch(spec: GridSpec, model_seed: int, count: int,
@@ -134,7 +126,7 @@ def sample_batch(spec: GridSpec, model_seed: int, count: int,
 
     b = _brownian(_stream_rng(model_seed, "b"), count, times)
     b_perp = _brownian(_stream_rng(model_seed, "c_perp"), count, times)
-    c = informed_factor_path(factor, times, b, b_perp)
+    c = informed_factor_path(factor, b, b_perp)
     w_I = _brownian(_stream_rng(model_seed, "w_I"), count, times)
     w_S = _brownian(_stream_rng(model_seed, "w_S"), count, times)
     xi_I = law_I.sample(_stream_rng(model_seed, "xi_I"), count)

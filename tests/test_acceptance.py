@@ -28,7 +28,7 @@ from mfpricelab.conditioning import TreeConditioner
 from mfpricelab.equilibrium import refinement_study, solve_fixed_point
 from mfpricelab.fbsde import (decoupling_gamma, decoupling_probe, per_sample_cost,
                               solve_affine, solve_convex)
-from mfpricelab.market import (InformedScenario, clearing_bound, clearing_residual,
+from mfpricelab.market import (clearing_bound, clearing_residual,
                                informed_inference_check, rate_study)
 from mfpricelab.models import (AgentSpec, ModelBounds, coeff_constant, coeff_zero,
                                preset)
@@ -200,8 +200,7 @@ def test_criterion_08_clearing_rate(solves):
 def test_criterion_09_informed_inference(solves):
     s = solves["single-informed"]
     model, batch = s["model"], s["batch"]
-    res = informed_inference_check(InformedScenario(N_S=100, rho=model.factor.rho),
-                                   model, batch)
+    res = informed_inference_check(model, batch)
     report("criterion 9 (informed inference identity)",
            res.passed,
            f"max gap={res.max_gap:.3e} worst gap/(3SE + fp slack)={res.max_gap_over_tol:.3f}")

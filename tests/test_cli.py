@@ -245,11 +245,26 @@ class TestMainEntry:
         assert "octaves" in capsys.readouterr().err
         assert conditioner_builds == []
 
+    def test_clearing_needs_two_scenarios_before_solve(self, tmp_path, capsys, conditioner_builds):
+        # one seed of one scenario has no standard error: refused before any solve
+        cfg = ("[run]\nmodel = clearing\ncommand = clearing\n"
+               f"out_dir = {tmp_path / 'c'}\nsamples = 400\nseeds = 1\nn_scenarios = 1\n"
+               "n_values = 8,16,32,64\n")
+        assert main(["clearing", "--config", str(write(tmp_path, cfg))]) == 2
+        assert "seeds * n_scenarios" in capsys.readouterr().err
+        assert conditioner_builds == []
+
+    @pytest.mark.parametrize("key", ["N_S", "penalty_scaling"])
+    def test_informed_scenario_keys_unknown(self, tmp_path, capsys, key):
+        # the informed check has no scenario settings
+        cfg = MINIMAL.format(out=tmp_path / "s") + f"{key} = 10\n"
+        assert main(["informed", "--config", str(write(tmp_path, cfg))]) == 2
+        assert f"unknown key {key!r}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command,key,value", [
         *(pytest.param("solve", key, "abc", id=key)
-          for key in ("seed", "seeds", "levels", "n_values", "n_scenarios", "N_S", "probe_budget")),
-        ("clearing", "seeds", "0"), ("informed", "N_S", "0"), ("validate", "probe_budget", "0"),
-        ("informed", "penalty_scaling", "bogus"), ("solve", "--seed", "-1")])
+          for key in ("seed", "seeds", "levels", "n_values", "n_scenarios", "probe_budget")),
+        ("clearing", "seeds", "0"), ("validate", "probe_budget", "0"), ("solve", "--seed", "-1")])
     def test_bad_run_integer_is_config_error(self, tmp_path, capsys, command, key, value):
         cfg = MINIMAL.format(out=tmp_path / "b")
         if key.startswith("--"):

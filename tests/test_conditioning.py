@@ -47,6 +47,18 @@ class TestBucketStats:
                 expect_se = members.std(ddof=1) / np.sqrt(members.size)
                 assert stats.se[k, 0] == pytest.approx(expect_se)
 
+    @pytest.mark.parametrize("mode", [FULL_PREFIX, MARKOV])
+    @pytest.mark.parametrize("value", [0.1, 1 / 3, 0.7, 1e5 + 0.1])
+    def test_constant_field_has_no_standard_error(self, mode, value):
+        # the variance is centred, so a constant field leaves no rounding
+        # residue of order sqrt(eps)*|value| in its own or its pooled SE
+        nodes, _ = make_nodes(2000, seed=13)
+        cond = TreeConditioner(SPEC, nodes, mode, min_count=40)
+        assert cond.n_fallback_keys() > 0
+        for i in range(SPEC.n_intervals):
+            se = cond.bucket_stats(i, np.full((2000, 2), value)).se
+            assert np.all(se[np.isfinite(se)] <= 1e-15 * abs(value))
+
     def test_interval_zero_pools_everything(self):
         nodes, rng = make_nodes(100)
         cond = TreeConditioner(SPEC, nodes, FULL_PREFIX, min_count=1)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 from mfpricelab.conditioning import TreeConditioner
 from mfpricelab.equilibrium import (apply_phi, consistency_residual, diagnostics,
@@ -158,6 +158,32 @@ class TestSolveFixedPoint:
         report = solve_fixed_point(sample_batch(spec, 5, 600, model.factor), model)
         [warning] = [w for w in report.warnings if "pooled via kernel fallback" in w]
         assert f"at interval {spec.n_intervals - 1} they hold a share 1 of the samples" in warning
+
+
+def _arrays(obj):
+    """Every ndarray reachable from obj through dataclass fields and containers."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif is_dataclass(obj):
+        for f in fields(obj):
+            yield from _arrays(getattr(obj, f.name))
+    elif isinstance(obj, dict):
+        for v in obj.values():
+            yield from _arrays(v)
+    elif isinstance(obj, (list, tuple)):
+        for v in obj:
+            yield from _arrays(v)
+
+
+@pytest.mark.parametrize("name", ["single-informed", "general-convex"])
+def test_report_holds_no_per_sample_array(name):
+    # the report keeps per-key tables and scalars only: the solutions'
+    # per-sample slabs are released when the solve returns
+    model = preset(name)
+    batch = sample_batch(model.grid, 8, 777, model.factor)
+    report = solve_fixed_point(batch, model.with_solver(tol=1e-2))
+    arrays = list(_arrays(report))
+    assert arrays and all(a.shape[:1] != (batch.count,) for a in arrays)
 
 
 class TestContinuityProbe:

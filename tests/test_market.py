@@ -3,8 +3,7 @@ import pytest
 
 from mfpricelab.equilibrium import solve_fixed_point
 from mfpricelab.errors import ModelError
-from mfpricelab.market import (FINITE_MARKET, InformedScenario, clearing_bound,
-                               clearing_residual, informed_inference_check,
+from mfpricelab.market import (clearing_bound, clearing_residual, informed_inference_check,
                                rate_study, _agent_controls, _residual_from_controls)
 from mfpricelab.models import ModelBounds, preset
 from mfpricelab.price import fine_path
@@ -25,6 +24,18 @@ def clearing_price():
     batch = sample_batch(model.grid, 22, 8000, model.factor)
     report = solve_fixed_point(batch, model.with_solver(tol=5e-4))
     return model, report.price
+
+
+class TestStandardError:
+    def test_one_scenario_has_no_standard_error(self, det_price):
+        model, price = det_price
+        with pytest.raises(ValueError, match=">= 2 per-scenario values"):
+            clearing_residual(price, model, 2, 2, seed=5, n_scenarios=1)
+
+    def test_one_value_per_size_rejected(self, det_price):
+        model, price = det_price
+        with pytest.raises(ValueError, match=">= 2 per-scenario values"):
+            rate_study(price, model, [8, 16, 32, 64], seeds=[1], n_scenarios=1)
 
 
 class TestBoundConstant:
@@ -133,7 +144,7 @@ class TestInformedInference:
         model = preset("general-convex")
         batch = sample_batch(model.grid, 41, 500, model.factor)
         with pytest.raises(ModelError):
-            informed_inference_check(InformedScenario(N_S=10), model, batch)
+            informed_inference_check(model, batch)
 
     def test_precondition_no_factor_dependence(self):
         from dataclasses import replace
@@ -143,41 +154,25 @@ class TestInformedInference:
             terminal_cost=lambda w, b, c: np.clip(c, -8, 8)))
         batch = sample_batch(model.grid, 42, 500, model.factor)
         with pytest.raises(ModelError):
-            informed_inference_check(InformedScenario(N_S=10), leaky, batch)
+            informed_inference_check(leaky, batch)
 
     def test_deterministic_identity_exact(self):
         model = preset("deterministic")
         batch = sample_batch(model.grid, 43, 1500, model.factor)
-        res = informed_inference_check(InformedScenario(N_S=25),
-                                       model.with_solver(damping=1.0, tol=1e-9), batch)
+        res = informed_inference_check(model.with_solver(damping=1.0, tol=1e-9), batch)
         assert res.max_gap <= 1e-9 and res.passed
 
     def test_one_conditioner(self, conditioner_builds):
         # the solve and the check at its equilibrium share one partition
         model = preset("deterministic").with_solver(min_bucket=12)
         batch = sample_batch(model.grid, 46, 500, model.factor)
-        informed_inference_check(InformedScenario(N_S=10), model, batch)
+        informed_inference_check(model, batch)
         assert conditioner_builds == [12]
 
     def test_single_informed_preset(self):
         model = preset("single-informed")
         batch = sample_batch(model.grid, 44, 8000, model.factor)
-        res = informed_inference_check(InformedScenario(N_S=50),
-                                       model.with_solver(tol=1e-4), batch)
+        res = informed_inference_check(model.with_solver(tol=1e-4), batch)
         assert res.passed
         assert res.max_gap <= res.fp_slack
 
-    def test_finite_market_scaling(self):
-        model = preset("single-informed").with_solver(tol=1e-4)
-        batch = sample_batch(model.grid, 45, 4000, model.factor)
-        mf = informed_inference_check(InformedScenario(N_S=40), model, batch)
-        fm = informed_inference_check(
-            InformedScenario(N_S=40, penalty_scaling=FINITE_MARKET), model, batch)
-        assert fm.scaling == 40.0
-        assert fm.max_gap == pytest.approx(40.0 * mf.max_gap, rel=1e-9)
-
-    def test_scenario_validation(self):
-        with pytest.raises(ValueError):
-            InformedScenario(N_S=0)
-        with pytest.raises(ValueError):
-            InformedScenario(N_S=5, penalty_scaling="bogus")
