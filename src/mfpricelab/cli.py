@@ -275,7 +275,7 @@ def run(spec: RunSpec) -> tuple[int, dict]:
         sup_ok = (max(report.iterate_sup_price) <= C_B
                   and all(max(d.values()) <= C_B for d in report.iterate_sup_Y))
         checks.append({"name": "converged", "passed": bool(report.converged),
-                       "detail": f"residual {report.residual_trace[-1]:.3e} <= tol {report.tol:g}"})
+                       "detail": f"map residual {report.residual_trace[-1]:.3e} <= tol {report.tol:g}"})
         checks.append({"name": "boundedness C_B", "passed": bool(sup_ok),
                        "detail": f"C_B = {C_B:g}"})
     elif spec.command == "refine":

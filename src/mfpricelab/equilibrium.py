@@ -2,9 +2,12 @@
 
 The input-output map sends a candidate tree price to minus the weighted
 conditional expectation of the two populations' adjoints given the tree key,
-interval by interval.  Equilibria are located by damped Picard iteration of
-that map under common random numbers, so the map is a deterministic function
-of the candidate and the residual trace is meaningful.  The module also hosts
+interval by interval.  Equilibria are located by Anderson-accelerated
+iteration of that map under common random numbers, so the map is a
+deterministic function of the candidate and the residual trace, the map
+residual max|Phi(theta) - theta| of each evaluated iterate, is meaningful.
+The inner Picard loops of convex agents run to a tolerance tied to that
+residual, capped at a tenth of the outer tol.  The module also hosts
 the quantitative diagnostics: boundedness, within-interval time-Lipschitz
 slope, conditional variation over the dyadic partition, and the Meyer-Zheng
 coupling distance used by the refinement study.
@@ -19,9 +22,9 @@ import numpy as np
 
 from .conditioning import TreeConditioner
 from .errors import DivergenceError
-from .fbsde import FbsdeSolution, solve_agent
+from .fbsde import _PICARD_TOL, FbsdeSolution, solve_agent
 from .models import AFFINE, MarketModel
-from .price import (DiscretePrice, blend, fine_path, interval_matrix, interval_view, key_rows,
+from .price import (DiscretePrice, fine_path, interval_matrix, interval_view, key_rows,
                     materialize, price_metric, zero_price)
 from .sampling import ScenarioBatch, discretize_at_level, sample_batch
 from .tree import MARKOV
@@ -69,12 +72,13 @@ class EquilibriumReport:
     iterate_sup_Y: list = field(default_factory=list)
     phi_stats: Optional[PhiStats] = None
     warnings: list = field(default_factory=list)
+    restarts: int = 0
 
     def summary(self, bounds=None) -> str:
         d = self.diagnostics
         lines = [
-            f"converged={self.converged} iterations={self.iterations} "
-            f"final_residual={self.residual_trace[-1]:.3e} tol={self.tol:g}",
+            f"converged={self.converged} iterations={self.iterations} restarts={self.restarts} "
+            f"map residual={self.residual_trace[-1]:.3e} tol={self.tol:g}",
             f"sup|price|={d.sup_price:.6g} sup|Y_I|={d.sup_Y_I:.6g} sup|Y_S|={d.sup_Y_S:.6g}",
             f"time-Lipschitz max={d.time_lipschitz_max:.6g}",
             f"cond. variation: price={d.cond_variation_price:.6g} "
@@ -102,13 +106,15 @@ def _combined_response(model: MarketModel, sol_I: FbsdeSolution, sol_S: FbsdeSol
 
 def apply_phi(theta: DiscretePrice, batch: ScenarioBatch, model: MarketModel,
               buckets: Optional[TreeConditioner] = None, informed_state: bool = True,
-              warm: Optional[dict] = None, return_internals: bool = False):
+              warm: Optional[dict] = None, return_internals: bool = False,
+              inner_tol: float = _PICARD_TOL):
     """One application of the input-output price map.
 
     Solves both populations' FBSDEs under the candidate price and returns the
     new tree price (clipped to the C_B envelope, which the raw values respect
     up to float dust).  `informed_state` False conditions the affine informed
-    adjoint on the tree key alone (see solve_affine).
+    adjoint on the tree key alone (see solve_affine).  `inner_tol` is the
+    Picard tolerance of convex agents (see solve_convex).
     """
     spec = batch.spec
     if buckets is None:
@@ -120,7 +126,8 @@ def apply_phi(theta: DiscretePrice, batch: ScenarioBatch, model: MarketModel,
     for agent in model.agents():
         sols[agent.population] = solve_agent(
             batch, theta, agent, buckets, model.bounds, informed_state=informed_state, env=env,
-            **({"warm_start": warm.get(agent.population)} if agent.cost_mode != AFFINE else {}))
+            **({"warm_start": warm.get(agent.population), "tol": inner_tol}
+               if agent.cost_mode != AFFINE else {}))
     combo = interval_view(_combined_response(model, sols["I"], sols["S"]), spec.m)
     C_B = model.bounds.C_B
     tables, se_list, fb_list = [], [], []
@@ -139,16 +146,28 @@ def apply_phi(theta: DiscretePrice, batch: ScenarioBatch, model: MarketModel,
     return out
 
 
+_ANDERSON_MEMORY = 3
+
+
 def solve_fixed_point(batch: ScenarioBatch, model: MarketModel,
                       buckets: Optional[TreeConditioner] = None, informed_state: bool = True,
                       init: Optional[DiscretePrice] = None) -> EquilibriumReport:
-    """Damped Picard iteration theta_{k+1} = (1-rho)*theta_k + rho*Phi(theta_k).
+    """Anderson type-II iteration of the price map on the flattened tables.
 
-    Every setting comes from model.solver.  Stops when the iterate
-    displacement (in the tree sup metric) falls below tol; raises
-    DivergenceError if the residual exceeds 10*C_B.  The same batch (common
-    random numbers) and conditioner are reused across iterations; `buckets`
-    defaults to one built in the solver's key mode.
+    With f = Phi(theta) - theta, the first step is theta + damping*f; later
+    steps take the undamped Anderson update over the last _ANDERSON_MEMORY
+    differences of iterates and residuals (Walker & Ni, 2011).  A map
+    residual larger than the previous one clears the history and takes the
+    damped step again (counted in `restarts`).  Every step is clipped to
+    +-C_B.  Stops at the first evaluated iterate whose map residual
+    max|Phi(theta) - theta| is <= tol and returns it with the diagnostics of
+    its own solutions; raises DivergenceError if the residual exceeds
+    10*C_B.  Convex agents' inner Picard tolerance follows the last map
+    residual: max(1e-6, min(0.05*residual, 0.1*tol)), max(1e-6, 0.1*tol)
+    first (Eisenstat & Walker, 1996).  Every setting comes from
+    model.solver.  The same batch (common random numbers) and conditioner
+    are reused across iterations; `buckets` defaults to one built in the
+    solver's key mode.
     """
     sd = model.solver
     if buckets is None:
@@ -165,36 +184,55 @@ def solve_fixed_point(batch: ScenarioBatch, model: MarketModel,
         warnings.append(f"{buckets.n_lone_small_keys()} undersized keys (below min_bucket "
                         f"{buckets.min_count}) are alone at their interval and cannot be pooled")
 
+    C_B = model.bounds.C_B
     theta = zero_price(batch.spec, buckets) if init is None else init
+    x = np.concatenate([t.ravel() for t in theta.tables])
+    splits = np.cumsum([t.size for t in theta.tables])[:-1]
     trace, sup_p, sup_y = [], [], []
+    history: list = []  # (x, f) of the evaluated iterates since the last (re)start
     warm: dict = {}
-    stats = sols = None
+    inner_tol = max(_PICARD_TOL, 0.1 * sd.tol)
+    restarts = 0
     converged = False
-    iterations = 0
     for _ in range(sd.max_iter):
-        iterations += 1
         phi, stats, sols = apply_phi(theta, batch, model, buckets=buckets,
-                                     informed_state=informed_state,
-                                     warm=warm, return_internals=True)
+                                     informed_state=informed_state, warm=warm,
+                                     return_internals=True, inner_tol=inner_tol)
         warm = {a.population: sols[a.population].Y for a in model.agents()
                 if a.cost_mode != AFFINE}
-        new_theta = blend(theta, phi, sd.damping)
-        resid = price_metric(new_theta, theta)
+        resid = price_metric(phi, theta)
         trace.append(resid)
-        sup_p.append(new_theta.sup_norm())
+        sup_p.append(theta.sup_norm())
         sup_y.append({p: _sup_fine(s.Y) for p, s in sols.items()})
-        theta = new_theta
-        if resid > 10.0 * model.bounds.C_B:
+        if resid > 10.0 * C_B:
             raise DivergenceError(f"fixed-point iteration diverged (residual {resid:.3e})", trace)
         if resid <= sd.tol:
             converged = True
             break
+        if len(trace) == sd.max_iter:
+            break  # the last evaluated iterate is returned
+        inner_tol = max(_PICARD_TOL, min(0.05 * resid, 0.1 * sd.tol))
+        f = np.concatenate([t.ravel() for t in phi.tables]) - x
+        if len(trace) > 1 and resid > trace[-2]:
+            history.clear()
+            restarts += 1
+        history = history[-_ANDERSON_MEMORY:] + [(x, f)]
+        if len(history) == 1:
+            step = x + sd.damping * f
+        else:
+            xs, fs = (np.stack(h, axis=1) for h in zip(*history))
+            dX, dF = np.diff(xs, axis=1), np.diff(fs, axis=1)
+            gamma = np.linalg.lstsq(dF, f)[0]
+            step = x + f - (dX + dF) @ gamma
+        x = np.clip(step, -C_B, C_B)
+        theta = replace(phi, tables=[part.reshape(t.shape) for part, t in
+                                     zip(np.split(x, splits), phi.tables)])
 
     diag = diagnostics(theta, sols, batch, buckets, model)
-    return EquilibriumReport(price=theta, iterations=iterations, residual_trace=trace,
+    return EquilibriumReport(price=theta, iterations=len(trace), residual_trace=trace,
                              diagnostics=diag, converged=converged, tol=sd.tol,
                              iterate_sup_price=sup_p, iterate_sup_Y=sup_y,
-                             phi_stats=stats, warnings=warnings)
+                             phi_stats=stats, warnings=warnings, restarts=restarts)
 
 
 def mz_distance(x: np.ndarray, y: np.ndarray, grid: np.ndarray) -> np.ndarray:

@@ -194,11 +194,12 @@ def solve_affine(batch: ScenarioBatch, price: DiscretePrice, agent: AgentSpec,
 def solve_convex(batch: ScenarioBatch, price: DiscretePrice, agent: AgentSpec,
                  buckets: TreeConditioner, bounds: ModelBounds,
                  start_index: int = 0, x0=None, env: Optional[PriceEnv] = None,
-                 warm_start: Optional[np.ndarray] = None) -> FbsdeSolution:
+                 warm_start: Optional[np.ndarray] = None, tol: float = _PICARD_TOL) -> FbsdeSolution:
     """Damped Picard iteration for general convex costs.  The first pass whose
-    smoothed response Y_hat is within _PICARD_TOL of its iterate Y on the
-    fine grid is the solution (Y_hat, response), plus one Euler pass under
-    alpha(Y_hat)."""
+    smoothed response Y_hat is within `tol` of its iterate Y on the fine grid
+    is the solution (Y_hat, response), plus one Euler pass under
+    alpha(Y_hat).  The default is the exact solve; solve_fixed_point passes
+    a looser tolerance that follows its map residual."""
     if agent.cost_mode != GENERAL_CONVEX:
         raise ValueError(f"solve_convex requires general convex costs, got {agent.cost_mode}")
     if env is None:
@@ -217,7 +218,7 @@ def solve_convex(batch: ScenarioBatch, price: DiscretePrice, agent: AgentSpec,
         Y_hat = _smooth_response(response, batch, buckets, bounds, state, start_index=start_index)
         delta = float(np.max(np.abs(fine_path(Y_hat - Y)[:, start_index:])))
         trace.append(delta)
-        if delta <= _PICARD_TOL:
+        if delta <= tol:
             break
         Y = (1.0 - _PICARD_DAMPING) * Y + _PICARD_DAMPING * Y_hat
     else:

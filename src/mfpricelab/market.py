@@ -208,10 +208,10 @@ def informed_inference_check(model: MarketModel, batch: ScenarioBatch) -> Inform
     lam_bar_I = model.informed.lam_bar
     lam_bar_S = model.standard.lam_bar
     ratio = model.standard.weight / model.informed.weight
-    # the identity gap equals (w_bar/n_I)*|Phi(theta)-theta| exactly, so the
-    # converged iterate carries a deterministic displacement bounded by tol/rho
+    # the identity gap equals (w_bar/n_I)*|Phi(theta)-theta| exactly, and the
+    # solve returns an iterate whose map residual is at most tol
     w_bar = model.informed.weight * lam_bar_I + model.standard.weight * lam_bar_S
-    fp_slack = w_bar / model.informed.weight * sd.tol / sd.damping
+    fp_slack = w_bar / model.informed.weight * sd.tol
     spec = batch.spec
     m = spec.m
     rows = []

@@ -83,7 +83,12 @@ class AgentSpec:
 
 @dataclass(frozen=True)
 class SolverDefaults:
-    """The settings every solve reads (see MarketModel.with_solver)."""
+    """The settings every solve reads (see MarketModel.with_solver).
+
+    `tol` bounds the map residual max|Phi(theta) - theta| at the price
+    solve_fixed_point returns; `damping` is the weight of its first step
+    and of each restart step (the other steps are Anderson updates).
+    """
 
     samples: int = 4000
     seed: int = 20260809

@@ -27,7 +27,7 @@ first in sorted order; it counts these lookups.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -174,13 +174,6 @@ def price_metric(a: DiscretePrice, b: DiscretePrice) -> float:
     """Max over intervals, keys and sub-times of the absolute difference."""
     _require_same_keys(a, b, "price metric")
     return max(float(np.max(np.abs(ta - tb), initial=0.0)) for ta, tb in zip(a.tables, b.tables))
-
-
-def blend(a: DiscretePrice, b: DiscretePrice, weight_b: float) -> DiscretePrice:
-    """(1-w)*a + w*b, table by table."""
-    _require_same_keys(a, b, "blend")
-    return replace(a, tables=[(1.0 - weight_b) * ta + weight_b * tb
-                              for ta, tb in zip(a.tables, b.tables)])
 
 
 def price_to_csv(path, price: DiscretePrice) -> None:

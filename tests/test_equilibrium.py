@@ -159,6 +159,47 @@ class TestSolveFixedPoint:
         [warning] = [w for w in report.warnings if "pooled via kernel fallback" in w]
         assert f"at interval {spec.n_intervals - 1} they hold a share 1 of the samples" in warning
 
+    @pytest.mark.parametrize("name", ["general-convex", "single-informed"])
+    def test_returned_price_meets_tol(self, name):
+        # the stop test reads the map residual of the iterate it returns, so
+        # the exact map (inner Picard to 1e-6) moves that price by <= tol
+        model = preset(name)
+        sd = model.solver
+        batch = sample_batch(model.grid, sd.seed, sd.samples, model.factor)
+        report = solve_fixed_point(batch, model)
+        assert report.converged
+        phi = apply_phi(report.price, batch, model)
+        assert price_metric(phi, report.price) <= sd.tol
+
+    def test_unconverged_returns_last_evaluated_iterate(self):
+        model = preset("single-informed").with_solver(tol=1e-12, max_iter=2, damping=0.8)
+        batch = sample_batch(model.grid, 3, 2000, model.factor)
+        report = solve_fixed_point(batch, model)
+        assert not report.converged and report.iterations == 2
+        phi = apply_phi(report.price, batch, model)
+        assert price_metric(phi, report.price) == report.residual_trace[-1]
+
+    def test_growing_residual_restarts(self, det_setup, monkeypatch):
+        # the second map evaluation is pushed away from the fixed point, so its
+        # residual grows: the history is cleared and the damped step retaken
+        from mfpricelab import equilibrium
+        model, batch, _ = det_setup
+        calls = []
+
+        def bumped(*args, **kwargs):
+            phi, stats, sols = apply_phi(*args, **kwargs)
+            calls.append(phi)
+            if len(calls) == 2:
+                phi = replace(phi, tables=[t + 1.2 for t in phi.tables])
+            return phi, stats, sols
+
+        monkeypatch.setattr(equilibrium, "apply_phi", bumped)
+        report = solve_fixed_point(batch, model)
+        assert report.residual_trace[1] > report.residual_trace[0]
+        assert report.restarts == 1 and "restarts=1" in report.summary()
+        assert report.converged and report.residual_trace[-1] <= model.solver.tol
+        assert max(report.iterate_sup_price) <= model.bounds.C_B
+
 
 def _arrays(obj):
     """Every ndarray reachable from obj through dataclass fields and containers."""

@@ -232,7 +232,6 @@ class TestSolveConvex:
         from mfpricelab import fbsde
         from mfpricelab.errors import PicardError
         monkeypatch.setattr(fbsde, "_PICARD_MAX", 3)
-        monkeypatch.setattr(fbsde, "_PICARD_TOL", 0.0)
         model = preset("general-convex")
         agent = model.standard
         norms = {}
@@ -242,7 +241,7 @@ class TestSolveConvex:
             price = constant_price(spec, cond, 0.2)
             bounds = ModelBounds(L=1.0, T=spec.T)
             with pytest.raises(PicardError) as err:
-                solve_convex(b, price, agent, cond, bounds)
+                solve_convex(b, price, agent, cond, bounds, tol=0.0)
             norms[spec.T] = err.value.trace[0]
         assert norms[0.5] < norms[1.0]
 
