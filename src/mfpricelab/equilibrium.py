@@ -6,8 +6,9 @@ interval by interval.  Equilibria are located by Anderson-accelerated
 iteration of that map under common random numbers, so the map is a
 deterministic function of the candidate and the residual trace, the map
 residual max|Phi(theta) - theta| of each evaluated iterate, is meaningful.
-The inner Picard loops of convex agents run to a tolerance tied to that
-residual, capped at a tenth of the outer tol.  The module also hosts
+The inner Picard loops of convex agents run to a tolerance that follows that
+residual; only an evaluation whose inner tolerance is at most a tenth of the
+outer tol may stop the iteration.  The module also hosts
 the quantitative diagnostics: boundedness, within-interval time-Lipschitz
 slope, conditional variation over the dyadic partition, and the Meyer-Zheng
 coupling distance used by the refinement study.
@@ -159,15 +160,25 @@ def solve_fixed_point(batch: ScenarioBatch, model: MarketModel,
     differences of iterates and residuals (Walker & Ni, 2011).  A map
     residual larger than the previous one clears the history and takes the
     damped step again (counted in `restarts`).  Every step is clipped to
-    +-C_B.  Stops at the first evaluated iterate whose map residual
-    max|Phi(theta) - theta| is <= tol and returns it with the diagnostics of
-    its own solutions; raises DivergenceError if the residual exceeds
-    10*C_B.  Convex agents' inner Picard tolerance follows the last map
-    residual: max(1e-6, min(0.05*residual, 0.1*tol)), max(1e-6, 0.1*tol)
-    first (Eisenstat & Walker, 1996).  Every setting comes from
-    model.solver.  The same batch (common random numbers) and conditioner
-    are reused across iterations; `buckets` defaults to one built in the
-    solver's key mode.
+    +-C_B.  Raises DivergenceError if the residual exceeds 10*C_B.
+
+    Convex agents' inner Picard tolerance is a forcing sequence (Eisenstat
+    & Walker, 1996): max(1e-6, 0.1*C_B) on the first evaluation, a twentieth
+    of the a-priori residual bound 2*C_B, then max(1e-6, 0.05*residual) of
+    the last evaluation.  Stops at the first evaluated iterate whose map
+    residual max|Phi(theta) - theta| is <= tol and whose inner tolerance
+    was <= max(1e-6, 0.1*tol), and returns it with the diagnostics of its
+    own solutions.  An iterate that meets tol under a looser inner solve is
+    evaluated once more at that tolerance, warm-started from its own Y;
+    only the re-evaluated (x, f) pair enters the Anderson history, the
+    restart test compares with the previous distinct iterate, and the
+    re-evaluation counts as a map evaluation (`iterations`,
+    `residual_trace`, max_iter).  Affine agents never read the inner
+    tolerance, so affine models never re-evaluate.
+
+    Every setting comes from model.solver.  The same batch (common random
+    numbers) and conditioner are reused across iterations; `buckets`
+    defaults to one built in the solver's key mode.
     """
     sd = model.solver
     if buckets is None:
@@ -191,7 +202,10 @@ def solve_fixed_point(batch: ScenarioBatch, model: MarketModel,
     trace, sup_p, sup_y = [], [], []
     history: list = []  # (x, f) of the evaluated iterates since the last (re)start
     warm: dict = {}
-    inner_tol = max(_PICARD_TOL, 0.1 * sd.tol)
+    convex = any(a.cost_mode != AFFINE for a in model.agents())
+    exact_tol = max(_PICARD_TOL, 0.1 * sd.tol)
+    inner_tol = max(_PICARD_TOL, 0.1 * C_B)
+    last = np.inf  # map residual of the previous distinct iterate
     restarts = 0
     converged = False
     for _ in range(sd.max_iter):
@@ -206,16 +220,20 @@ def solve_fixed_point(batch: ScenarioBatch, model: MarketModel,
         sup_y.append({p: _sup_fine(s.Y) for p, s in sols.items()})
         if resid > 10.0 * C_B:
             raise DivergenceError(f"fixed-point iteration diverged (residual {resid:.3e})", trace)
-        if resid <= sd.tol:
+        if resid <= sd.tol and (inner_tol <= exact_tol or not convex):
             converged = True
             break
         if len(trace) == sd.max_iter:
             break  # the last evaluated iterate is returned
-        inner_tol = max(_PICARD_TOL, min(0.05 * resid, 0.1 * sd.tol))
+        if resid <= sd.tol:
+            inner_tol = exact_tol  # re-evaluate the same iterate before it may stop
+            continue
+        inner_tol = max(_PICARD_TOL, 0.05 * resid)
         f = np.concatenate([t.ravel() for t in phi.tables]) - x
-        if len(trace) > 1 and resid > trace[-2]:
+        if resid > last:
             history.clear()
             restarts += 1
+        last = resid
         history = history[-_ANDERSON_MEMORY:] + [(x, f)]
         if len(history) == 1:
             step = x + sd.damping * f

@@ -159,10 +159,13 @@ class TestSolveFixedPoint:
         [warning] = [w for w in report.warnings if "pooled via kernel fallback" in w]
         assert f"at interval {spec.n_intervals - 1} they hold a share 1 of the samples" in warning
 
-    @pytest.mark.parametrize("name", ["general-convex", "single-informed"])
+    @pytest.mark.parametrize("name", ["general-convex", "single-informed", "clearing"])
     def test_returned_price_meets_tol(self, name):
-        # the stop test reads the map residual of the iterate it returns, so
-        # the exact map (inner Picard to 1e-6) moves that price by <= tol
+        # the stop test reads the map residual of the iterate it returns,
+        # evaluated at an inner tolerance of at most 0.1*tol, so the exact map
+        # (inner Picard to 1e-6) moves that price by <= tol; on clearing a
+        # loosely evaluated iterate can meet tol while the exact map moves it
+        # by about 3*tol
         model = preset(name)
         sd = model.solver
         batch = sample_batch(model.grid, sd.seed, sd.samples, model.factor)
@@ -199,6 +202,71 @@ class TestSolveFixedPoint:
         assert report.restarts == 1 and "restarts=1" in report.summary()
         assert report.converged and report.residual_trace[-1] <= model.solver.tol
         assert max(report.iterate_sup_price) <= model.bounds.C_B
+
+
+def _recorded_solve(monkeypatch, model, batch, patch=None):
+    """solve_fixed_point with every apply_phi call's (theta, inner_tol)
+    recorded; `patch(k, theta, result)` may replace the k-th call's result."""
+    from mfpricelab import equilibrium
+    calls = []
+
+    def recording(theta, *args, **kwargs):
+        calls.append((theta, kwargs["inner_tol"]))
+        out = apply_phi(theta, *args, **kwargs)
+        return out if patch is None else patch(len(calls), theta, out)
+
+    monkeypatch.setattr(equilibrium, "apply_phi", recording)
+    return solve_fixed_point(batch, model), calls
+
+
+class TestInnerTolerance:
+    def test_schedule_follows_residual(self, monkeypatch):
+        # at batch seed 1 the loop ends on a re-evaluation
+        model = preset("general-convex")
+        sd = model.solver
+        batch = sample_batch(model.grid, 1, sd.samples, model.factor)
+        report, calls = _recorded_solve(monkeypatch, model, batch)
+        tols, trace = [t for _, t in calls], report.residual_trace
+        exact = max(1e-6, 0.1 * sd.tol)
+        assert report.converged and len(tols) == len(trace) == report.iterations
+        assert tols[0] == max(1e-6, 0.1 * model.bounds.C_B)
+        for k in range(1, len(tols)):
+            if trace[k - 1] <= sd.tol:  # a re-evaluation of the same iterate
+                assert calls[k][0] is calls[k - 1][0] and tols[k] == exact
+            else:
+                assert tols[k] == max(1e-6, 0.05 * trace[k - 1])
+        assert tols[-1] <= exact and trace[-1] <= sd.tol
+
+    def test_affine_trace_unchanged(self, det_setup, monkeypatch):
+        # affine agents never read inner_tol: no re-evaluation, the same trace
+        model, batch, _ = det_setup
+        report, calls = _recorded_solve(monkeypatch, model, batch)
+        assert calls[0][1] > max(1e-6, 0.1 * model.solver.tol)
+        assert report.iterations == 2 and report.residual_trace == [0.75, 0.0]
+
+    def test_reevaluation_replaces_loose_pair(self, monkeypatch):
+        # the loose first evaluation reports a fixed point (residual 0); its
+        # exact re-evaluation does not, so the loop goes on from the
+        # re-evaluated pair alone: a damped step, and no restart
+        model = preset("general-convex").with_solver(max_iter=3)
+        sd = model.solver
+        batch = sample_batch(model.grid, sd.seed, 2000, model.factor)
+        images = []
+
+        def patch(k, theta, out):
+            images.append(out[0])
+            return (theta,) + out[1:] if k == 1 else out
+
+        report, calls = _recorded_solve(monkeypatch, model, batch, patch)
+        exact = max(1e-6, 0.1 * sd.tol)
+        trace = report.residual_trace
+        assert trace[0] == 0.0 and trace[1] > sd.tol
+        assert calls[1][0] is calls[0][0] and calls[1][1] == exact
+        assert calls[2][1] == max(1e-6, 0.05 * trace[1])
+        assert report.restarts == 0 and not report.converged and report.iterations == 3
+        C_B = model.bounds.C_B
+        for t0, t1, t2 in zip(calls[0][0].tables, images[1].tables, calls[2][0].tables):
+            assert np.array_equal(t2, np.clip(t0 + sd.damping * (t1 - t0), -C_B, C_B))
 
 
 def _arrays(obj):
