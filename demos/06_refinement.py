@@ -10,7 +10,7 @@ from mfpricelab.equilibrium import refinement_study
 
 model = preset("terminal-common-noise").with_grid(GridSpec(n=3, l=1, m=4, T=1.0))
 batch = sample_batch(model.grid, 23, 10000, model.factor)
-table = refinement_study(model.with_solver(damping=1.0, tol=1e-3, max_iter=8),
+table = refinement_study(model.with_solver(tol=1e-3, max_iter=8),
                          [1, 2, 3], batch)
 for row in table.rows:
     print(f"levels {row.pair}: median d_M = {row.median_dm:.4f} "

@@ -1,6 +1,6 @@
 """Numerical laboratory for two-population equilibrium price formation
 under asymmetric information: common-noise tree discretization, per-population
-FBSDE solvers, the damped fixed-point price map, and finite-market validation."""
+FBSDE solvers, the fixed-point price map, and finite-market validation."""
 
 from .conditioning import TreeConditioner
 from .equilibrium import (EquilibriumReport, apply_phi, consistency_residual,

@@ -28,8 +28,7 @@ from .tree import FULL_PREFIX, MARKOV, GridSpec
 COMMANDS = ("validate", "solve", "refine", "clearing", "informed")
 
 # [run] keys that are SolverDefaults fields, with their value types
-_SOLVER_KEYS = {"samples": int, "damping": float, "tol": float, "max_iter": int,
-                "mode": str, "min_bucket": int}
+_SOLVER_KEYS = {"samples": int, "tol": float, "max_iter": int, "mode": str, "min_bucket": int}
 _RUN_KEYS = {
     "command", "model", "seed", "out_dir", "levels", "n_values", "seeds", "n_scenarios",
     "probe_budget", *_SOLVER_KEYS,
@@ -275,7 +274,8 @@ def run(spec: RunSpec) -> tuple[int, dict]:
         sup_ok = (max(report.iterate_sup_price) <= C_B
                   and all(max(d.values()) <= C_B for d in report.iterate_sup_Y))
         checks.append({"name": "converged", "passed": bool(report.converged),
-                       "detail": f"map residual {report.residual_trace[-1]:.3e} <= tol {report.tol:g}"})
+                       "detail": f"map residual {report.residual_trace[-1]:.3e}, tol {report.tol:g}, "
+                                 f"{report.iterations} of {model.solver.max_iter} iterations"})
         checks.append({"name": "boundedness C_B", "passed": bool(sup_ok),
                        "detail": f"C_B = {C_B:g}"})
     elif spec.command == "refine":
@@ -309,7 +309,7 @@ def run(spec: RunSpec) -> tuple[int, dict]:
         from .equilibrium import solve_fixed_point
         from .market import check_sizes, clearing_report_csv, rate_study
         try:
-            check_sizes(spec.run["n_values"])
+            check_sizes(spec.run["n_values"], model.informed.weight)
         except ValueError as exc:
             raise ConfigError(str(exc))
         if spec.run["seeds"] * spec.run["n_scenarios"] < 2:
@@ -334,7 +334,7 @@ def run(spec: RunSpec) -> tuple[int, dict]:
         from .market import informed_check_csv, informed_inference_check
         batch = sample_batch(model.grid, spec.run["seed"], samples, model.factor)
         result = informed_inference_check(model, batch)
-        emit("informed.csv", lambda p: informed_check_csv(p, result))
+        emit("informed.csv", lambda p: informed_check_csv(p, result, model.grid))
         emit("report.txt", lambda p: p.write_text(result.summary() + "\n", encoding="utf-8"))
         checks.append({"name": "inference identity within 3 bucket SE", "passed": bool(result.passed),
                        "detail": f"max gap {result.max_gap:.3e}"})
@@ -365,7 +365,6 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out-dir", type=str, default=None)
         p.add_argument("--mode", type=str, choices=(FULL_PREFIX, MARKOV), default=None)
-        p.add_argument("--damping", type=float, default=None)
         p.add_argument("--tol", type=float, default=None)
         p.add_argument("--max-iter", type=int, default=None)
         p.add_argument("--samples", type=int, default=None)
@@ -380,9 +379,8 @@ def main(argv=None) -> int:
         else:
             model = _preset(args.model or "zero")
             spec = RunSpec(command=args.command, model=model, run=_run_settings(flags, model))
-        spec.model = _with_solver(spec.model, {
-            "mode": args.mode, "damping": args.damping, "tol": args.tol,
-            "max_iter": args.max_iter, "samples": args.samples})
+        spec.model = _with_solver(spec.model, {"mode": args.mode, "tol": args.tol,
+                                               "max_iter": args.max_iter, "samples": args.samples})
         status, manifest = run(spec)
         for check in manifest["checks"]:
             mark = "PASS" if check["passed"] else "FAIL"

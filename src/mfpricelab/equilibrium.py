@@ -155,12 +155,13 @@ def solve_fixed_point(batch: ScenarioBatch, model: MarketModel,
                       init: Optional[DiscretePrice] = None) -> EquilibriumReport:
     """Anderson type-II iteration of the price map on the flattened tables.
 
-    With f = Phi(theta) - theta, the first step is theta + damping*f; later
-    steps take the undamped Anderson update over the last _ANDERSON_MEMORY
-    differences of iterates and residuals (Walker & Ni, 2011).  A map
-    residual larger than the previous one clears the history and takes the
-    damped step again (counted in `restarts`).  Every step is clipped to
-    +-C_B.  Raises DivergenceError if the residual exceeds 10*C_B.
+    With f = Phi(theta) - theta, the first step is the plain map step
+    theta + f = Phi(theta); later steps take the Anderson update over the
+    last _ANDERSON_MEMORY differences of iterates and residuals with unit
+    mixing (Walker & Ni, 2011).  A map residual larger than the previous one
+    clears the history and takes the plain map step again (counted in
+    `restarts`).  Every step is clipped to +-C_B.  Raises DivergenceError
+    if the residual exceeds 10*C_B.
 
     Convex agents' inner Picard tolerance is a forcing sequence (Eisenstat
     & Walker, 1996): max(1e-6, 0.1*C_B) on the first evaluation, a twentieth
@@ -168,13 +169,9 @@ def solve_fixed_point(batch: ScenarioBatch, model: MarketModel,
     the last evaluation.  Stops at the first evaluated iterate whose map
     residual max|Phi(theta) - theta| is <= tol and whose inner tolerance
     was <= max(1e-6, 0.1*tol), and returns it with the diagnostics of its
-    own solutions.  An iterate that meets tol under a looser inner solve is
-    evaluated once more at that tolerance, warm-started from its own Y;
-    only the re-evaluated (x, f) pair enters the Anderson history, the
-    restart test compares with the previous distinct iterate, and the
-    re-evaluation counts as a map evaluation (`iterations`,
-    `residual_trace`, max_iter).  Affine agents never read the inner
-    tolerance, so affine models never re-evaluate.
+    own solutions.  After an evaluation that meets tol, the forcing rule
+    already sets the next inner tolerance that low.  Affine agents never
+    read the inner tolerance.
 
     Every setting comes from model.solver.  The same batch (common random
     numbers) and conditioner are reused across iterations; `buckets`
@@ -205,7 +202,7 @@ def solve_fixed_point(batch: ScenarioBatch, model: MarketModel,
     convex = any(a.cost_mode != AFFINE for a in model.agents())
     exact_tol = max(_PICARD_TOL, 0.1 * sd.tol)
     inner_tol = max(_PICARD_TOL, 0.1 * C_B)
-    last = np.inf  # map residual of the previous distinct iterate
+    last = np.inf  # map residual of the previous iterate
     restarts = 0
     converged = False
     for _ in range(sd.max_iter):
@@ -225,9 +222,6 @@ def solve_fixed_point(batch: ScenarioBatch, model: MarketModel,
             break
         if len(trace) == sd.max_iter:
             break  # the last evaluated iterate is returned
-        if resid <= sd.tol:
-            inner_tol = exact_tol  # re-evaluate the same iterate before it may stop
-            continue
         inner_tol = max(_PICARD_TOL, 0.05 * resid)
         f = np.concatenate([t.ravel() for t in phi.tables]) - x
         if resid > last:
@@ -236,7 +230,7 @@ def solve_fixed_point(batch: ScenarioBatch, model: MarketModel,
         last = resid
         history = history[-_ANDERSON_MEMORY:] + [(x, f)]
         if len(history) == 1:
-            step = x + sd.damping * f
+            step = x + f
         else:
             xs, fs = (np.stack(h, axis=1) for h in zip(*history))
             dX, dF = np.diff(xs, axis=1), np.diff(fs, axis=1)

@@ -199,8 +199,8 @@ def solve_convex(batch: ScenarioBatch, price: DiscretePrice, agent: AgentSpec,
     smoothed response Y_hat is within `tol` of its iterate Y on the fine grid
     is the solution (Y_hat, response), plus one Euler pass under
     alpha(Y_hat).  The default is the exact solve; solve_fixed_point passes
-    a looser tolerance that follows its map residual, and re-evaluates at
-    max(1e-6, 0.1*tol) before an iterate may stop its loop."""
+    a looser tolerance that follows its map residual, and only a solve at
+    max(1e-6, 0.1*tol) or tighter may stop its loop."""
     if agent.cost_mode != GENERAL_CONVEX:
         raise ValueError(f"solve_convex requires general convex costs, got {agent.cost_mode}")
     if env is None:

@@ -22,8 +22,9 @@ from .equilibrium import apply_phi
 from .errors import ModelError
 from .fbsde import backward_integral, solve_agent
 from .models import AFFINE, MarketModel
-from .price import DiscretePrice, interval_matrix, interval_view
+from .price import DiscretePrice, interval_matrix, interval_view, key_label
 from .sampling import ScenarioBatch, idiosyncratic_copies, sample_batch
+from .tree import GridSpec
 
 
 @dataclass
@@ -116,12 +117,20 @@ def clearing_residual(price: DiscretePrice, model: MarketModel, N_I: int, N_S: i
     return ClearingEstimate(value=value, se=se, per_scenario=vals)
 
 
-def check_sizes(N_values) -> list:
-    """A rate study's market sizes, ascending: four or more, the largest >= 4x the smallest."""
-    N_values = sorted(int(n) for n in N_values)
+def check_sizes(N_values, w_I: float) -> dict:
+    """A rate study's distinct sizes N, ascending, mapped to (k_I, k_S) = (max(1, round(w_I*N)),
+    N - k_I): four or more, the largest >= 4x the smallest, and no population empty."""
+    N_values = sorted({int(n) for n in N_values})
     if len(N_values) < 4 or N_values[-1] < 4 * N_values[0]:
         raise ValueError(f"rate study needs >= 4 market sizes spanning >= 2 octaves, got {N_values}")
-    return N_values
+    split = {}
+    for N in N_values:
+        k_I = max(1, round(w_I * N))
+        if N - k_I < 1:
+            raise ValueError(f"market size N={N} leaves the standard population empty "
+                             f"(informed weight {w_I:g} gives {k_I} informed agents)")
+        split[N] = (k_I, N - k_I)
+    return split
 
 
 def rate_study(price: DiscretePrice, model: MarketModel, N_values: list, seeds: list,
@@ -131,11 +140,9 @@ def rate_study(price: DiscretePrice, model: MarketModel, N_values: list, seeds: 
     Per seed, one pooled FBSDE solve at the largest size; smaller markets are
     nested subsets of the same agents (common random numbers across N).
     """
-    N_values = check_sizes(N_values)
-    w_I = model.informed.weight
-    split = {N: (max(1, round(w_I * N)), N - max(1, round(w_I * N))) for N in N_values}
-    N_max = N_values[-1]
-    k_imax, k_smax = split[N_max]
+    split = check_sizes(N_values, model.informed.weight)
+    N_values = list(split)
+    k_imax, k_smax = split[N_values[-1]]
     per_N_vals = {N: [] for N in N_values}
     for seed in seeds:
         common = sample_batch(model.grid, int(seed), n_scenarios, model.factor)
@@ -243,12 +250,12 @@ def clearing_report_csv(path, report: ClearingReport) -> None:
             fh.write(f"{n},{r:.17g},{s:.17g},{b:.17g}\n")
 
 
-def informed_check_csv(path, result: InformedCheckResult) -> None:
+def informed_check_csv(path, result: InformedCheckResult, spec: GridSpec) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("interval,key,t,beta_direct,beta_inferred,gap,tol\n")
         for i, (codes, t, bd, bi, gap, tol) in enumerate(result.rows):
             for k, prefix in enumerate(codes.tolist()):
-                label = "|".join(str(p) for p in prefix) or "root"
+                label = key_label(spec, prefix)
                 for s in range(t.size):
                     fh.write(f"{i},{label},{t[s]:.17g},{bd[k, s]:.17g},{bi[k, s]:.17g},"
                              f"{gap[k, s]:.17g},{tol[k, s]:.17g}\n")

@@ -86,13 +86,11 @@ class SolverDefaults:
     """The settings every solve reads (see MarketModel.with_solver).
 
     `tol` bounds the map residual max|Phi(theta) - theta| at the price
-    solve_fixed_point returns; `damping` is the weight of its first step
-    and of each restart step (the other steps are Anderson updates).
+    solve_fixed_point returns.
     """
 
     samples: int = 4000
     seed: int = 20260809
-    damping: float = 0.5
     tol: float = 1e-3
     max_iter: int = 40
     mode: Optional[str] = None
@@ -101,8 +99,6 @@ class SolverDefaults:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        if not 0.0 < self.damping <= 1.0:
-            raise ValueError("damping must lie in (0, 1]")
         if not self.tol > 0:
             raise ValueError("tol must be > 0")
         if self.max_iter < 1:
@@ -362,7 +358,7 @@ def preset(name: str) -> MarketModel:
         costs = dict(cost_mode=AFFINE, running_cost=run, terminal_cost=term)
         L, samples = (8.0, 20000) if name == "terminal-common-noise" else (1.0, 2000)
         return _market(name, _agent(INFORMED, **costs), _agent(STANDARD, **costs), L=L,
-                       damping=1.0, samples=samples)
+                       samples=samples)
     if name in ("general-convex", "clearing"):
         f, df = coeff_tanh_state({"scale": 1.0}, "running_cost_convex")
         g, dg = coeff_tanh_state({"scale": 1.0}, "terminal_cost_convex")
@@ -370,14 +366,13 @@ def preset(name: str) -> MarketModel:
                      terminal_cost=g, terminal_cost_dx=dg)
         if name == "general-convex":
             return _market(name, _agent(INFORMED, **costs), _agent(STANDARD, **costs),
-                           grid=GridSpec(n=2, l=1, m=4, T=1.0), damping=0.5, samples=4000,
-                           tol=5e-4)
+                           grid=GridSpec(n=2, l=1, m=4, T=1.0), samples=4000, tol=5e-4)
         # x-cost market driven by idiosyncratic noise only: the equilibrium
         # price is deterministic in time, so the tree carries no common-noise
         # discretization gap and the finite-market residual decays cleanly.
         return _market(name, _agent(INFORMED, 0.0, **costs), _agent(STANDARD, 0.0, **costs),
-                       grid=GridSpec(n=1, l=1, m=8, T=1.0), damping=0.5, samples=30000,
-                       tol=2e-4, max_iter=60)
+                       grid=GridSpec(n=1, l=1, m=8, T=1.0), samples=30000, tol=2e-4,
+                       max_iter=60)
     if name == "single-informed":
         informed = _agent(INFORMED, vol_idio=0.0, cost_mode=AFFINE,
                           running_cost=coeff_zero({}, "running_cost_affine"),
@@ -387,8 +382,7 @@ def preset(name: str) -> MarketModel:
                           running_cost=coeff_clipped_price({"kappa": 0.25, "bound": 8.0},
                                                            "running_cost_affine"),
                           terminal_cost=coeff_constant({"value": 0.5}, "terminal_cost_affine"))
-        return _market(name, informed, standard, L=8.0, damping=0.5, samples=20000, tol=1e-4,
-                       max_iter=60)
+        return _market(name, informed, standard, L=8.0, samples=20000, tol=1e-4, max_iter=60)
     raise ModelError(f"unknown preset {name!r}")
 
 

@@ -176,17 +176,22 @@ def price_metric(a: DiscretePrice, b: DiscretePrice) -> float:
     return max(float(np.max(np.abs(ta - tb), initial=0.0)) for ta, tb in zip(a.tables, b.tables))
 
 
-def price_to_csv(path, price: DiscretePrice) -> None:
-    """CSV rows (interval, key, sub_time, price); key holds lattice values joined by '|'."""
-    spec = price.spec
+def key_label(spec: GridSpec, prefix) -> str:
+    """The CSV label of a key: its lattice values joined by '|', or 'root'."""
     step = 2.0 ** (-spec.l)
     bound = 2.0 ** spec.l
+    return "|".join(f"{-bound + idx * step:.17g}" for idx in prefix) or "root"
+
+
+def price_to_csv(path, price: DiscretePrice) -> None:
+    """CSV rows (interval, key, sub_time, price); key is the key_label."""
+    spec = price.spec
     dt = spec.interval_length / spec.m
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("interval,key,sub_time,price\n")
         for i, (codes, table) in enumerate(zip(price.codes, price.tables)):
             t0 = i * spec.interval_length
             for prefix, vals in zip(codes.tolist(), table):
-                label = "|".join(f"{-bound + idx * step:.17g}" for idx in prefix) or "root"
+                label = key_label(spec, prefix)
                 for s in range(spec.m + 1):
                     fh.write(f"{i},{label},{t0 + s * dt:.17g},{vals[s]:.17g}\n")

@@ -212,7 +212,7 @@ def test_criterion_10_refinement():
     medians_log = []
     for seed in range(1, 6):
         batch = sample_batch(model.grid, seed, 10_000, model.factor)
-        table = refinement_study(model.with_solver(damping=1.0, tol=1e-3, max_iter=8),
+        table = refinement_study(model.with_solver(tol=1e-3, max_iter=8),
                                  [1, 2, 3], batch)
         med = table.medians()
         medians_log.append([round(m, 4) for m in med])

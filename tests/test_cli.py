@@ -1,5 +1,7 @@
+import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -61,7 +63,6 @@ vol_idio.value = 0.3
 command = solve
 seed = 123
 samples = 1500
-damping = 1.0
 tol = 1e-6
 out_dir = {out}
 """
@@ -79,20 +80,21 @@ class TestParseConfig:
         assert spec.command == "solve"
         assert spec.model.name == "zero"
         assert spec.model.solver == preset("zero").solver
-        assert not {"samples", "damping", "tol", "max_iter", "mode", "min_bucket"} & set(spec.run)
+        assert not {"samples", "tol", "max_iter", "mode", "min_bucket"} & set(spec.run)
 
     def test_solver_settings_fold_into_model(self, tmp_path):
         cfg = MINIMAL.format(out=tmp_path) + (
-            "samples = 1234\ndamping = 0.25\ntol = 1e-5\nmax_iter = 7\n"
-            "mode = markov\nmin_bucket = 7\n")
+            "samples = 1234\ntol = 1e-5\nmax_iter = 7\nmode = markov\nmin_bucket = 7\n")
         solver = parse_config(write(tmp_path, cfg)).model.solver
-        assert (solver.samples, solver.damping, solver.tol, solver.max_iter,
-                solver.mode, solver.min_bucket) == (1234, 0.25, 1e-5, 7, "markov", 7)
+        assert (solver.samples, solver.tol, solver.max_iter, solver.mode,
+                solver.min_bucket) == (1234, 1e-5, 7, "markov", 7)
 
-    def test_damping_range_error_names_key(self, tmp_path):
-        cfg = MINIMAL.format(out=tmp_path) + "damping = 1.5\n"
-        with pytest.raises(ConfigError, match="damping"):
-            parse_config(write(tmp_path, cfg))
+    def test_readme_example_parses(self, tmp_path):
+        # the README's config example uses only keys the parser knows
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        spec = parse_config(write(tmp_path, example))
+        assert spec.command == "solve" and spec.model.solver.samples == 20000
 
     def test_parse_twice_identical(self, tmp_path):
         path = write(tmp_path, FULL_MODEL.format(out=tmp_path))
@@ -208,13 +210,17 @@ class TestRun:
                f"out_dir = {out}\nsamples = 800\nmax_iter = 1\ntol = 1e-9\n")
         status, manifest = run(parse_config(write(tmp_path, cfg)))
         assert status == 1
-        assert any(not c["passed"] for c in manifest["checks"])
+        [check] = [c for c in manifest["checks"] if c["name"] == "converged"]
+        assert not check["passed"]
+        # the detail states the residual, the tol and the iterations used
+        assert re.fullmatch(r"map residual \d\.\d{3}e[+-]\d\d, tol 1e-09, 1 of 1 iterations",
+                            check["detail"])
 
 
 class TestMainEntry:
     def test_main_solve_preset(self, tmp_path, capsys):
         rc = main(["solve", "--model", "deterministic", "--out-dir", str(tmp_path / "m"),
-                   "--samples", "1000", "--damping", "1.0"])
+                   "--samples", "1000"])
         assert rc == 0
         assert "[PASS]" in capsys.readouterr().out
 
@@ -245,6 +251,28 @@ class TestMainEntry:
         assert "octaves" in capsys.readouterr().err
         assert conditioner_builds == []
 
+    def test_clearing_empty_population_before_solve(self, tmp_path, capsys, conditioner_builds):
+        # at informed weight 0.5 a market of one agent has no standard agent
+        cfg = ("[run]\nmodel = clearing\ncommand = clearing\n"
+               f"out_dir = {tmp_path / 'c'}\nsamples = 400\nseeds = 1\nn_scenarios = 4\n"
+               "n_values = 1,2,4,8\n")
+        assert main(["clearing", "--config", str(write(tmp_path, cfg))]) == 2
+        assert "N=1" in capsys.readouterr().err
+        assert conditioner_builds == []
+
+    def test_informed_and_solve_label_keys_alike(self, tmp_path):
+        # the same batch and key mode give both artifacts the same keys
+        keys = {}
+        for command, name in (("solve", "equilibrium.csv"), ("informed", "informed.csv")):
+            out = tmp_path / command
+            main([command, "--model", "single-informed", "--samples", "2000", "--seed", "5",
+                  "--out-dir", str(out)])
+            with open(out / name, newline="", encoding="utf-8") as fh:
+                keys[command] = list(dict.fromkeys((r["interval"], r["key"])
+                                                   for r in csv.DictReader(fh)))
+        assert keys["solve"] == keys["informed"]
+        assert ("1", "-1.5") in keys["solve"] and ("0", "root") in keys["solve"]
+
     def test_clearing_needs_two_scenarios_before_solve(self, tmp_path, capsys, conditioner_builds):
         # one seed of one scenario has no standard error: refused before any solve
         cfg = ("[run]\nmodel = clearing\ncommand = clearing\n"
@@ -254,9 +282,9 @@ class TestMainEntry:
         assert "seeds * n_scenarios" in capsys.readouterr().err
         assert conditioner_builds == []
 
-    @pytest.mark.parametrize("key", ["N_S", "penalty_scaling"])
+    @pytest.mark.parametrize("key", ["N_S", "penalty_scaling", "damping"])
     def test_informed_scenario_keys_unknown(self, tmp_path, capsys, key):
-        # the informed check has no scenario settings
+        # the informed check has no scenario settings, and the solver no damping
         cfg = MINIMAL.format(out=tmp_path / "s") + f"{key} = 10\n"
         assert main(["informed", "--config", str(write(tmp_path, cfg))]) == 2
         assert f"unknown key {key!r}" in capsys.readouterr().err

@@ -14,7 +14,7 @@ from mfpricelab.sampling import sample_batch
 def det_price():
     model = preset("deterministic")
     batch = sample_batch(model.grid, 21, 2000, model.factor)
-    report = solve_fixed_point(batch, model.with_solver(damping=1.0))
+    report = solve_fixed_point(batch, model)
     return model, report.price
 
 
@@ -121,6 +121,12 @@ class TestRateStudy:
             rate_study(price, model, [8, 16, 32], seeds=[1])
         with pytest.raises(ValueError):
             rate_study(price, model, [8, 10, 12, 14], seeds=[1])
+        # at informed weight 0.5 a market of one agent has no standard agent
+        with pytest.raises(ValueError, match="N=1"):
+            rate_study(price, model, [1, 2, 4, 8], seeds=[1])
+        # a repeated size is one size: two distinct sizes are too few
+        with pytest.raises(ValueError, match="4 market sizes"):
+            rate_study(price, model, [8, 8, 8, 32], seeds=[1])
 
     def test_deterministic_reports_exact_clearing(self, det_price):
         model, price = det_price
@@ -159,7 +165,7 @@ class TestInformedInference:
     def test_deterministic_identity_exact(self):
         model = preset("deterministic")
         batch = sample_batch(model.grid, 43, 1500, model.factor)
-        res = informed_inference_check(model.with_solver(damping=1.0, tol=1e-9), batch)
+        res = informed_inference_check(model.with_solver(tol=1e-9), batch)
         assert res.max_gap <= 1e-9 and res.passed
 
     def test_one_conditioner(self, conditioner_builds):

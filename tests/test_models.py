@@ -127,8 +127,7 @@ class TestValidation:
 
 
 class TestSolverDefaults:
-    # damping 0 and tol 0: test_equilibrium's test_option_validation
-    @pytest.mark.parametrize("change", [{"samples": 0}, {"damping": 1.5}, {"max_iter": 0},
+    @pytest.mark.parametrize("change", [{"samples": 0}, {"tol": 0.0}, {"max_iter": 0},
                                         {"mode": "bogus"}, {"min_bucket": 0},
                                         {"min_bucket": -5}])
     def test_rejects_bad_settings(self, change):
