@@ -137,6 +137,15 @@ class TestSolveFixedPoint:
             solve_fixed_point(batch, model, init=init)
         assert len(err.value.trace) >= 1
 
+    def test_option_validation(self, det_setup):
+        model, _, _ = det_setup
+        for tol in (0.0, -1e-3):
+            with pytest.raises(ValueError, match="tol"):
+                model.with_solver(tol=tol)
+        # the damping setting is gone: the plain map step is the only first step
+        with pytest.raises(TypeError, match="damping"):
+            model.with_solver(damping=1.0)
+
     def test_markov_mode_warns_in_report(self):
         model = preset("deterministic")
         batch = sample_batch(model.grid, 5, 1000, model.factor)
