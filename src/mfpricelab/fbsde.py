@@ -5,8 +5,9 @@ terms of the BSDE are never materialized):
 
   affine costs:  Y_t = E[ g(env_T) + int_t^T c(s, env_s) ds | key_t (+state) ]
   convex costs:  Picard loop over (X -> response -> regression -> Y), with the
-                 response  d_x g(X_T, env_T) + int_t^T d_x f(s, X_s, env_s) ds;
-                 the converged pass is the solution.
+                 response  d_x g(X_T, env_T) + int_t^T d_x f(s, X_s, env_s) ds,
+                 relaxed by Aitken's dynamic factor; the converged pass is
+                 the solution.
 
 Each conditional expectation is TreeConditioner.regress_slab on a state built
 once per solve: (X_t, B_t[, C_t]) for convex costs, (B_t[, C_t]) for the
@@ -18,7 +19,8 @@ the noises, the response and the regression state are continuous fine-grid
 paths, read per interval through interval_view.  Each coefficient is
 evaluated once per call site, on the slab layout.  Forward dynamics use
 Euler-Maruyama on the fine grid, each step reading the slabs at its left
-point; all time integrals use the trapezoid rule, interval by interval, so
+point; the control-free part of the increments is built once per solve.
+All time integrals use the trapezoid rule, interval by interval, so
 every interval closes on its left limit.  Estimates of Y are clipped to the
 envelope L*(1 + (T-t)), which the conditional-expectation representation
 guarantees.
@@ -98,27 +100,42 @@ def backward_integral(slab: np.ndarray, spec) -> np.ndarray:
     return out
 
 
-def euler_state(batch: ScenarioBatch, env: PriceEnv, agent: AgentSpec,
-                alpha: np.ndarray, start_index: int = 0, x0=None) -> np.ndarray:
-    """Euler-Maruyama integration of the controlled state from start_index on.
+def _euler_noise(batch: ScenarioBatch, env: PriceEnv, agent: AgentSpec) -> np.ndarray:
+    """Control-free Euler increments drift dt + s0 dB + si dW, (count, n_intervals, m).
 
-    The increments (alpha + drift) dt + s0 dB + si dW do not depend on X, so
-    the state is one running sum of them along time, started at x0.  A fine
-    step's left point is one of its interval's sub-times 0..m-1, so the
-    slabs are never read at their left limits.
+    They depend on the price path and the agent only, so a solve builds them
+    once and every pass adds its own alpha dt.
     """
     spec = batch.spec
-    count, m = batch.count, spec.m
+    m = spec.m
     t, P = _times(batch)[:, :, :m], env.path[:, :, :m]
     drift = np.asarray(agent.drift(t, P), dtype=float) + np.zeros_like(P)
     s0 = np.asarray(agent.vol_common(t, P), dtype=float) + np.zeros_like(P)
     si = np.asarray(agent.vol_idio(t, P), dtype=float) + np.zeros_like(P)
-    xi, w = batch.idiosyncratic(agent.population)
+    _, w = batch.idiosyncratic(agent.population)
+    return (drift * spec.dt_fine + s0 * np.diff(batch.b, axis=1).reshape(P.shape)
+            + si * np.diff(w, axis=1).reshape(P.shape))
+
+
+def euler_state(batch: ScenarioBatch, env: PriceEnv, agent: AgentSpec,
+                alpha: np.ndarray, start_index: int = 0, x0=None,
+                noise: Optional[np.ndarray] = None) -> np.ndarray:
+    """Euler-Maruyama integration of the controlled state from start_index on.
+
+    The increments alpha dt + noise do not depend on X, so the state is one
+    running sum of them along time, started at x0.  `noise` is the solve's
+    _euler_noise, built here when not given.  A fine step's left point is
+    one of its interval's sub-times 0..m-1, so the slabs are never read at
+    their left limits.
+    """
+    spec = batch.spec
+    count, m = batch.count, spec.m
+    if noise is None:
+        noise = _euler_noise(batch, env, agent)
     if x0 is None:
-        x0 = xi
-    steps = ((alpha[:, :, :m] + drift) * spec.dt_fine
-             + s0 * np.diff(batch.b, axis=1).reshape(P.shape)
-             + si * np.diff(w, axis=1).reshape(P.shape))
+        x0 = batch.idiosyncratic(agent.population)[0]
+    steps = alpha[:, :, :m] * spec.dt_fine
+    steps += noise
     X = np.zeros((count, spec.n_fine))
     X[:, start_index] = x0
     X[:, start_index + 1:] = steps.reshape(count, -1)[:, start_index:]
@@ -148,8 +165,9 @@ def _convex_response(batch: ScenarioBatch, env: PriceEnv, agent: AgentSpec, X: n
 
 
 def _smooth_response(response: np.ndarray, batch: ScenarioBatch, conditioner: TreeConditioner,
-                     bounds: ModelBounds, state: np.ndarray, start_index: int = 0):
-    """Per-sample conditional expectation of the response as a cadlag slab.
+                     env_bound: np.ndarray, state: np.ndarray, start_index: int = 0):
+    """Per-sample conditional expectation of the response as a cadlag slab,
+    clipped to the envelope `env_bound`, (n_intervals, m+1).
 
     Conditioning is the tree key of the enclosing interval, refined by least
     squares on the (count, n_fine, d) state (d = 0: bucket means); sub-time
@@ -157,7 +175,6 @@ def _smooth_response(response: np.ndarray, batch: ScenarioBatch, conditioner: Tr
     """
     spec = batch.spec
     m = spec.m
-    env_bound = bounds.envelope(_times(batch))[0]
     response, state = interval_view(response, m), interval_view(state, m)
     Y = np.zeros((batch.count, spec.n_intervals, m + 1))
     for i in range(start_index // m, spec.n_intervals):
@@ -186,21 +203,40 @@ def solve_affine(batch: ScenarioBatch, price: DiscretePrice, agent: AgentSpec,
         state = np.stack([batch.b, batch.c], axis=2)
     else:
         state = batch.b[:, :, None]
-    Y = _smooth_response(response, batch, buckets, bounds, state, start_index=start_index)
+    Y = _smooth_response(response, batch, buckets, bounds.envelope(_times(batch))[0], state,
+                         start_index=start_index)
     return FbsdeSolution(X=None, Y=Y, alpha=optimal_control(Y, env.path, agent.lam),
                          response=response)
+
+
+def _aitken_factor(w: float, f_prev: np.ndarray, f: np.ndarray) -> float:
+    """Aitken's dynamic relaxation factor for the step Y <- Y + w_k f_k, from
+    the last factor w and the last two residuals f = Y_hat - Y:
+    w_k = -w <f_prev, f - f_prev> / |f - f_prev|^2, capped at 1.  A factor
+    that is not positive (or a zero difference) falls back to the plain
+    damping.  In (0, 1] every step is a convex combination of Y and Y_hat.
+    The inner products are numpy reductions, not BLAS, so the result does
+    not depend on the BLAS thread count."""
+    diff = f - f_prev
+    den = float(np.sum(diff * diff))
+    w = -w * float(np.sum(f_prev * diff)) / den if den > 0.0 else 0.0
+    return min(w, 1.0) if w > 0.0 else _PICARD_DAMPING
 
 
 def solve_convex(batch: ScenarioBatch, price: DiscretePrice, agent: AgentSpec,
                  buckets: TreeConditioner, bounds: ModelBounds,
                  start_index: int = 0, x0=None, env: Optional[PriceEnv] = None,
                  warm_start: Optional[np.ndarray] = None, tol: float = _PICARD_TOL) -> FbsdeSolution:
-    """Damped Picard iteration for general convex costs.  The first pass whose
-    smoothed response Y_hat is within `tol` of its iterate Y on the fine grid
-    is the solution (Y_hat, response), plus one Euler pass under
-    alpha(Y_hat).  The default is the exact solve; solve_fixed_point passes
-    a looser tolerance that follows its map residual, and only a solve at
-    max(1e-6, 0.1*tol) or tighter may stop its loop."""
+    """Picard iteration for general convex costs, relaxed by Aitken's
+    dynamic factor (Irons & Tuck, 1969): each pass maps its iterate Y to the
+    smoothed response Y_hat and steps Y <- Y + w (Y_hat - Y), w from
+    _aitken_factor (0.5 on the first pass).  The first pass whose Y_hat is
+    within `tol` of its iterate Y on the fine grid is the solution (Y_hat,
+    response), plus one Euler pass under alpha(Y_hat).  The Euler noise and
+    the envelope are built once per solve.  The default is the exact solve;
+    solve_fixed_point passes a looser tolerance that follows its map
+    residual, and only a solve at max(1e-6, 0.1*tol) or tighter may stop
+    its loop."""
     if agent.cost_mode != GENERAL_CONVEX:
         raise ValueError(f"solve_convex requires general convex costs, got {agent.cost_mode}")
     if env is None:
@@ -208,25 +244,34 @@ def solve_convex(batch: ScenarioBatch, price: DiscretePrice, agent: AgentSpec,
     fixed = [batch.b, batch.c] if agent.population == "I" and agent.reads_factor else [batch.b]
     state = np.empty((batch.count, batch.spec.n_fine, 1 + len(fixed)))  # (X, B[, C])
     state[:, :, 1:] = np.stack(fixed, axis=2)  # X is written on every pass
+    noise = _euler_noise(batch, env, agent)
+    env_bound = bounds.envelope(_times(batch))[0]
 
     Y = np.zeros_like(env.path) if warm_start is None else warm_start.copy()
+    w, f_prev = _PICARD_DAMPING, None
     trace = []
     for _ in range(_PICARD_MAX):
         alpha = optimal_control(Y, env.path, agent.lam)
-        X = euler_state(batch, env, agent, alpha, start_index=start_index, x0=x0)
+        X = euler_state(batch, env, agent, alpha, start_index=start_index, x0=x0, noise=noise)
         response = _convex_response(batch, env, agent, X)
         state[:, :, 0] = X
-        Y_hat = _smooth_response(response, batch, buckets, bounds, state, start_index=start_index)
-        delta = float(np.max(np.abs(fine_path(Y_hat - Y)[:, start_index:])))
+        Y_hat = _smooth_response(response, batch, buckets, env_bound, state, start_index=start_index)
+        f = Y_hat - Y
+        delta = float(np.max(np.abs(fine_path(f)[:, start_index:])))
         trace.append(delta)
         if delta <= tol:
             break
-        Y = (1.0 - _PICARD_DAMPING) * Y + _PICARD_DAMPING * Y_hat
+        if f_prev is not None:
+            w = _aitken_factor(w, f_prev, f)
+        Y += w * f
+        f_prev = f
+        del Y_hat  # not held through the next pass, which keeps f_prev instead
     else:
-        raise PicardError(f"Picard loop did not converge (last update {trace[-1]:.3e})", trace)
+        raise PicardError(f"Picard loop of population {agent.population} did not converge to "
+                          f"tol {tol:g} in {len(trace)} passes (last update {trace[-1]:.3e})", trace)
 
     alpha = optimal_control(Y_hat, env.path, agent.lam)
-    X = euler_state(batch, env, agent, alpha, start_index=start_index, x0=x0)
+    X = euler_state(batch, env, agent, alpha, start_index=start_index, x0=x0, noise=noise)
     return FbsdeSolution(X=X, Y=Y_hat, alpha=alpha, picard_iters=len(trace),
                          response=response)
 

@@ -360,6 +360,20 @@ class TestMainEntry:
             csv.append((out / "equilibrium.csv").read_bytes())
         assert csv[0] == csv[1]
 
+    def test_convex_solve_independent_of_blas_threads(self, tmp_path):
+        # the convex loops' inner products are numpy reductions, not BLAS calls,
+        # so the price does not depend on the BLAS thread count
+        csv = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+            subprocess.run([sys.executable, "-m", "mfpricelab.cli", "solve",
+                            "--model", "general-convex", "--out-dir", str(out)],
+                           env=env, check=True, capture_output=True)
+            csv.append((out / "equilibrium.csv").read_bytes())
+        assert csv[0] == csv[1]
+
     def test_main_config_error(self, tmp_path, capsys):
         rc = main(["solve", "--model", "not-a-preset"])
         assert rc == 2

@@ -3,7 +3,7 @@ import pytest
 from dataclasses import replace
 
 from mfpricelab.conditioning import TreeConditioner
-from mfpricelab.fbsde import (backward_integral, cost_functional, decoupling_gamma,
+from mfpricelab.fbsde import (_aitken_factor, backward_integral, cost_functional, decoupling_gamma,
                               decoupling_probe, euler_state, optimal_control,
                               per_sample_cost, solve_affine, solve_convex)
 from mfpricelab.models import (AFFINE, GENERAL_CONVEX, AgentSpec, ModelBounds,
@@ -229,6 +229,7 @@ class TestSolveConvex:
     def test_short_horizon_contracts(self, buckets, monkeypatch):
         # halving T shrinks the first Picard update; non-convergence under an
         # unreachable tolerance raises the diagnostic error carrying the trace
+        # and naming the population, tolerance, passes and last update
         from mfpricelab import fbsde
         from mfpricelab.errors import PicardError
         monkeypatch.setattr(fbsde, "_PICARD_MAX", 3)
@@ -243,7 +244,20 @@ class TestSolveConvex:
             with pytest.raises(PicardError) as err:
                 solve_convex(b, price, agent, cond, bounds, tol=0.0)
             norms[spec.T] = err.value.trace[0]
+            msg = str(err.value)
+            assert "population S" in msg and "tol 0 " in msg and "3 passes" in msg
+            assert f"last update {err.value.trace[-1]:.3e}" in msg
         assert norms[0.5] < norms[1.0]
+
+    def test_cold_start_passes(self, batch, buckets):
+        # the relaxed loop converges from Y = 0 in at most 14 passes (the
+        # plain 0.5 damping takes 21-22 here)
+        model = preset("general-convex")
+        for value in (-0.2, 0.0, 0.4):
+            price = constant_price(SPEC, buckets, value)
+            for agent in (model.standard, model.informed):
+                sol = solve_convex(batch, price, agent, buckets, BOUNDS)
+                assert sol.picard_iters <= 14, (value, agent.population, sol.picard_iters)
 
     def test_euler_state_recompute(self, batch, buckets):
         agent = preset("general-convex").standard
@@ -270,11 +284,47 @@ class TestSolveConvex:
         assert calls == {"_smooth_response": sol.picard_iters,
                          "euler_state": sol.picard_iters + 1}
 
+    def test_euler_noise_built_once(self, batch, buckets, monkeypatch):
+        # the control-free increments do not depend on the iterate
+        from mfpricelab import fbsde
+        calls = []
+        real = fbsde._euler_noise
+        monkeypatch.setattr(fbsde, "_euler_noise", lambda *a: calls.append(1) or real(*a))
+        sol = solve_convex(batch, constant_price(SPEC, buckets, -0.2),
+                           preset("general-convex").standard, buckets, BOUNDS)
+        assert sol.picard_iters > 1 and len(calls) == 1
+
     def test_boundedness(self, batch, buckets):
         model = preset("general-convex")
         price = zero_price(SPEC, buckets)
         sol = solve_convex(batch, price, model.standard, buckets, BOUNDS)
         assert np.max(np.abs(sol.Y)) <= BOUNDS.C_B
+
+
+class TestAitkenFactor:
+    # on a scalar linear map G(y) = a*y + b the residual f = G(y) - y is
+    # linear in y, so one update gives the exact step 1/(1 - a)
+    @staticmethod
+    def factor_after_one_step(a, b=0.3, y0=1.0):
+        f0 = np.array([a * y0 + b - y0])
+        y1 = y0 + 0.5 * f0[0]
+        f1 = np.array([a * y1 + b - y1])
+        return _aitken_factor(0.5, f0, f1)
+
+    @pytest.mark.parametrize("a", [-2.0, -0.5])
+    def test_exact_step(self, a):
+        assert self.factor_after_one_step(a) == pytest.approx(1.0 / (1.0 - a), rel=1e-12)
+
+    def test_capped_at_one(self):
+        # a = 0.5 asks for w = 2: capped, not reset
+        assert self.factor_after_one_step(0.5) == 1.0
+
+    def test_negative_falls_back(self):
+        assert self.factor_after_one_step(2.0) == 0.5
+
+    def test_zero_difference_falls_back(self):
+        f = np.array([0.7, -0.2])
+        assert _aitken_factor(0.9, f, f.copy()) == 0.5
 
 
 class TestCostFunctional:
