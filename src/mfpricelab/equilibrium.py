@@ -2,13 +2,15 @@
 
 The input-output map sends a candidate tree price to minus the weighted
 conditional expectation of the two populations' adjoints given the tree key,
-interval by interval.  Equilibria are located by Anderson-accelerated
-iteration of that map under common random numbers, so the map is a
-deterministic function of the candidate and the residual trace, the map
-residual max|Phi(theta) - theta| of each evaluated iterate, is meaningful.
-The inner Picard loops of convex agents run to a tolerance that follows that
-residual; only an evaluation whose inner tolerance is at most a tenth of the
-outer tol may stop the iteration.  The module also hosts
+interval by interval.  An equilibrium is the fixed point of the coupled
+system: the price of the map, and each convex agent's adjoint of its own
+Picard map under that price.  It is located by Anderson-accelerated
+iteration of one vector holding the price tables and the convex adjoints,
+one Picard pass per agent and evaluation, under common random numbers, so
+the map is a deterministic function of the candidate and the residual
+trace, the map residual max|Phi(theta) - theta| of each evaluated iterate,
+is meaningful.  Only an evaluation whose passes moved the adjoints by at
+most a tenth of tol (and 1e-6 at least) may stop the iteration.  The module also hosts
 the quantitative diagnostics: boundedness, within-interval time-Lipschitz
 slope, conditional variation over the dyadic partition, and the Meyer-Zheng
 coupling distance used by the refinement study.
@@ -23,7 +25,7 @@ import numpy as np
 
 from .conditioning import TreeConditioner
 from .errors import DivergenceError
-from .fbsde import _PICARD_TOL, FbsdeSolution, solve_agent
+from .fbsde import _PICARD_TOL, FbsdeSolution, _picard_map, solve_agent
 from .models import AFFINE, MarketModel
 from .price import (DiscretePrice, fine_path, interval_matrix, interval_view, key_rows,
                     materialize, price_metric, zero_price)
@@ -107,28 +109,34 @@ def _combined_response(model: MarketModel, sol_I: FbsdeSolution, sol_S: FbsdeSol
 
 def apply_phi(theta: DiscretePrice, batch: ScenarioBatch, model: MarketModel,
               buckets: Optional[TreeConditioner] = None, informed_state: bool = True,
-              warm: Optional[dict] = None, return_internals: bool = False,
-              inner_tol: float = _PICARD_TOL):
+              iterates: Optional[dict] = None, return_internals: bool = False):
     """One application of the input-output price map.
 
     Solves both populations' FBSDEs under the candidate price and returns the
     new tree price (clipped to the C_B envelope, which the raw values respect
     up to float dust).  `informed_state` False conditions the affine informed
-    adjoint on the tree key alone (see solve_affine).  `inner_tol` is the
-    Picard tolerance of convex agents (see solve_convex).
+    adjoint on the tree key alone (see solve_affine).  Without `iterates`
+    every agent is solved exactly (convex agents by a cold solve_convex).
+    `iterates` maps a convex agent's population to a Y slab: that agent then
+    takes one Picard pass from it, and its solution is the pass's
+    (Y_hat, response), picard_iters 1.  Affine agents are always solved
+    directly.
     """
     spec = batch.spec
     if buckets is None:
         buckets = TreeConditioner(spec, batch.node_path, mode=theta.mode,
                                   min_count=model.solver.min_bucket)
     env = materialize(theta, buckets)
-    warm = warm or {}
     sols = {}
     for agent in model.agents():
-        sols[agent.population] = solve_agent(
-            batch, theta, agent, buckets, model.bounds, informed_state=informed_state, env=env,
-            **({"warm_start": warm.get(agent.population), "tol": inner_tol}
-               if agent.cost_mode != AFFINE else {}))
+        p = agent.population
+        if iterates is not None and agent.cost_mode != AFFINE:
+            Y_hat, response = _picard_map(batch, env, agent, buckets, model.bounds)(iterates[p])
+            sols[p] = FbsdeSolution(X=None, Y=Y_hat, alpha=None, picard_iters=1,
+                                    response=response)
+        else:
+            sols[p] = solve_agent(batch, theta, agent, buckets, model.bounds,
+                                  informed_state=informed_state, env=env)
     combo = interval_view(_combined_response(model, sols["I"], sols["S"]), spec.m)
     C_B = model.bounds.C_B
     tables, se_list, fb_list = [], [], []
@@ -147,31 +155,47 @@ def apply_phi(theta: DiscretePrice, batch: ScenarioBatch, model: MarketModel,
     return out
 
 
-_ANDERSON_MEMORY = 3
+_ANDERSON_MEMORY = 2
+
+
+def _anderson_weights(dF: list, f: np.ndarray) -> np.ndarray:
+    """The weights gamma minimizing |f - sum_i gamma_i dF_i|, from the normal
+    equations.  The inner products are numpy reductions, not BLAS calls, so
+    the weights do not depend on the BLAS thread count.  Raises LinAlgError
+    if the Gram matrix is singular."""
+    gram = np.empty((len(dF), len(dF)))
+    for i, a in enumerate(dF):
+        for j in range(i, len(dF)):
+            gram[i, j] = gram[j, i] = np.sum(a * dF[j])
+    return np.linalg.solve(gram, np.array([np.sum(a * f) for a in dF]))
 
 
 def solve_fixed_point(batch: ScenarioBatch, model: MarketModel,
                       buckets: Optional[TreeConditioner] = None, informed_state: bool = True,
                       init: Optional[DiscretePrice] = None) -> EquilibriumReport:
-    """Anderson type-II iteration of the price map on the flattened tables.
+    """Anderson type-II iteration of the coupled equilibrium system.
 
-    With f = Phi(theta) - theta, the first step is the plain map step
-    theta + f = Phi(theta); later steps take the Anderson update over the
-    last _ANDERSON_MEMORY differences of iterates and residuals with unit
-    mixing (Walker & Ni, 2011).  A map residual larger than the previous one
-    clears the history and takes the plain map step again (counted in
-    `restarts`).  Every step is clipped to +-C_B.  Raises DivergenceError
-    if the residual exceeds 10*C_B.
+    The iterate is one vector x = [price tables | Y slab of each convex
+    agent], convex adjoints starting from 0.  One evaluation applies the
+    price map with one Picard pass per convex agent from its Y (see
+    apply_phi; affine agents are solved directly), and its residual is
+    f = [Phi(theta) - theta | Y_hat - Y].  The first step is the plain step
+    x + f; later steps take the Anderson update over the last
+    _ANDERSON_MEMORY differences of iterates and residuals with unit mixing
+    (Walker & Ni, 2011).  If the largest of the map residual
+    max|Phi(theta) - theta| and the agents' pass updates max|Y_hat - Y|
+    grows, the history is cleared and the plain step retaken (counted in
+    `restarts`); so it is, uncounted, when the weights' Gram matrix is
+    singular (dependent differences).  The price part of every step is
+    clipped to +-C_B.  Raises DivergenceError if the map residual exceeds
+    10*C_B.
 
-    Convex agents' inner Picard tolerance is a forcing sequence (Eisenstat
-    & Walker, 1996): max(1e-6, 0.1*C_B) on the first evaluation, a twentieth
-    of the a-priori residual bound 2*C_B, then max(1e-6, 0.05*residual) of
-    the last evaluation.  Stops at the first evaluated iterate whose map
-    residual max|Phi(theta) - theta| is <= tol and whose inner tolerance
-    was <= max(1e-6, 0.1*tol), and returns it with the diagnostics of its
-    own solutions.  After an evaluation that meets tol, the forcing rule
-    already sets the next inner tolerance that low.  Affine agents never
-    read the inner tolerance.
+    Stops at the first evaluated iterate whose map residual is <= tol and
+    whose pass updates are all <= max(1e-6, 0.1*tol), and returns it with
+    the diagnostics of its own solutions: each convex agent's pass is then
+    as close to its Picard fixed point as an exact cold solve.  With affine
+    agents only, x is the price and the map residual alone stops the loop.
+    `max_iter` counts evaluations.
 
     Every setting comes from model.solver.  The same batch (common random
     numbers) and conditioner are reused across iterations; `buckets`
@@ -194,57 +218,80 @@ def solve_fixed_point(batch: ScenarioBatch, model: MarketModel,
 
     C_B = model.bounds.C_B
     theta = zero_price(batch.spec, buckets) if init is None else init
-    x = np.concatenate([t.ravel() for t in theta.tables])
+    convex = [a.population for a in model.agents() if a.cost_mode != AFFINE]
+    slab = (batch.count, batch.spec.n_intervals, batch.spec.m + 1)
+    n_price = sum(t.size for t in theta.tables)
     splits = np.cumsum([t.size for t in theta.tables])[:-1]
+    x = np.zeros(n_price + len(convex) * int(np.prod(slab)))
+    x[:n_price] = np.concatenate([t.ravel() for t in theta.tables])
+    update_tol = max(_PICARD_TOL, 0.1 * sd.tol)
     trace, sup_p, sup_y = [], [], []
-    history: list = []  # (x, f) of the evaluated iterates since the last (re)start
-    warm: dict = {}
-    convex = any(a.cost_mode != AFFINE for a in model.agents())
-    exact_tol = max(_PICARD_TOL, 0.1 * sd.tol)
-    inner_tol = max(_PICARD_TOL, 0.1 * C_B)
-    last = np.inf  # map residual of the previous iterate
+    dX, dF = [], []  # the last steps taken (after the clip) and residual differences, newest last
+    f_prev = taken = None
+    last = np.inf  # the largest of the map residual and the pass updates at the previous evaluation
     restarts = 0
     converged = False
     for _ in range(sd.max_iter):
+        Ys = _agent_slabs(x, n_price, convex, slab)
         phi, stats, sols = apply_phi(theta, batch, model, buckets=buckets,
-                                     informed_state=informed_state, warm=warm,
-                                     return_internals=True, inner_tol=inner_tol)
-        warm = {a.population: sols[a.population].Y for a in model.agents()
-                if a.cost_mode != AFFINE}
+                                     informed_state=informed_state, iterates=Ys,
+                                     return_internals=True)
+        f = np.empty_like(x)
+        np.subtract(np.concatenate([t.ravel() for t in phi.tables]), x[:n_price], out=f[:n_price])
+        updates = _agent_slabs(f, n_price, convex, slab)
+        for p in convex:
+            np.subtract(sols[p].Y, Ys[p], out=updates[p])
+        deltas = [float(np.max(np.abs(fine_path(updates[p])))) for p in convex]
         resid = price_metric(phi, theta)
         trace.append(resid)
         sup_p.append(theta.sup_norm())
         sup_y.append({p: _sup_fine(s.Y) for p, s in sols.items()})
         if resid > 10.0 * C_B:
             raise DivergenceError(f"fixed-point iteration diverged (residual {resid:.3e})", trace)
-        if resid <= sd.tol and (inner_tol <= exact_tol or not convex):
+        if resid <= sd.tol and all(d <= update_tol for d in deltas):
             converged = True
             break
         if len(trace) == sd.max_iter:
             break  # the last evaluated iterate is returned
-        inner_tol = max(_PICARD_TOL, 0.05 * resid)
-        f = np.concatenate([t.ravel() for t in phi.tables]) - x
-        if resid > last:
-            history.clear()
+        del sols  # the next evaluation's solutions are the only ones held
+
+        worst = max([resid] + deltas)
+        if worst > last:
+            dX.clear()
+            dF.clear()
             restarts += 1
-        last = resid
-        history = history[-_ANDERSON_MEMORY:] + [(x, f)]
-        if len(history) == 1:
-            step = x + f
-        else:
-            xs, fs = (np.stack(h, axis=1) for h in zip(*history))
-            dX, dF = np.diff(xs, axis=1), np.diff(fs, axis=1)
-            gamma = np.linalg.lstsq(dF, f)[0]
-            step = x + f - (dX + dF) @ gamma
-        x = np.clip(step, -C_B, C_B)
+        elif f_prev is not None:
+            dX.append(taken)
+            dF.append(np.subtract(f, f_prev, out=f_prev))
+        last, f_prev = worst, f
+        step = x + f
+        if dF:
+            try:
+                gamma = _anderson_weights(dF, f)
+            except np.linalg.LinAlgError:  # dependent differences: restart, not counted
+                dX.clear()
+                dF.clear()
+            else:
+                for g, dx, df in zip(gamma, dX, dF):
+                    step -= g * (dx + df)
+        np.clip(step[:n_price], -C_B, C_B, out=step[:n_price])
+        if len(dF) == _ANDERSON_MEMORY:  # the next evaluation adds a difference
+            del dX[0], dF[0]
+        taken = np.subtract(step, x, out=x)
+        x = step
         theta = replace(phi, tables=[part.reshape(t.shape) for part, t in
-                                     zip(np.split(x, splits), phi.tables)])
+                                     zip(np.split(x[:n_price].copy(), splits), phi.tables)])
 
     diag = diagnostics(theta, sols, batch, buckets, model)
     return EquilibriumReport(price=theta, iterations=len(trace), residual_trace=trace,
                              diagnostics=diag, converged=converged, tol=sd.tol,
                              iterate_sup_price=sup_p, iterate_sup_Y=sup_y,
                              phi_stats=stats, warnings=warnings, restarts=restarts)
+
+
+def _agent_slabs(vec: np.ndarray, n_price: int, convex: list, slab: tuple) -> dict:
+    """Population -> view of its Y slab in a joint vector [price | Y of each convex agent]."""
+    return dict(zip(convex, vec[n_price:].reshape((len(convex),) + slab)))
 
 
 def mz_distance(x: np.ndarray, y: np.ndarray, grid: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ class _TracedError(PriceLabError):
 
 
 class PicardError(_TracedError):
-    """The inner Picard loop failed to converge; carries the residual trace."""
+    """A convex Picard loop (solve_convex) failed to converge; carries the residual trace."""
 
 
 class DivergenceError(_TracedError):

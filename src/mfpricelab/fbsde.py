@@ -4,10 +4,12 @@ The adjoint is obtained directly as a conditional expectation (the martingale
 terms of the BSDE are never materialized):
 
   affine costs:  Y_t = E[ g(env_T) + int_t^T c(s, env_s) ds | key_t (+state) ]
-  convex costs:  Picard loop over (X -> response -> regression -> Y), with the
-                 response  d_x g(X_T, env_T) + int_t^T d_x f(s, X_s, env_s) ds,
-                 relaxed by Aitken's dynamic factor; the converged pass is
-                 the solution.
+  convex costs:  Picard map Y -> (X -> response -> regression -> Y_hat), with
+                 the response  d_x g(X_T, env_T) + int_t^T d_x f(s, X_s, env_s) ds;
+                 a cold solve iterates it, relaxed by Aitken's dynamic
+                 factor, and its converged pass is the solution, while the
+                 equilibrium's fixed-point iteration takes one pass per
+                 map evaluation.
 
 Each conditional expectation is TreeConditioner.regress_slab on a state built
 once per solve: (X_t, B_t[, C_t]) for convex costs, (B_t[, C_t]) for the
@@ -55,12 +57,14 @@ class FbsdeSolution:
     into `Y`, read by the price map and standard errors.
     `X` is None for affine costs: their adjoint does not depend on the state,
     so nothing needs the state path (per_sample_cost re-integrates it from a
-    control).  A convex solution is its last Picard pass, `X` the state under `alpha`.
+    control).  A convex solution is its last Picard pass, `X` the state under
+    `alpha`; the single pass of a fixed-point map evaluation carries neither
+    (None), as nothing there reads them.
     """
 
     X: Optional[np.ndarray]
     Y: np.ndarray
-    alpha: np.ndarray
+    alpha: Optional[np.ndarray]
     picard_iters: int = 0
     response: np.ndarray = None
 
@@ -86,16 +90,25 @@ def _times(batch: ScenarioBatch) -> np.ndarray:
 
 def backward_integral(slab: np.ndarray, spec) -> np.ndarray:
     """I[:, j] = trapezoid of a cadlag slab over [t_j, T] on the fine grid,
-    interval by interval, each closed by its left limit."""
+    interval by interval, each closed by its left limit.
+
+    The suffix sums run in a time-major (n_intervals, m, count) buffer, one
+    contiguous in-place add per sub-time and per interval, in the order of a
+    reversed cumulative sum."""
     count = slab.shape[0]
     m, n_int = spec.m, spec.n_intervals
-    pair = 0.5 * (slab[:, :, :-1] + slab[:, :, 1:]) * spec.dt_fine
-    within = np.cumsum(pair[:, :, ::-1], axis=2)[:, :, ::-1]
-    totals = within[:, :, 0]
-    suffix = np.zeros((count, n_int + 1))
-    suffix[:, :-1] = np.cumsum(totals[:, ::-1], axis=1)[:, ::-1]
+    pair = np.empty((n_int, m, count))
+    np.add(slab[:, :, :-1].transpose(1, 2, 0), slab[:, :, 1:].transpose(1, 2, 0), out=pair)
+    pair *= 0.5
+    pair *= spec.dt_fine
+    for s in range(m - 2, -1, -1):
+        pair[:, s] += pair[:, s + 1]    # within-interval suffix: [t_s, end of interval]
+    for j in range(n_int - 2, -1, -1):
+        pair[j, 0] += pair[j + 1, 0]    # sub-time 0 holds the suffix over intervals
+    pair[:-1, 1:] += pair[1:, None, 0]
+    pair[-1] += 0.0  # the empty suffix after the last interval, which turns -0.0 into 0.0
     out = np.empty((count, spec.n_fine))
-    out[:, :-1] = (within + suffix[:, 1:, None]).reshape(count, n_int * m)
+    out[:, :-1] = pair.reshape(n_int * m, count).T
     out[:, -1] = 0.0
     return out
 
@@ -151,7 +164,8 @@ def _affine_response(batch: ScenarioBatch, env: PriceEnv, agent: AgentSpec):
                                         interval_view(batch.c, m)), dtype=float) + np.zeros_like(P)
     integral = backward_integral(run, batch.spec)
     terminal = np.asarray(agent.terminal_cost(P[:, -1, m], batch.b[:, -1], batch.c[:, -1]), dtype=float)
-    return integral + terminal[:, None] + np.zeros_like(integral)
+    integral += terminal[:, None]
+    return integral
 
 
 def _convex_response(batch: ScenarioBatch, env: PriceEnv, agent: AgentSpec, X: np.ndarray):
@@ -161,7 +175,8 @@ def _convex_response(batch: ScenarioBatch, env: PriceEnv, agent: AgentSpec, X: n
                      dtype=float) + np.zeros_like(Xv)
     integral = backward_integral(run, batch.spec)
     terminal = np.asarray(agent.terminal_cost_dx(X[:, -1], env.path[:, -1, m], batch.c[:, -1]), dtype=float)
-    return integral + terminal[:, None] + np.zeros_like(integral)
+    integral += terminal[:, None]
+    return integral
 
 
 def _smooth_response(response: np.ndarray, batch: ScenarioBatch, conditioner: TreeConditioner,
@@ -223,39 +238,56 @@ def _aitken_factor(w: float, f_prev: np.ndarray, f: np.ndarray) -> float:
     return min(w, 1.0) if w > 0.0 else _PICARD_DAMPING
 
 
-def solve_convex(batch: ScenarioBatch, price: DiscretePrice, agent: AgentSpec,
-                 buckets: TreeConditioner, bounds: ModelBounds,
-                 start_index: int = 0, x0=None, env: Optional[PriceEnv] = None,
-                 warm_start: Optional[np.ndarray] = None, tol: float = _PICARD_TOL) -> FbsdeSolution:
-    """Picard iteration for general convex costs, relaxed by Aitken's
-    dynamic factor (Irons & Tuck, 1969): each pass maps its iterate Y to the
-    smoothed response Y_hat and steps Y <- Y + w (Y_hat - Y), w from
-    _aitken_factor (0.5 on the first pass).  The first pass whose Y_hat is
-    within `tol` of its iterate Y on the fine grid is the solution (Y_hat,
-    response), plus one Euler pass under alpha(Y_hat).  The Euler noise and
-    the envelope are built once per solve.  The default is the exact solve;
-    solve_fixed_point passes a looser tolerance that follows its map
-    residual, and only a solve at max(1e-6, 0.1*tol) or tighter may stop
-    its loop."""
-    if agent.cost_mode != GENERAL_CONVEX:
-        raise ValueError(f"solve_convex requires general convex costs, got {agent.cost_mode}")
-    if env is None:
-        env = materialize(price, buckets)
+def _picard_map(batch: ScenarioBatch, env: PriceEnv, agent: AgentSpec,
+                buckets: TreeConditioner, bounds: ModelBounds, start_index: int = 0, x0=None,
+                noise: Optional[np.ndarray] = None):
+    """The Picard map of a convex agent under a fixed price: a function
+    sending an iterate Y to (Y_hat, response), one pass alpha(Y) -> Euler ->
+    response -> Y_hat = smoothed response.  The Euler noise (unless given),
+    the regression state's fixed columns and the envelope are built once,
+    when the map is made."""
     fixed = [batch.b, batch.c] if agent.population == "I" and agent.reads_factor else [batch.b]
     state = np.empty((batch.count, batch.spec.n_fine, 1 + len(fixed)))  # (X, B[, C])
     state[:, :, 1:] = np.stack(fixed, axis=2)  # X is written on every pass
-    noise = _euler_noise(batch, env, agent)
+    if noise is None:
+        noise = _euler_noise(batch, env, agent)
     env_bound = bounds.envelope(_times(batch))[0]
 
-    Y = np.zeros_like(env.path) if warm_start is None else warm_start.copy()
-    w, f_prev = _PICARD_DAMPING, None
-    trace = []
-    for _ in range(_PICARD_MAX):
+    def one_pass(Y: np.ndarray):
         alpha = optimal_control(Y, env.path, agent.lam)
         X = euler_state(batch, env, agent, alpha, start_index=start_index, x0=x0, noise=noise)
         response = _convex_response(batch, env, agent, X)
         state[:, :, 0] = X
-        Y_hat = _smooth_response(response, batch, buckets, env_bound, state, start_index=start_index)
+        return _smooth_response(response, batch, buckets, env_bound, state,
+                                start_index=start_index), response
+
+    return one_pass
+
+
+def solve_convex(batch: ScenarioBatch, price: DiscretePrice, agent: AgentSpec,
+                 buckets: TreeConditioner, bounds: ModelBounds,
+                 start_index: int = 0, x0=None, env: Optional[PriceEnv] = None,
+                 tol: float = _PICARD_TOL) -> FbsdeSolution:
+    """Cold exact solve for general convex costs: Picard iteration from Y = 0,
+    relaxed by Aitken's dynamic factor (Irons & Tuck, 1969).  Each pass maps
+    its iterate Y to the smoothed response Y_hat (_picard_map) and steps
+    Y <- Y + w (Y_hat - Y), w from _aitken_factor (0.5 on the first pass).
+    The first pass whose Y_hat is within `tol` of its iterate Y on the fine
+    grid is the solution (Y_hat, response), plus one Euler pass under
+    alpha(Y_hat).  The fixed-point iteration does not call this: it runs
+    one pass of the map per evaluation (see equilibrium.apply_phi)."""
+    if agent.cost_mode != GENERAL_CONVEX:
+        raise ValueError(f"solve_convex requires general convex costs, got {agent.cost_mode}")
+    if env is None:
+        env = materialize(price, buckets)
+    noise = _euler_noise(batch, env, agent)  # shared with the closing Euler pass
+    one_pass = _picard_map(batch, env, agent, buckets, bounds, start_index=start_index, x0=x0,
+                           noise=noise)
+    Y = np.zeros_like(env.path)
+    w, f_prev = _PICARD_DAMPING, None
+    trace = []
+    for _ in range(_PICARD_MAX):
+        Y_hat, response = one_pass(Y)
         f = Y_hat - Y
         delta = float(np.max(np.abs(fine_path(f)[:, start_index:])))
         trace.append(delta)

@@ -361,18 +361,23 @@ class TestMainEntry:
         assert csv[0] == csv[1]
 
     def test_convex_solve_independent_of_blas_threads(self, tmp_path):
-        # the convex loops' inner products are numpy reductions, not BLAS calls,
-        # so the price does not depend on the BLAS thread count
-        csv = []
-        for threads in ("1", "2"):
-            out = tmp_path / threads
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
-            subprocess.run([sys.executable, "-m", "mfpricelab.cli", "solve",
-                            "--model", "general-convex", "--out-dir", str(out)],
-                           env=env, check=True, capture_output=True)
-            csv.append((out / "equilibrium.csv").read_bytes())
-        assert csv[0] == csv[1]
+        # the inner products of the Anderson weights, over the price and the
+        # adjoint slabs, and of the cold solves' relaxation factor are numpy
+        # reductions, not BLAS calls, so the price and the report do not
+        # depend on the BLAS thread count (clearing at 8000 samples, for time)
+        for model, extra in (("general-convex", ""), ("clearing", "samples = 8000\n")):
+            cfg = write(tmp_path, f"[run]\nmodel = {model}\ncommand = solve\n{extra}")
+            outputs = []
+            for threads in ("1", "2"):
+                out = tmp_path / model / threads
+                env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                           PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+                subprocess.run([sys.executable, "-m", "mfpricelab.cli", "solve",
+                                "--config", str(cfg), "--out-dir", str(out)],
+                               env=env, check=True, capture_output=True)
+                outputs.append([(out / name).read_bytes()
+                                for name in ("equilibrium.csv", "report.txt")])
+            assert outputs[0] == outputs[1], model
 
     def test_main_config_error(self, tmp_path, capsys):
         rc = main(["solve", "--model", "not-a-preset"])

@@ -163,16 +163,16 @@ class TestSolveFixedPoint:
 
     @pytest.mark.parametrize("name", ["general-convex", "single-informed", "clearing"])
     def test_returned_price_meets_tol(self, name):
-        # the stop test reads the map residual of the iterate it returns,
-        # evaluated at an inner tolerance of at most 0.1*tol, so the exact map
-        # (inner Picard to 1e-6) moves that price by <= tol; on clearing a
-        # loosely evaluated iterate can meet tol while the exact map moves it
-        # by about 3*tol
+        # the stop test reads the map residual of the iterate it returns, at
+        # an evaluation whose convex passes moved Y by at most
+        # max(1e-6, 0.1*tol), so the exact map (cold inner solves to 1e-6)
+        # moves that price by <= tol.  With one Picard pass per convex agent
+        # and evaluation, the convex presets take 10-11 evaluations here
         model = preset(name)
         sd = model.solver
         batch = sample_batch(model.grid, sd.seed, sd.samples, model.factor)
         report = solve_fixed_point(batch, model)
-        assert report.converged
+        assert report.converged and report.iterations <= 13
         phi = apply_phi(report.price, batch, model)
         assert price_metric(phi, report.price) <= sd.tol
 
@@ -207,44 +207,54 @@ class TestSolveFixedPoint:
 
 
 def _recorded_solve(monkeypatch, model, batch, patch=None, init=None):
-    """solve_fixed_point with every apply_phi call's (theta, inner_tol)
-    recorded; `patch(k, theta, result)` may replace the k-th call's result."""
+    """solve_fixed_point with every apply_phi call's (theta, iterates,
+    pass updates) recorded, the iterates copied and each update
+    max|fine_path(Y_hat - Y)| of a convex agent; `patch(k, theta, result)`
+    may replace the k-th call's result."""
     from mfpricelab import equilibrium
     calls = []
 
     def recording(theta, *args, **kwargs):
-        calls.append((theta, kwargs["inner_tol"]))
+        iterates = {p: Y.copy() for p, Y in kwargs["iterates"].items()}
         out = apply_phi(theta, *args, **kwargs)
+        updates = {p: float(np.max(np.abs(fine_path(out[2][p].Y - Y))))
+                   for p, Y in iterates.items()}
+        calls.append((theta, iterates, updates))
         return out if patch is None else patch(len(calls), theta, out)
 
     monkeypatch.setattr(equilibrium, "apply_phi", recording)
     return solve_fixed_point(batch, model, init=init), calls
 
 
-class TestInnerTolerance:
-    def test_schedule_follows_residual(self, monkeypatch):
+class TestJointStop:
+    def test_stops_at_first_exact_evaluation(self, monkeypatch):
+        # the loop stops at the first evaluation whose map residual meets tol
+        # and whose convex agents' pass updates are all within
+        # max(1e-6, 0.1*tol), and at no earlier one
         model = preset("general-convex")
         sd = model.solver
         batch = sample_batch(model.grid, 1, sd.samples, model.factor)
         report, calls = _recorded_solve(monkeypatch, model, batch)
-        tols, trace = [t for _, t in calls], report.residual_trace
-        assert report.converged and len(tols) == len(trace) == report.iterations
-        assert tols[0] == max(1e-6, 0.1 * model.bounds.C_B)
-        assert all(tols[k] == max(1e-6, 0.05 * trace[k - 1]) for k in range(1, len(tols)))
-        assert tols[-1] <= max(1e-6, 0.1 * sd.tol) and trace[-1] <= sd.tol
+        update_tol = max(1e-6, 0.1 * sd.tol)
+        met = [r <= sd.tol and max(u.values()) <= update_tol
+               for r, (_, _, u) in zip(report.residual_trace, calls)]
+        assert report.converged and len(calls) == report.iterations
+        assert met[-1] and not any(met[:-1])
+        assert all(set(iterates) == {"I", "S"} for _, iterates, _ in calls)
+        assert all(np.all(Y == 0.0) for Y in calls[0][1].values())
 
     def test_affine_trace_unchanged(self, det_setup, monkeypatch):
-        # affine agents never read inner_tol: a loose evaluation may stop the loop
+        # with affine agents only the iterate is the price: no agent takes an
+        # iterate, and the map residual alone stops the loop
         model, batch, _ = det_setup
         report, calls = _recorded_solve(monkeypatch, model, batch)
-        assert calls[0][1] > max(1e-6, 0.1 * model.solver.tol)
+        assert all(iterates == {} for _, iterates, _ in calls)
         assert report.iterations == 2 and report.residual_trace == [0.75, 0.0]
 
-    def test_loose_fixed_point_does_not_stop(self, monkeypatch):
-        # started at an equilibrium, the loose first evaluation is made to
-        # report a fixed point (residual 0); the loop may not stop there: the
-        # forcing rule runs the next evaluation, of the same tables, at 1e-6,
-        # and only that one may stop it
+    def test_price_fixed_point_alone_does_not_stop(self, monkeypatch):
+        # started at an equilibrium price with cold adjoints Y = 0, the first
+        # evaluation is made to report a price fixed point (residual 0); its
+        # agents' pass updates are far from 0, so the loop may not stop there
         model = preset("general-convex")
         sd = model.solver
         batch = sample_batch(model.grid, sd.seed, 2000, model.factor)
@@ -255,10 +265,8 @@ class TestInnerTolerance:
 
         report, calls = _recorded_solve(monkeypatch, model, batch, patch, init=init)
         trace = report.residual_trace
-        assert trace[0] == 0.0 and calls[0][1] > max(1e-6, 0.1 * sd.tol)
-        assert calls[1][1] == 1e-6
-        assert all(np.array_equal(a, b) for a, b in zip(calls[0][0].tables, calls[1][0].tables))
-        assert report.converged and report.iterations == 2 and trace[1] <= sd.tol
+        assert trace[0] == 0.0 and min(calls[0][2].values()) > max(1e-6, 0.1 * sd.tol)
+        assert report.converged and report.iterations > 1 and trace[-1] <= sd.tol
 
 
 def _arrays(obj):

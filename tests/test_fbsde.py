@@ -85,6 +85,31 @@ class TestBackwardIntegral:
         got = backward_integral(vals, SPEC)
         assert np.allclose(got, (SPEC.T ** 2 - t ** 2)[None, :] / 2.0, atol=1e-12)
 
+    @pytest.mark.parametrize("count, n, m", [(4000, 2, 4), (10000, 4, 4), (20000, 2, 8),
+                                             (30000, 1, 8)])
+    def test_matches_cumsum_reference(self, count, n, m):
+        # the in-place suffix sums add in the order of reversed cumulative
+        # sums, so the result is bit for bit the reference's
+        spec = GridSpec(n=n, l=1, m=m, T=1.0)
+        slab = np.random.default_rng(count).normal(size=(count, spec.n_intervals, m + 1))
+        got, want = backward_integral(slab, spec), _backward_integral_cumsum(slab, spec)
+        assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+
+
+def _backward_integral_cumsum(slab, spec):
+    """Reference backward_integral: reversed cumulative sums along the sub-time
+    and interval axes of the sample-major slab."""
+    count = slab.shape[0]
+    m, n_int = spec.m, spec.n_intervals
+    pair = 0.5 * (slab[:, :, :-1] + slab[:, :, 1:]) * spec.dt_fine
+    within = np.cumsum(pair[:, :, ::-1], axis=2)[:, :, ::-1]
+    suffix = np.zeros((count, n_int + 1))
+    suffix[:, :-1] = np.cumsum(within[:, :, 0][:, ::-1], axis=1)[:, ::-1]
+    out = np.empty((count, spec.n_fine))
+    out[:, :-1] = (within + suffix[:, 1:, None]).reshape(count, n_int * m)
+    out[:, -1] = 0.0
+    return out
+
 
 class TestSolveAffine:
     def test_zero_costs(self, batch, buckets):
