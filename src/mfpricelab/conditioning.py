@@ -14,8 +14,9 @@ density in the current lattice state.  A weight depends on a key only
 through its state and count, so the conditioner keeps one (undersized keys x
 states) weight array per interval and pools through per-state sums: storage
 grows with keys and lattice states, never with keys squared.  bucket_stats
-adds standard errors to the pooled means, for the price map, diagnostics and
-checks that read them.
+adds standard errors to the pooled means, for the price map, the diagnostics
+and the solve's response statistics that the informed check reads; pooled(i)
+flags the pooled keys.
 """
 
 from __future__ import annotations
@@ -105,10 +106,16 @@ class TreeConditioner:
     def n_fallback_keys(self) -> int:
         return int(sum(pool[0].size for pool in self._pool.values()))
 
+    def pooled(self, interval: int) -> np.ndarray:
+        """Bool per key at one interval: True where the key is undersized and pooled."""
+        mask = np.zeros(self._counts[interval].size, dtype=bool)
+        if interval in self._pool:
+            mask[self._pool[interval][0]] = True
+        return mask
+
     def pooled_share(self, interval: int) -> float:
         """Share of the samples at one interval that sit in pooled keys."""
-        small = self._pool[interval][0] if interval in self._pool else []
-        return float(self._counts[interval][small].sum() / self.count)
+        return float(self._counts[interval][self.pooled(interval)].sum() / self.count)
 
     def n_lone_small_keys(self) -> int:
         """Undersized keys alone at their interval: nothing to pool them with."""
@@ -141,16 +148,14 @@ class TreeConditioner:
         with np.errstate(divide="ignore", invalid="ignore"):
             se = np.sqrt(var / np.maximum(counts[:, None] - 1, 0))
         se[counts < 2] = np.inf
-        fallback = np.zeros(counts.size, dtype=bool)
         if interval in self._pool:
             small, sid, n_s, w = self._pool[interval]
-            fallback[small] = True
             finite_se = np.where(np.isfinite(se), se, 0.0)
             # sqrt(sum_s w[a, s]^2 * sum over the state's keys of counts^2 * se^2)
             se_sums = [np.bincount(sid, np.square(counts * s), n_s.size) for s in finite_se.T]
             se[small] = np.sqrt(np.square(w) @ np.stack(se_sums, axis=1))
             self._pool_means(interval, mean)
-        return BucketStats(counts=counts, mean=mean, se=se, fallback=fallback)
+        return BucketStats(counts=counts, mean=mean, se=se, fallback=self.pooled(interval))
 
     def regress_slab(self, interval: int, state: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Within-bucket least squares, one fit per (bucket, value column).

@@ -74,6 +74,7 @@ class EquilibriumReport:
     iterate_sup_price: list = field(default_factory=list)
     iterate_sup_Y: list = field(default_factory=list)
     phi_stats: Optional[PhiStats] = None
+    response_stats: dict = field(default_factory=dict)  # population -> interval -> BucketStats
     warnings: list = field(default_factory=list)
     restarts: int = 0
 
@@ -124,8 +125,7 @@ def apply_phi(theta: DiscretePrice, batch: ScenarioBatch, model: MarketModel,
     """
     spec = batch.spec
     if buckets is None:
-        buckets = TreeConditioner(spec, batch.node_path, mode=theta.mode,
-                                  min_count=model.solver.min_bucket)
+        buckets = model.solver.conditioner(batch, theta.mode)
     env = materialize(theta, buckets)
     sols = {}
     for agent in model.agents():
@@ -192,9 +192,9 @@ def solve_fixed_point(batch: ScenarioBatch, model: MarketModel,
 
     Stops at the first evaluated iterate whose map residual is <= tol and
     whose pass updates are all <= max(1e-6, 0.1*tol), and returns it with
-    the diagnostics of its own solutions: each convex agent's pass is then
-    as close to its Picard fixed point as an exact cold solve.  With affine
-    agents only, x is the price and the map residual alone stops the loop.
+    the diagnostics and response_stats of its own solutions: each convex
+    agent's pass is then as close to its Picard fixed point as a cold solve.
+    With affine agents only, x is the price and its residual alone stops.
     `max_iter` counts evaluations.
 
     Every setting comes from model.solver.  The same batch (common random
@@ -203,8 +203,7 @@ def solve_fixed_point(batch: ScenarioBatch, model: MarketModel,
     """
     sd = model.solver
     if buckets is None:
-        buckets = TreeConditioner(batch.spec, batch.node_path, mode=sd.key_mode(batch.spec.n),
-                                  min_count=sd.min_bucket)
+        buckets = sd.conditioner(batch)
     warnings = []
     if buckets.mode == MARKOV:
         warnings.append("markov key mode: conditioning on the current lattice state only")
@@ -283,10 +282,14 @@ def solve_fixed_point(batch: ScenarioBatch, model: MarketModel,
                                      zip(np.split(x[:n_price].copy(), splits), phi.tables)])
 
     diag = diagnostics(theta, sols, batch, buckets, model)
+    resp = {p: interval_view(s.response, batch.spec.m) for p, s in sols.items()}
+    response_stats = {p: [buckets.bucket_stats(i, r[:, i]) for i in range(batch.spec.n_intervals)]
+                      for p, r in resp.items()}
     return EquilibriumReport(price=theta, iterations=len(trace), residual_trace=trace,
                              diagnostics=diag, converged=converged, tol=sd.tol,
-                             iterate_sup_price=sup_p, iterate_sup_Y=sup_y,
-                             phi_stats=stats, warnings=warnings, restarts=restarts)
+                             iterate_sup_price=sup_p, iterate_sup_Y=sup_y, phi_stats=stats,
+                             response_stats=response_stats, warnings=warnings,
+                             restarts=restarts)
 
 
 def _agent_slabs(vec: np.ndarray, n_price: int, convex: list, slab: tuple) -> dict:
@@ -372,7 +375,7 @@ class ConsistencyResult:
     per_interval_se: np.ndarray    # fresh-batch standard error at the worst key
     worst_ratio: float             # max over keys of gap / (tol + 3*sqrt(2)*se)
     tol: float
-    skipped_keys: int              # keys absent from the stored price or pooled fresh
+    skipped_keys: int              # keys absent from the stored price or pooled in either batch
 
     @property
     def max_residual(self) -> float:
@@ -383,17 +386,17 @@ def consistency_residual(price: DiscretePrice, model: MarketModel,
                          seed: int) -> ConsistencyResult:
     """Out-of-sample fixed-point quality: recompute the price map on a fresh
     batch (fresh seed, model.solver.samples) and measure the per-interval
-    sup gap to the stored price.  Only keys stored exactly and well-populated
-    in the fresh batch enter the gap; rare keys would be compared through
-    fallback estimates whose error the bucket standard error cannot
-    calibrate, so they are counted in skipped_keys instead.  The gap is
-    judged against tol + 3*sqrt(2)*se (both sides carry comparable Monte
-    Carlo noise), with tol = model.solver.tol.
+    sup gap to the stored price.  Only keys stored exactly, not pooled by
+    the solve (price.pooled) and well-populated in the fresh batch enter the
+    gap; rare keys would be compared through kernel-pooled estimates whose
+    bias the bucket standard error cannot calibrate, so they are counted in
+    skipped_keys instead.  The gap is judged against tol + 3*sqrt(2)*se
+    (both sides carry comparable Monte Carlo noise), with tol =
+    model.solver.tol.
     """
     tol = model.solver.tol
     fresh = sample_batch(model.grid, seed, model.solver.samples, model.factor)
-    buckets = TreeConditioner(model.grid, fresh.node_path, mode=price.mode,
-                              min_count=model.solver.min_bucket)
+    buckets = model.solver.conditioner(fresh, price.mode)
     phi, stats, _ = apply_phi(price, fresh, model, buckets=buckets, return_internals=True)
     spec = model.grid
     out = np.zeros(spec.n_intervals)
@@ -402,7 +405,8 @@ def consistency_residual(price: DiscretePrice, model: MarketModel,
     skipped = 0
     for i in range(spec.n_intervals):
         rows = key_rows(price, buckets, i)
-        judged = (rows >= 0) & ~stats.fallback[i]
+        # a row of -1 (a key the price does not store) reads the appended True
+        judged = ~np.append(price.pooled[i], True)[rows] & ~stats.fallback[i]
         skipped += int(judged.size - judged.sum())
         if not judged.any():
             continue
@@ -466,7 +470,7 @@ def refinement_study(model: MarketModel, levels: list, batch: ScenarioBatch,
     for n in levels:
         sub_spec, node = discretize_at_level(batch, n, level_resolution(n))
         sub_batch = replace(batch, spec=sub_spec, node_path=node)
-        buckets = TreeConditioner(sub_spec, node, mode=mode, min_count=model.solver.min_bucket)
+        buckets = model.solver.conditioner(sub_batch, mode)
         report = solve_fixed_point(sub_batch, model.with_grid(sub_spec), buckets=buckets)
         reports[n] = report
         trajectories[n] = fine_path(materialize(report.price, buckets).path)

@@ -7,7 +7,8 @@ the decay rate in N against the analytic bound 8*T*C_B^2*sum(1/Lambda_p^2)/N.
 informed_inference_check(model, batch) solves the equilibrium on the batch
 and verifies the single-informed-agent identity there: the informed trading
 rate is recoverable from the price and the standard population's conditional
-adjoint alone.
+adjoint alone.  It reads the price's tables and the response key statistics
+of the solve's stopping evaluation, and evaluates the price map no further.
 """
 
 from __future__ import annotations
@@ -17,12 +18,10 @@ from typing import Optional
 
 import numpy as np
 
-from .conditioning import TreeConditioner
-from .equilibrium import apply_phi
 from .errors import ModelError
 from .fbsde import backward_integral, solve_agent
 from .models import AFFINE, MarketModel
-from .price import DiscretePrice, interval_matrix, interval_view, key_label
+from .price import DiscretePrice, key_label
 from .sampling import ScenarioBatch, idiosyncratic_copies, sample_batch
 from .tree import GridSpec
 
@@ -79,8 +78,7 @@ def _agent_controls(price: DiscretePrice, model: MarketModel, common, population
     agent = model.informed if population == "I" else model.standard
     xi, w = idiosyncratic_copies(common.spec, seed, common.count, n_agents, population)
     batch = _population_batch(common, xi, w)
-    buckets = TreeConditioner(batch.spec, batch.node_path, mode=price.mode,
-                              min_count=model.solver.min_bucket)
+    buckets = model.solver.conditioner(batch, price.mode)
     sol = solve_agent(batch, price, agent, buckets, model.bounds)
     return sol.alpha.reshape((common.count, n_agents) + sol.alpha.shape[1:])
 
@@ -205,30 +203,23 @@ def informed_inference_check(model: MarketModel, batch: ScenarioBatch) -> Inform
     # benchmark's informed-cli workload captures the report this way) is used
     from .equilibrium import solve_fixed_point
 
-    sd = model.solver
-    buckets = TreeConditioner(batch.spec, batch.node_path, mode=sd.key_mode(batch.spec.n),
-                              min_count=sd.min_bucket)
-    report = solve_fixed_point(batch, model, buckets=buckets, informed_state=False)
+    report = solve_fixed_point(batch, model, informed_state=False)
     price = report.price
-    _, _, sols = apply_phi(price, batch, model, buckets=buckets, informed_state=False,
-                           return_internals=True)
     lam_bar_I = model.informed.lam_bar
     lam_bar_S = model.standard.lam_bar
     ratio = model.standard.weight / model.informed.weight
-    # the identity gap equals (w_bar/n_I)*|Phi(theta)-theta| exactly, and the
-    # solve returns an iterate whose map residual is at most tol
+    # the identity gap equals (w_bar/n_I)*|Phi(theta)-theta| exactly at the
+    # responses of the stopping evaluation, whose map residual is at most tol
     w_bar = model.informed.weight * lam_bar_I + model.standard.weight * lam_bar_S
-    fp_slack = w_bar / model.informed.weight * sd.tol
+    fp_slack = w_bar / model.informed.weight * model.solver.tol
     spec = batch.spec
     m = spec.m
     rows = []
     max_gap = worst = 0.0
     sub_dt = spec.interval_length / m
-    resp_I, resp_S = (interval_view(sols[p].response, m) for p in "IS")
     for i in range(spec.n_intervals):
-        mat, _ = interval_matrix(price, buckets, i)
-        stats_I = buckets.bucket_stats(i, resp_I[:, i])
-        stats_S = buckets.bucket_stats(i, resp_S[:, i])
+        mat = price.tables[i]
+        stats_I, stats_S = (report.response_stats[p][i] for p in "IS")
         beta_direct = -lam_bar_I * (stats_I.mean + mat)
         beta_inferred = ratio * lam_bar_S * (mat + stats_S.mean)
         se = np.where(np.isfinite(stats_S.se), stats_S.se, np.inf)
@@ -236,7 +227,7 @@ def informed_inference_check(model: MarketModel, batch: ScenarioBatch) -> Inform
         gap = np.abs(beta_direct - beta_inferred)
         max_gap = max(max_gap, float(gap.max()))
         worst = max(worst, float(np.max(gap / tol)))
-        rows.append((buckets.key_codes(i), i * spec.interval_length + np.arange(m + 1) * sub_dt,
+        rows.append((price.codes[i], i * spec.interval_length + np.arange(m + 1) * sub_dt,
                      beta_direct, beta_inferred, gap, tol))
     return InformedCheckResult(max_gap=max_gap, max_gap_over_tol=worst,
                                passed=worst <= 1.0, fp_slack=fp_slack, rows=rows)

@@ -13,8 +13,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .conditioning import TreeConditioner
 from .errors import ModelError
-from .sampling import InformedFactorSpec
+from .sampling import InformedFactorSpec, ScenarioBatch
 from .tree import FULL_PREFIX, MARKOV, GridSpec
 
 AFFINE = "affine"
@@ -114,6 +115,11 @@ class SolverDefaults:
         if self.mode is not None:
             return self.mode
         return FULL_PREFIX if n <= 2 else MARKOV
+
+    def conditioner(self, batch: ScenarioBatch, mode: Optional[str] = None) -> TreeConditioner:
+        """The batch's conditioner at min_bucket, in `mode` (default key_mode)."""
+        return TreeConditioner(batch.spec, batch.node_path,
+                               mode=mode or self.key_mode(batch.spec.n), min_count=self.min_bucket)
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,11 @@ values on interval i's sub-time grid for the key whose lattice codes are row
 k of `codes[i]` (prefix V_1..V_i, or the current state V_i in Markov mode;
 empty at interval 0).  Code rows are unique and sorted as
 TreeConditioner.key_codes gives them; a price built on a conditioner shares
-its code arrays.  `values` is a read-only TreeKey -> row Mapping view of the
-tables.  As a process the price is cadlag: on [t_i, t_{i+1}) it is interval
-i's piece read along the realized key; sub-time m holds the left limit.
+its code arrays and carries its pooled-key masks (`pooled[i]`, True where
+the value is a kernel-pooled estimate).  `values` is a read-only TreeKey ->
+row Mapping view of the tables.  As a process the price is cadlag: on
+[t_i, t_{i+1}) it is interval i's piece read along the realized key;
+sub-time m holds the left limit.
 
 Per-sample paths come in two layouts.  A cadlag field (the materialized
 price, an adjoint, a control) is a (count, n_intervals, m+1) slab whose
@@ -50,12 +52,15 @@ class DiscretePrice:
     mode: str
     codes: list   # interval -> (n_keys, prefix length) int, sorted unique rows
     tables: list  # interval -> (n_keys, m+1) values, rows aligned with codes
+    pooled: list  # interval -> bool per key, True where the conditioner pooled the key
 
     @classmethod
     def from_tables(cls, conditioner: TreeConditioner, tables) -> DiscretePrice:
         """A price on the conditioner's keys, one table per interval."""
-        codes = [conditioner.key_codes(i) for i in range(conditioner.spec.n_intervals)]
-        return cls(spec=conditioner.spec, mode=conditioner.mode, codes=codes, tables=list(tables))
+        intervals = range(conditioner.spec.n_intervals)
+        return cls(spec=conditioner.spec, mode=conditioner.mode,
+                   codes=[conditioner.key_codes(i) for i in intervals], tables=list(tables),
+                   pooled=[conditioner.pooled(i) for i in intervals])
 
     @property
     def values(self) -> PriceValues:

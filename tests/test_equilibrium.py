@@ -7,7 +7,7 @@ from mfpricelab.equilibrium import (apply_phi, consistency_residual, diagnostics
                                     mz_distance, refinement_study, solve_fixed_point)
 from mfpricelab.errors import DivergenceError
 from mfpricelab.models import preset
-from mfpricelab.price import (constant_price, fine_path, materialize, price_metric,
+from mfpricelab.price import (constant_price, fine_path, key_rows, materialize, price_metric,
                               price_to_csv, zero_price)
 from mfpricelab.sampling import sample_batch
 from mfpricelab.tree import FULL_PREFIX, GridSpec
@@ -334,6 +334,25 @@ class TestConsistencyResidual:
         # every eligible key: gap <= tol + 3*sqrt(2)*bucket SE
         assert res.worst_ratio <= 1.0
         assert res.skipped_keys > 0  # rare fresh prefixes are reported, not judged
+
+    def test_solve_pooled_keys_skipped(self):
+        # a key the solve pooled holds a kernel estimate whose bias the bucket
+        # SE cannot calibrate: it is skipped even where the fresh batch fills it
+        model = preset("terminal-common-noise")
+        batch = sample_batch(model.grid, 9, 2000, model.factor)
+        price = solve_fixed_point(batch, model).price
+        check = model.with_solver(samples=8000)
+        res = consistency_residual(price, check, seed=1002)
+        unmasked = replace(price, pooled=[np.zeros_like(p) for p in price.pooled])
+        judged_pooled = consistency_residual(unmasked, check, seed=1002)
+        fresh = sample_batch(model.grid, 1002, 8000, model.factor)
+        buckets = check.solver.conditioner(fresh, price.mode)
+        pinned = 0  # stored, pooled by the solve, well-populated fresh
+        for i in range(model.grid.n_intervals):
+            rows = key_rows(price, buckets, i)
+            pinned += int(np.sum((rows >= 0) & price.pooled[i][rows] & ~buckets.pooled(i)))
+        assert pinned > 0
+        assert res.skipped_keys == judged_pooled.skipped_keys + pinned
 
 
 class TestDiagnosticsExamples:

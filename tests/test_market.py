@@ -1,6 +1,10 @@
+import sys
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from mfpricelab import equilibrium
 from mfpricelab.equilibrium import solve_fixed_point
 from mfpricelab.errors import ModelError
 from mfpricelab.market import (clearing_bound, clearing_residual, informed_inference_check,
@@ -24,6 +28,20 @@ def clearing_price():
     batch = sample_batch(model.grid, 22, 8000, model.factor)
     report = solve_fixed_point(batch, model.with_solver(tol=5e-4))
     return model, report.price
+
+
+@pytest.fixture
+def solve_reports(monkeypatch):
+    """The report of every equilibrium.solve_fixed_point call made while the
+    test runs (the informed check looks the solve up at call time)."""
+    solve, reports = equilibrium.solve_fixed_point, []
+
+    def captured(*args, **kwargs):
+        reports.append(solve(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(equilibrium, "solve_fixed_point", captured)
+    return reports
 
 
 class TestStandardError:
@@ -174,6 +192,38 @@ class TestInformedInference:
         batch = sample_batch(model.grid, 46, 500, model.factor)
         informed_inference_check(model, batch)
         assert conditioner_builds == [12]
+
+    def test_no_map_evaluation_after_the_solve(self, monkeypatch, solve_reports):
+        # the check reads the solve's stopping evaluation: every price-map
+        # evaluation it makes is one of the solve's
+        model = preset("single-informed").with_solver(tol=1e-4)
+        batch = sample_batch(model.grid, 44, 4000, model.factor)
+        apply_phi, calls = equilibrium.apply_phi, []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return apply_phi(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "mfpricelab" and getattr(module, "apply_phi", None) is apply_phi:
+                monkeypatch.setattr(module, "apply_phi", counted)
+        informed_inference_check(model, batch)
+        (report,) = solve_reports
+        assert len(calls) == report.iterations
+
+    @pytest.mark.parametrize("seed", [44, 45])
+    def test_convex_standard_agent(self, seed, solve_reports):
+        # the check reads the stopping Picard pass of the convex standard
+        # agent, where the gap is (w_bar/n_I)*|Phi(theta) - theta| <= fp_slack
+        convex = preset("general-convex")
+        model = replace(convex, informed=preset("single-informed").informed)
+        batch = sample_batch(model.grid, seed, 4000, model.factor)
+        res = informed_inference_check(model, batch)
+        assert res.passed
+        assert res.max_gap <= res.fp_slack
+        (report,) = solve_reports
+        w_bar_over_n_I = res.fp_slack / model.solver.tol
+        assert res.max_gap == pytest.approx(w_bar_over_n_I * report.residual_trace[-1], rel=1e-6)
 
     def test_single_informed_preset(self):
         model = preset("single-informed")
