@@ -9,8 +9,9 @@ iteration of one vector holding the price tables and the convex adjoints,
 one Picard pass per agent and evaluation, under common random numbers, so
 the map is a deterministic function of the candidate and the residual
 trace, the map residual max|Phi(theta) - theta| of each evaluated iterate,
-is meaningful.  Only an evaluation whose passes moved the adjoints by at
-most a tenth of tol (and 1e-6 at least) may stop the iteration.  The module also hosts
+is meaningful.  An evaluation stops the iteration when its map residual
+plus the largest move of its passes is at most tol, which bounds the exact
+map's residual (cold inner solves) by tol.  The module also hosts
 the quantitative diagnostics: boundedness, within-interval time-Lipschitz
 slope, conditional variation over the dyadic partition, and the Meyer-Zheng
 coupling distance used by the refinement study.
@@ -110,14 +111,16 @@ def _combined_response(model: MarketModel, sol_I: FbsdeSolution, sol_S: FbsdeSol
 
 def apply_phi(theta: DiscretePrice, batch: ScenarioBatch, model: MarketModel,
               buckets: Optional[TreeConditioner] = None, informed_state: bool = True,
-              iterates: Optional[dict] = None, return_internals: bool = False):
+              iterates: Optional[dict] = None, return_internals: bool = False,
+              cold_tol: float = _PICARD_TOL):
     """One application of the input-output price map.
 
     Solves both populations' FBSDEs under the candidate price and returns the
     new tree price (clipped to the C_B envelope, which the raw values respect
     up to float dust).  `informed_state` False conditions the affine informed
     adjoint on the tree key alone (see solve_affine).  Without `iterates`
-    every agent is solved exactly (convex agents by a cold solve_convex).
+    every agent is solved exactly (convex agents by a cold solve_convex to
+    the Picard tolerance `cold_tol`; only the consistency check loosens it).
     `iterates` maps a convex agent's population to a Y slab: that agent then
     takes one Picard pass from it, and its solution is the pass's
     (Y_hat, response), picard_iters 1.  Affine agents are always solved
@@ -136,7 +139,7 @@ def apply_phi(theta: DiscretePrice, batch: ScenarioBatch, model: MarketModel,
                                     response=response)
         else:
             sols[p] = solve_agent(batch, theta, agent, buckets, model.bounds,
-                                  informed_state=informed_state, env=env)
+                                  informed_state=informed_state, tol=cold_tol, env=env)
     combo = interval_view(_combined_response(model, sols["I"], sols["S"]), spec.m)
     C_B = model.bounds.C_B
     tables, se_list, fb_list = [], [], []
@@ -190,12 +193,15 @@ def solve_fixed_point(batch: ScenarioBatch, model: MarketModel,
     clipped to +-C_B.  Raises DivergenceError if the map residual exceeds
     10*C_B.
 
-    Stops at the first evaluated iterate whose map residual is <= tol and
-    whose pass updates are all <= max(1e-6, 0.1*tol), and returns it with
-    the diagnostics and response_stats of its own solutions: each convex
-    agent's pass is then as close to its Picard fixed point as a cold solve.
-    With affine agents only, x is the price and its residual alone stops.
-    `max_iter` counts evaluations.
+    Stops at the first evaluated iterate whose map residual plus its
+    largest pass update is <= tol, and returns it with the diagnostics and
+    response_stats of its own solutions.  That bounds the exact map's
+    residual there (cold inner solves) by tol: the regression's predictions
+    average back to each key's mean, so the exact map moves the price by at
+    most the key mean of Y* - Y_hat, which a Picard contraction of rate rho
+    bounds by rho/(1-rho) times the update, at most the update itself for
+    rho <= 1/2.  With affine agents only, x is the price and its residual
+    alone stops.  `max_iter` counts evaluations.
 
     Every setting comes from model.solver.  The same batch (common random
     numbers) and conditioner are reused across iterations; `buckets`
@@ -219,11 +225,11 @@ def solve_fixed_point(batch: ScenarioBatch, model: MarketModel,
     theta = zero_price(batch.spec, buckets) if init is None else init
     convex = [a.population for a in model.agents() if a.cost_mode != AFFINE]
     slab = (batch.count, batch.spec.n_intervals, batch.spec.m + 1)
-    n_price = sum(t.size for t in theta.tables)
-    splits = np.cumsum([t.size for t in theta.tables])[:-1]
+    cuts = np.cumsum([0] + [t.size for t in theta.tables])  # table i is x[cuts[i]:cuts[i+1]]
+    n_price = int(cuts[-1])
     x = np.zeros(n_price + len(convex) * int(np.prod(slab)))
-    x[:n_price] = np.concatenate([t.ravel() for t in theta.tables])
-    update_tol = max(_PICARD_TOL, 0.1 * sd.tol)
+    for t, lo, hi in zip(theta.tables, cuts[:-1], cuts[1:]):
+        x[lo:hi] = t.ravel()
     trace, sup_p, sup_y = [], [], []
     dX, dF = [], []  # the last steps taken (after the clip) and residual differences, newest last
     f_prev = taken = None
@@ -236,18 +242,19 @@ def solve_fixed_point(batch: ScenarioBatch, model: MarketModel,
                                      informed_state=informed_state, iterates=Ys,
                                      return_internals=True)
         f = np.empty_like(x)
-        np.subtract(np.concatenate([t.ravel() for t in phi.tables]), x[:n_price], out=f[:n_price])
+        for t, lo, hi in zip(phi.tables, cuts[:-1], cuts[1:]):
+            np.subtract(t.ravel(), x[lo:hi], out=f[lo:hi])
         updates = _agent_slabs(f, n_price, convex, slab)
         for p in convex:
             np.subtract(sols[p].Y, Ys[p], out=updates[p])
-        deltas = [float(np.max(np.abs(fine_path(updates[p])))) for p in convex]
+        deltas = [_sup_fine(updates[p]) for p in convex]
         resid = price_metric(phi, theta)
         trace.append(resid)
         sup_p.append(theta.sup_norm())
         sup_y.append({p: _sup_fine(s.Y) for p, s in sols.items()})
         if resid > 10.0 * C_B:
             raise DivergenceError(f"fixed-point iteration diverged (residual {resid:.3e})", trace)
-        if resid <= sd.tol and all(d <= update_tol for d in deltas):
+        if resid + max(deltas, default=0.0) <= sd.tol:
             converged = True
             break
         if len(trace) == sd.max_iter:
@@ -271,15 +278,19 @@ def solve_fixed_point(batch: ScenarioBatch, model: MarketModel,
                 dX.clear()
                 dF.clear()
             else:
+                scratch = np.empty_like(x)  # one history column's correction
                 for g, dx, df in zip(gamma, dX, dF):
-                    step -= g * (dx + df)
+                    np.add(dx, df, out=scratch)
+                    scratch *= g
+                    step -= scratch
+                del scratch  # not held through the next evaluation, where the peak is
         np.clip(step[:n_price], -C_B, C_B, out=step[:n_price])
         if len(dF) == _ANDERSON_MEMORY:  # the next evaluation adds a difference
             del dX[0], dF[0]
         taken = np.subtract(step, x, out=x)
         x = step
-        theta = replace(phi, tables=[part.reshape(t.shape) for part, t in
-                                     zip(np.split(x[:n_price].copy(), splits), phi.tables)])
+        theta = replace(phi, tables=[x[lo:hi].reshape(t.shape).copy() for t, lo, hi in
+                                     zip(phi.tables, cuts[:-1], cuts[1:])])
 
     diag = diagnostics(theta, sols, batch, buckets, model)
     resp = {p: interval_view(s.response, batch.spec.m) for p, s in sols.items()}
@@ -314,8 +325,11 @@ def mz_distance(x: np.ndarray, y: np.ndarray, grid: np.ndarray) -> np.ndarray:
 
 
 def _sup_fine(slab: np.ndarray) -> float:
-    """Sup of a cadlag slab over its fine-grid points (left limits only at T)."""
-    return float(np.max(np.abs(fine_path(slab))))
+    """Sup of a cadlag slab over its fine-grid points (left limits only at T),
+    read in place: every interval's sub-times 0..m-1, then the left limit at T.
+    The abs turns the -0.0 of an all-zero slab into 0.0."""
+    inner, last = slab[:, :, :-1], slab[:, -1, -1]
+    return abs(float(np.max([inner.max(), -inner.min(), last.max(), -last.min()])))
 
 
 def _conditional_variation(path: np.ndarray, buckets: TreeConditioner) -> tuple[float, float]:
@@ -392,12 +406,14 @@ def consistency_residual(price: DiscretePrice, model: MarketModel,
     bias the bucket standard error cannot calibrate, so they are counted in
     skipped_keys instead.  The gap is judged against tol + 3*sqrt(2)*se
     (both sides carry comparable Monte Carlo noise), with tol =
-    model.solver.tol.
+    model.solver.tol.  The fresh map's cold convex solves stop at a pass
+    update <= tol, the standard the solve's own stop holds its passes to.
     """
     tol = model.solver.tol
     fresh = sample_batch(model.grid, seed, model.solver.samples, model.factor)
     buckets = model.solver.conditioner(fresh, price.mode)
-    phi, stats, _ = apply_phi(price, fresh, model, buckets=buckets, return_internals=True)
+    phi, stats, _ = apply_phi(price, fresh, model, buckets=buckets, return_internals=True,
+                              cold_tol=tol)
     spec = model.grid
     out = np.zeros(spec.n_intervals)
     out_se = np.zeros(spec.n_intervals)

@@ -309,11 +309,13 @@ def solve_convex(batch: ScenarioBatch, price: DiscretePrice, agent: AgentSpec,
 
 
 def solve_agent(batch, price, agent, buckets, bounds, informed_state: bool = True,
-                **kw) -> FbsdeSolution:
+                tol: float = _PICARD_TOL, **kw) -> FbsdeSolution:
+    """solve_affine or solve_convex by the agent's cost; `informed_state` is
+    read by the affine solve only, the Picard `tol` by the convex one only."""
     if agent.cost_mode == AFFINE:
         return solve_affine(batch, price, agent, buckets, bounds,
                             informed_state=informed_state, **kw)
-    return solve_convex(batch, price, agent, buckets, bounds, **kw)
+    return solve_convex(batch, price, agent, buckets, bounds, tol=tol, **kw)
 
 
 def per_sample_cost(batch: ScenarioBatch, price: DiscretePrice, agent: AgentSpec,
