@@ -3,20 +3,29 @@
 A TreeConditioner is the one partition of a batch by tree key (full prefix
 or Markov key): it precomputes, per interval, the bucket id of every sample,
 the keys' lattice codes (one sorted row per key; keys() builds TreeKeys) and
-the sample order that makes every bucket one contiguous slice.  The one
-conditional-expectation kernel, regress_slab, is ridge-stabilized least
-squares within each bucket on a total-degree-2 polynomial basis of a
-continuous state (e.g. (X_t, B_t, C_t)); with no state the basis is empty
-and the fit is the bucket mean (degree 0).  Undersized buckets (below
-min_count) take a kernel-weighted average of the bucket means at the same
-interval, weighted by bucket count and the Gaussian one-step transition
-density in the current lattice state.  A weight depends on a key only
-through its state and count, so the conditioner keeps one (undersized keys x
-states) weight array per interval and pools through per-state sums: storage
-grows with keys and lattice states, never with keys squared.  bucket_stats
-adds standard errors to the pooled means, for the price map, the diagnostics
-and the solve's response statistics that the informed check reads; pooled(i)
-flags the pooled keys.
+the sample order that makes every bucket one contiguous slice.  It builds
+them by one 1-D refinement per interval: a prefix key at interval i is its
+key at i-1 plus one new code, so one stable argsort of parent_id * size +
+code (size the lattice size, taken in the parent's bucket order) gives both
+the order and the ids; a Markov key is its one code, with parent id 0.  Ids
+are sorted ranks, so the keys keep the lexicographic order of their code
+rows, and every sort key is below count * size, where a whole-row code would
+overflow int64 (33^15 at n = 4, l = 2).  The one conditional-expectation
+kernel, regress_slab, is ridge-stabilized least squares within each bucket
+on a total-degree-2 polynomial basis of a continuous state (e.g. (X_t, B_t,
+C_t)); with no state the basis is empty and the fit is the bucket mean
+(degree 0).  It clips its fit to the caller's envelope, at key level on the
+pooled-mean table when there is no state and else on the predictions in
+bucket order, and writes it straight into the caller's slab.  Undersized
+buckets (below min_count) take a kernel-weighted average of the bucket means
+at the same interval, weighted by bucket count and the Gaussian one-step
+transition density in the current lattice state.  A weight depends on a key
+only through its state and count, so the conditioner keeps one (undersized
+keys x states) weight array per interval and pools through per-state sums:
+storage grows with keys and lattice states, never with keys squared.
+bucket_stats adds standard errors to the pooled means, for the price map,
+the diagnostics and the solve's response statistics that the informed check
+reads; pooled(i) flags the pooled keys.
 """
 
 from __future__ import annotations
@@ -61,19 +70,30 @@ class TreeConditioner:
         self._starts: list[np.ndarray] = []   # segment starts in the sorted order
         self._pool: dict = {}  # interval -> (undersized keys, key state ids, N_s, weights)
         sd = np.sqrt(spec.interval_length)
+        size = self.lattice.size
+        inv = np.zeros(self.count, dtype=np.int64)  # interval 0: the one root key
+        uniq = np.zeros((1, 0), dtype=np.int64)
+        order = np.arange(self.count)
+        starts = np.zeros(1, dtype=np.int64)
+        parent_ids, parent_order = inv, order  # prefix keys refine these; Markov keys never do
         for i in range(spec.n_intervals):
-            if i == 0:
-                inv = np.zeros(self.count, dtype=np.int64)
-                uniq = np.zeros((1, 0), dtype=np.int64)
-            elif mode == MARKOV:  # the 1-D unique is far faster than axis=0
-                uniq, inv = np.unique(self.codes[:, i - 1], return_inverse=True)
-                uniq = uniq[:, None]
-            else:
-                uniq, inv = np.unique(self.codes[:, :i], axis=0, return_inverse=True)
-            n_keys = len(uniq)
-            counts = np.bincount(inv, minlength=n_keys)
-            order = np.argsort(inv, kind="stable")
-            starts = np.searchsorted(inv[order], np.arange(n_keys))
+            if i:
+                # the key is its parent's sorted id and one new code, sorted stably
+                # in the parent's bucket order: equal keys keep the sample order
+                key = self.codes[parent_order, i - 1] + parent_ids[parent_order] * size
+                step = np.argsort(key, kind="stable")
+                order, key = parent_order[step], key[step]
+                first = np.empty(self.count, dtype=bool)
+                first[:1] = True  # an empty batch has no first sample
+                np.not_equal(key[1:], key[:-1], out=first[1:])
+                starts = np.flatnonzero(first)
+                inv = np.empty(self.count, dtype=np.int64)
+                inv[order] = np.cumsum(first) - 1
+                uniq = self.codes[order[starts], i - 1 if mode == MARKOV else 0:i]
+                if mode == FULL_PREFIX:
+                    parent_ids, parent_order = inv, order
+            counts = np.diff(starts, append=self.count)
+            n_keys = counts.size
             self._inverse.append(inv)
             self._key_codes.append(uniq)
             self._counts.append(counts)
@@ -157,12 +177,17 @@ class TreeConditioner:
             self._pool_means(interval, mean)
         return BucketStats(counts=counts, mean=mean, se=se, fallback=self.pooled(interval))
 
-    def regress_slab(self, interval: int, state: np.ndarray, values: np.ndarray) -> np.ndarray:
+    def regress_slab(self, interval: int, state: np.ndarray, values: np.ndarray, *,
+                     bound: np.ndarray | float, out: np.ndarray) -> None:
         """Within-bucket least squares, one fit per (bucket, value column).
 
-        `state` has shape (count, k, d): the regression state per column;
-        with d = 0 no bucket is fitted and the result is the pooled bucket
-        mean, gathered per sample through the bucket ids.  Otherwise
+        `state` has shape (count, k, d): the regression state per column.
+        The fit is clipped to [-bound, bound] (`bound` broadcasts over the k
+        columns) and written into `out`, a (count, k) view such as one
+        interval of the caller's slab; clipping is elementwise, so it is done
+        where it is cheapest.  With d = 0 no bucket is fitted: the
+        (n_keys, k) pooled-mean table is clipped, then gathered per sample
+        through the bucket ids.  Otherwise
         `[values | basis]` is written once, in bucket order, into one
         (count, k, 1+p) block, so every bucket is a contiguous slice and one
         reduceat gives all bucket means.  Each fitted bucket (count >=
@@ -174,7 +199,8 @@ class TreeConditioner:
         component, so they average back to the bucket mean exactly.
         Buckets between min_count and p+2 use the plain mean, undersized
         buckets the pooled mean; if the batched solve fails, every fitted
-        bucket keeps its mean and counts in rank_fallbacks.
+        bucket keeps its mean and counts in rank_fallbacks.  The predictions
+        are clipped in bucket order and scattered into `out`.
         """
         order, starts, counts = self._order[interval], self._starts[interval], self._counts[interval]
         values = np.asarray(values, dtype=float)
@@ -185,7 +211,9 @@ class TreeConditioner:
         if not p:
             mean_y = np.add.reduceat(values[order], starts, axis=0) / counts[:, None]
             self._pool_means(interval, mean_y)
-            return mean_y[self._inverse[interval]]
+            np.clip(mean_y, -bound, bound, out=mean_y)
+            out[:] = mean_y.take(self._inverse[interval], axis=0)
+            return
         # basis: x_i, then x_i*x_j for i <= j (the constant is the centring)
         block = np.empty(values.shape + (1 + p,))
         rank = np.empty_like(order)
@@ -219,6 +247,5 @@ class TreeConditioner:
             else:
                 for j, r in enumerate(rows):
                     preds[r] += np.einsum("nkp,kp->nk", block[r, :, 1:], beta[j])
-        out = np.empty_like(preds)
+        np.clip(preds, -bound, bound, out=preds)
         out[order] = preds
-        return out

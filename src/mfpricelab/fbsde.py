@@ -186,15 +186,16 @@ def _smooth_response(response: np.ndarray, batch: ScenarioBatch, conditioner: Tr
 
     Conditioning is the tree key of the enclosing interval, refined by least
     squares on the (count, n_fine, d) state (d = 0: bucket means); sub-time
-    m of interval i is conditioned on interval i's key.
+    m of interval i is conditioned on interval i's key.  regress_slab clips
+    each interval to its envelope row and writes it into Y in place: at key
+    level for d = 0, else in bucket order before its scatter.
     """
     spec = batch.spec
     m = spec.m
     response, state = interval_view(response, m), interval_view(state, m)
     Y = np.zeros((batch.count, spec.n_intervals, m + 1))
     for i in range(start_index // m, spec.n_intervals):
-        preds = conditioner.regress_slab(i, state[:, i], response[:, i])
-        np.clip(preds, -env_bound[i], env_bound[i], out=Y[:, i])
+        conditioner.regress_slab(i, state[:, i], response[:, i], bound=env_bound[i], out=Y[:, i])
     return Y
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mfpricelab.conditioning import TreeConditioner
-from mfpricelab.tree import FULL_PREFIX, MARKOV, GridSpec, project_path
+from mfpricelab.tree import FULL_PREFIX, MARKOV, GridSpec, Lattice, project_path
 
 SPEC = GridSpec(n=2, l=1, m=2, T=1.0)
 
@@ -23,9 +23,16 @@ def bucket_mean(cond, interval, vals):
     return cond.bucket_stats(interval, vals).mean[cond.inverse(interval), 0]
 
 
+def regress(cond, interval, state, values):
+    """regress_slab's fit, with no envelope to clip to, as a new slab."""
+    out = np.empty(np.shape(values))
+    cond.regress_slab(interval, state, values, bound=np.inf, out=out)
+    return out
+
+
 def fit_one_column(cond, interval, state, vals):
     """Within-bucket least squares of one value column on a (count, d) state."""
-    return cond.regress_slab(interval, state[:, None, :], vals[:, None])[:, 0]
+    return regress(cond, interval, state[:, None, :], vals[:, None])[:, 0]
 
 
 class TestBucketStats:
@@ -91,6 +98,71 @@ class TestBucketStats:
             assert np.all(stats.mean[small, 0] <= hi + pad)
 
 
+def reference_partition(spec, codes, mode, min_count):
+    """The partition by whole-row sorts: per interval, np.unique of the code
+    prefix rows (axis=0) for prefix keys, of the last code for Markov keys,
+    then the counts, the stable order, the segment starts and the pooling
+    arrays (undersized keys, key state ids, N_s, weights) derived from them."""
+    lattice = Lattice(spec.l)
+    sd = np.sqrt(spec.interval_length)
+    out = []
+    for i in range(spec.n_intervals):
+        if i == 0:
+            inv = np.zeros(len(codes), dtype=np.int64)
+            uniq = np.zeros((1, 0), dtype=np.int64)
+        elif mode == MARKOV:
+            uniq, inv = np.unique(codes[:, i - 1], return_inverse=True)
+            uniq = uniq[:, None]
+        else:
+            uniq, inv = np.unique(codes[:, :i], axis=0, return_inverse=True)
+        counts = np.bincount(inv, minlength=len(uniq))
+        order = np.argsort(inv, kind="stable")
+        starts = np.searchsorted(inv[order], np.arange(len(uniq)))
+        pool = None
+        small = np.flatnonzero(counts < min_count)
+        if small.size and len(uniq) > 1:
+            state_codes, sid = np.unique(uniq[:, -1], return_inverse=True)
+            n_s = np.bincount(sid, weights=counts)
+            states = lattice.value_of(state_codes)
+            w = np.exp(-0.5 * ((states[sid[small], None] - states[None, :]) / sd) ** 2)
+            w /= (w @ n_s)[:, None]
+            pool = (small, sid, n_s, w)
+        out.append((uniq, inv, counts, order, starts, pool))
+    return out
+
+
+class TestPartition:
+    @pytest.mark.parametrize("mode", [FULL_PREFIX, MARKOV])
+    @pytest.mark.parametrize("n,l,count", [(2, 1, 2000), (3, 2, 3000), (4, 2, 3000),
+                                           (4, 2, 1), (4, 2, 0)])
+    def test_matches_row_sorts(self, mode, n, l, count):
+        # one 1-D refinement per interval gives the partition of the whole-row
+        # sorts; at n = 4, l = 2 a code for a whole prefix row overflows int64
+        spec = GridSpec(n=n, l=l, m=2, T=1.0)
+        b = np.random.default_rng(n + l).normal(size=(max(count, 1), spec.n_nodes)).cumsum(axis=1)
+        nodes = project_path(b * np.sqrt(spec.interval_length), spec.l)[:count]
+        cond = TreeConditioner(spec, nodes, mode)
+        if n == 4:
+            assert Lattice(l).size ** (spec.n_intervals - 1) > np.iinfo(np.int64).max
+        pooled = 0
+        for i, (uniq, inv, counts, order, starts, pool) in enumerate(
+                reference_partition(spec, cond.codes, mode, cond.min_count)):
+            for got, want in [(cond.key_codes(i), uniq), (cond.inverse(i), inv),
+                              (cond.counts(i), counts), (cond._order[i], order),
+                              (cond._starts[i], starts)]:
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+            mask = np.zeros(counts.size, dtype=bool)
+            if pool is not None:
+                mask[pool[0]] = True
+                for got, want in zip(cond._pool[i], pool):
+                    np.testing.assert_array_equal(got, want)
+                pooled += 1
+            assert (i in cond._pool) == (pool is not None)
+            np.testing.assert_array_equal(cond.pooled(i), mask)
+        assert (pooled > 0) == (count > 1)
+
+
 class TestRegression:
     def test_recovers_linear_function_exactly(self):
         nodes, rng = make_nodes(2000, seed=5)
@@ -130,7 +202,7 @@ class TestRegression:
         cond = TreeConditioner(SPEC, nodes, MARKOV, min_count=10)
         state = rng.normal(size=(1500, 3, 2))
         vals = rng.normal(size=(1500, 3))
-        slab = cond.regress_slab(1, state, vals)
+        slab = regress(cond, 1, state, vals)
         for c in range(3):
             col = fit_one_column(cond, 1, state[:, c, :], vals[:, c])
             assert np.allclose(slab[:, c], col)
@@ -204,7 +276,7 @@ class TestRegressionReference:
             counts = cond.counts(i)
             kinds.update(np.where(counts < min_count, "pooled" if counts.size > 1 else "lone",
                                   np.where(counts < p + 2, "plain", "fitted")).tolist())
-            np.testing.assert_allclose(cond.regress_slab(i, state, values),
+            np.testing.assert_allclose(regress(cond, i, state, values),
                                        reference_regress(cond, i, state, values), rtol=0, atol=1e-10)
         assert {"pooled", "fitted"} <= kinds
         if min_count < p + 2 and mode == FULL_PREFIX:
@@ -219,9 +291,31 @@ class TestRegressionReference:
         state, values = slab_inputs(1500, 3, 1, seed=3)
         empty = state[:, :, :0]
         for i in range(SPEC.n_intervals):
-            np.testing.assert_array_equal(cond.regress_slab(i, empty, values),
+            np.testing.assert_array_equal(regress(cond, i, empty, values),
                                           cond.bucket_stats(i, values).mean[cond.inverse(i)])
         assert (cond.n_fallback_keys() > 0) == (min_count > 1)
+
+    @pytest.mark.parametrize("mode", [FULL_PREFIX, MARKOV])
+    @pytest.mark.parametrize("d", [0, 2])
+    def test_clips_into_destination_slab(self, mode, d):
+        # the kernel clips at key level (d = 0) or in bucket order (d > 0) and
+        # writes one interval of the caller's slab: bit for bit the per-sample
+        # clip of its unclipped fit, the slab's other intervals untouched
+        nodes, _ = make_nodes(1500, seed=11)
+        cond = TreeConditioner(SPEC, nodes, mode, min_count=30)
+        state, values = slab_inputs(1500, SPEC.m + 1, 2, seed=7)
+        state = state[:, :, :d]
+        clipped = kept = 0
+        for i in range(SPEC.n_intervals):
+            fit = regress(cond, i, state, values)
+            bound = 0.9 * np.median(np.abs(fit), axis=0)
+            slab = np.full((1500, SPEC.n_intervals, SPEC.m + 1), np.nan)
+            cond.regress_slab(i, state, values, bound=bound, out=slab[:, i])
+            np.testing.assert_array_equal(slab[:, i], np.clip(fit, -bound, bound))
+            assert np.isnan(np.delete(slab, i, axis=1)).all()
+            clipped += int(np.sum(np.abs(fit) > bound))
+            kept += int(np.sum(np.abs(fit) < bound))
+        assert clipped > 0 and kept > 0
 
     @pytest.mark.parametrize("mode", [FULL_PREFIX, MARKOV])
     def test_failed_solve_keeps_bucket_means(self, mode, monkeypatch):
@@ -237,7 +331,7 @@ class TestRegressionReference:
         n_fitted = 0
         for i in range(SPEC.n_intervals):
             before = cond.rank_fallbacks
-            preds = cond.regress_slab(i, state, values)
+            preds = regress(cond, i, state, values)
             means = cond.bucket_stats(i, values).mean[cond.inverse(i)]
             np.testing.assert_array_equal(preds, means)
             fitted = int(np.sum(cond.counts(i) >= max(cond.min_count, p + 2)))
@@ -268,7 +362,7 @@ class TestRegressionReference:
             state = rng.normal(size=(2000, 3, d))
             for i in range(SPEC.n_intervals):
                 assert np.all(cond.bucket_stats(i, values).mean == 1.25)
-                assert np.all(cond.regress_slab(i, state, values) == 1.25)
+                assert np.all(regress(cond, i, state, values) == 1.25)
 
     def test_no_per_sample_outer_products(self):
         # the kernel's working set is a few (count, k, p+1) blocks, not
@@ -286,7 +380,7 @@ class TestRegressionReference:
             state = state[:, :, :d]
             tracemalloc.start()
             try:
-                cond.regress_slab(2, state, values)
+                regress(cond, 2, state, values)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -306,7 +400,9 @@ cond = TreeConditioner(spec, project_path(b * np.sqrt(spec.interval_length), spe
 values = np.full((count, spec.m + 1), 1.25)
 for i in range(spec.n_intervals):
     assert np.all(cond.bucket_stats(i, values).mean == 1.25), i
-    assert np.all(cond.regress_slab(i, np.empty((count, spec.m + 1, 0)), values) == 1.25), i
+    out = np.empty_like(values)
+    cond.regress_slab(i, np.empty((count, spec.m + 1, 0)), values, bound=np.inf, out=out)
+    assert np.all(out == 1.25), i
 # VmHWM: this process's own peak (ru_maxrss keeps the parent's peak across exec on Linux)
 peak_kb = next(int(line.split()[1]) for line in open("/proc/self/status") if line.startswith("VmHWM:"))
 print(cond.n_fallback_keys(), peak_kb)
