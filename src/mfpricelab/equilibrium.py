@@ -135,8 +135,7 @@ def apply_phi(theta: DiscretePrice, batch: ScenarioBatch, model: MarketModel,
         p = agent.population
         if iterates is not None and agent.cost_mode != AFFINE:
             Y_hat, response = _picard_map(batch, env, agent, buckets, model.bounds)(iterates[p])
-            sols[p] = FbsdeSolution(X=None, Y=Y_hat, alpha=None, picard_iters=1,
-                                    response=response)
+            sols[p] = FbsdeSolution(X=None, Y=Y_hat, picard_iters=1, response=response)
         else:
             sols[p] = solve_agent(batch, theta, agent, buckets, model.bounds,
                                   informed_state=informed_state, tol=cold_tol, env=env)

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -52,21 +53,30 @@ class FbsdeSolution:
     """Per-sample state, adjoint and control of one population.
 
     `Y`, `alpha` are cadlag slabs (count, n_intervals, m+1) like the
-    materialized price.  `response` is the raw per-sample
+    materialized price `price_path`.  `alpha` is optimal_control(Y,
+    price_path, lam), derived the first time something reads it: the
+    fixed-point iteration never does.  `response` is the raw per-sample
     conditional-expectation target (the bracket) on the fine grid, smoothed
     into `Y`, read by the price map and standard errors.
     `X` is None for affine costs: their adjoint does not depend on the state,
     so nothing needs the state path (per_sample_cost re-integrates it from a
     control).  A convex solution is its last Picard pass, `X` the state under
     `alpha`; the single pass of a fixed-point map evaluation carries neither
-    (None), as nothing there reads them.
+    (None, and no price path), as nothing there reads them.
     """
 
     X: Optional[np.ndarray]
     Y: np.ndarray
-    alpha: Optional[np.ndarray]
+    price_path: Optional[np.ndarray] = None
+    lam: Optional[float] = None
     picard_iters: int = 0
     response: np.ndarray = None
+
+    @cached_property
+    def alpha(self) -> Optional[np.ndarray]:
+        if self.price_path is None:
+            return None
+        return optimal_control(self.Y, self.price_path, self.lam)
 
 
 def optimal_control(y, price, lam: float):
@@ -113,6 +123,14 @@ def backward_integral(slab: np.ndarray, spec) -> np.ndarray:
     return out
 
 
+def _slab(value, shape: tuple) -> np.ndarray:
+    """A coefficient's value broadcast into a fresh float slab of `shape`.
+    Adding 0.0 turns -0.0 into 0.0, which the CSV artifacts depend on."""
+    out = np.empty(shape)
+    np.add(np.asarray(value, dtype=float), 0.0, out=out)
+    return out
+
+
 def _euler_noise(batch: ScenarioBatch, env: PriceEnv, agent: AgentSpec) -> np.ndarray:
     """Control-free Euler increments drift dt + s0 dB + si dW, (count, n_intervals, m).
 
@@ -122,9 +140,9 @@ def _euler_noise(batch: ScenarioBatch, env: PriceEnv, agent: AgentSpec) -> np.nd
     spec = batch.spec
     m = spec.m
     t, P = _times(batch)[:, :, :m], env.path[:, :, :m]
-    drift = np.asarray(agent.drift(t, P), dtype=float) + np.zeros_like(P)
-    s0 = np.asarray(agent.vol_common(t, P), dtype=float) + np.zeros_like(P)
-    si = np.asarray(agent.vol_idio(t, P), dtype=float) + np.zeros_like(P)
+    drift = _slab(agent.drift(t, P), P.shape)
+    s0 = _slab(agent.vol_common(t, P), P.shape)
+    si = _slab(agent.vol_idio(t, P), P.shape)
     _, w = batch.idiosyncratic(agent.population)
     return (drift * spec.dt_fine + s0 * np.diff(batch.b, axis=1).reshape(P.shape)
             + si * np.diff(w, axis=1).reshape(P.shape))
@@ -160,8 +178,8 @@ def _affine_response(batch: ScenarioBatch, env: PriceEnv, agent: AgentSpec):
     """Per-sample bracket g(env_T) + int_t^T c(s, env_s) ds on the fine grid."""
     m = batch.spec.m
     P = env.path
-    run = np.asarray(agent.running_cost(_times(batch), P, interval_view(batch.b, m),
-                                        interval_view(batch.c, m)), dtype=float) + np.zeros_like(P)
+    run = _slab(agent.running_cost(_times(batch), P, interval_view(batch.b, m),
+                                   interval_view(batch.c, m)), P.shape)
     integral = backward_integral(run, batch.spec)
     terminal = np.asarray(agent.terminal_cost(P[:, -1, m], batch.b[:, -1], batch.c[:, -1]), dtype=float)
     integral += terminal[:, None]
@@ -171,8 +189,8 @@ def _affine_response(batch: ScenarioBatch, env: PriceEnv, agent: AgentSpec):
 def _convex_response(batch: ScenarioBatch, env: PriceEnv, agent: AgentSpec, X: np.ndarray):
     m = batch.spec.m
     Xv = interval_view(X, m)
-    run = np.asarray(agent.running_cost_dx(_times(batch), Xv, env.path, interval_view(batch.c, m)),
-                     dtype=float) + np.zeros_like(Xv)
+    run = _slab(agent.running_cost_dx(_times(batch), Xv, env.path, interval_view(batch.c, m)),
+                Xv.shape)
     integral = backward_integral(run, batch.spec)
     terminal = np.asarray(agent.terminal_cost_dx(X[:, -1], env.path[:, -1, m], batch.c[:, -1]), dtype=float)
     integral += terminal[:, None]
@@ -221,8 +239,7 @@ def solve_affine(batch: ScenarioBatch, price: DiscretePrice, agent: AgentSpec,
         state = batch.b[:, :, None]
     Y = _smooth_response(response, batch, buckets, bounds.envelope(_times(batch))[0], state,
                          start_index=start_index)
-    return FbsdeSolution(X=None, Y=Y, alpha=optimal_control(Y, env.path, agent.lam),
-                         response=response)
+    return FbsdeSolution(X=None, Y=Y, price_path=env.path, lam=agent.lam, response=response)
 
 
 def _aitken_factor(w: float, f_prev: np.ndarray, f: np.ndarray) -> float:
@@ -305,8 +322,8 @@ def solve_convex(batch: ScenarioBatch, price: DiscretePrice, agent: AgentSpec,
 
     alpha = optimal_control(Y_hat, env.path, agent.lam)
     X = euler_state(batch, env, agent, alpha, start_index=start_index, x0=x0, noise=noise)
-    return FbsdeSolution(X=X, Y=Y_hat, alpha=alpha, picard_iters=len(trace),
-                         response=response)
+    return FbsdeSolution(X=X, Y=Y_hat, price_path=env.path, lam=agent.lam,
+                         picard_iters=len(trace), response=response)
 
 
 def solve_agent(batch, price, agent, buckets, bounds, informed_state: bool = True,
@@ -333,10 +350,10 @@ def per_sample_cost(batch: ScenarioBatch, price: DiscretePrice, agent: AgentSpec
     t, Xv, P, c = _times(batch), interval_view(X, m), env.path, interval_view(batch.c, m)
     if agent.cost_mode == AFFINE:
         run = agent.running_cost(t, P, interval_view(batch.b, m), c)
-        fbar = Xv * (np.asarray(run, dtype=float) + np.zeros_like(Xv))
+        fbar = Xv * _slab(run, Xv.shape)
         g = X[:, -1] * np.asarray(agent.terminal_cost(P[:, -1, m], batch.b[:, -1], batch.c[:, -1]), dtype=float)
     else:
-        fbar = np.asarray(agent.running_cost(t, Xv, P, c), dtype=float) + np.zeros_like(Xv)
+        fbar = _slab(agent.running_cost(t, Xv, P, c), Xv.shape)
         g = np.asarray(agent.terminal_cost(X[:, -1], P[:, -1, m], batch.c[:, -1]), dtype=float)
     f = P * control + 0.5 * agent.lam * control ** 2 + fbar
     integral = backward_integral(f, spec)[:, 0]

@@ -2,9 +2,13 @@
 
 Every stream is drawn from a counter-based Philox generator keyed by
 (base seed, stream tag); within a stream, sample i owns the counter block
-[i*steps, (i+1)*steps).  All sampling happens once, centrally, on the finest
-grid, so results cannot depend on thread count or call order.  Coarser dyadic
-levels are derived views of the same Brownian paths (coupled coarsening).
+[i*steps, (i+1)*steps).  Streams are drawn on the finest grid when first
+read: the common noise, the informed factor and the initial states when the
+batch is made, the idiosyncratic Brownian paths (which affine populations
+never read) the first time something reads them.  A stream drawn late is the
+same stream, bit for bit, so results depend only on (seed, tag, sample), not
+on thread count or call order.  Coarser dyadic levels are derived views of
+the same Brownian paths (coupled coarsening).
 """
 
 from __future__ import annotations
@@ -62,12 +66,34 @@ class InitialLaw:
         raise ValueError(f"unknown initial law {self.kind!r}")
 
 
-@dataclass(frozen=True)
+class _IdiosyncraticPaths:
+    """The idiosyncratic Brownian paths w_I, w_S of a batch: each is drawn
+    from its own (seed, tag) stream the first time it is read, then kept,
+    read-only.  Batches made from one another by dataclasses.replace share
+    it, so a replace neither forces a draw nor drops one already made."""
+
+    def __init__(self, seed: int, count: int, times: np.ndarray, drawn: dict):
+        self.seed, self.count, self.times, self.drawn = int(seed), count, times, drawn
+
+    def get(self, tag: str) -> np.ndarray:
+        path = self.drawn.get(tag)
+        if path is None:
+            path = _brownian(_stream_rng(self.seed, tag), self.count, self.times)
+            path.setflags(write=False)
+            self.drawn[tag] = path
+        return path
+
+
+@dataclass(frozen=True, init=False)
 class ScenarioBatch:
     """An immutable batch of sampled paths on the fine grid.
 
     b, c, w_I, w_S have shape (count, n_fine); xi_* have shape (count,);
     node_path holds the projected values of b at the interior dyadic times.
+    w_I and w_S given to the constructor are used as they are; one not given
+    is drawn from the (seed, tag) stream when first read (idio_paths holds
+    it, and dataclasses.replace hands it on: a replace that changes count or
+    fine_grid gives both paths).
     """
 
     spec: GridSpec
@@ -75,12 +101,31 @@ class ScenarioBatch:
     fine_grid: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    w_I: np.ndarray
-    w_S: np.ndarray
     xi_I: np.ndarray
     xi_S: np.ndarray
     node_path: np.ndarray
     seed: int
+    idio_paths: _IdiosyncraticPaths
+
+    def __init__(self, *, spec: GridSpec, count: int, fine_grid: np.ndarray, b: np.ndarray,
+                 c: np.ndarray, xi_I: np.ndarray, xi_S: np.ndarray, node_path: np.ndarray,
+                 seed: int, w_I: Optional[np.ndarray] = None, w_S: Optional[np.ndarray] = None,
+                 idio_paths: Optional[_IdiosyncraticPaths] = None):
+        given = {tag: w for tag, w in (("w_I", w_I), ("w_S", w_S)) if w is not None}
+        if idio_paths is None or given:
+            idio_paths = _IdiosyncraticPaths(seed, count, fine_grid, given)
+        values = dict(spec=spec, count=count, fine_grid=fine_grid, b=b, c=c, xi_I=xi_I,
+                      xi_S=xi_S, node_path=node_path, seed=seed, idio_paths=idio_paths)
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    @property
+    def w_I(self) -> np.ndarray:
+        return self.idio_paths.get("w_I")
+
+    @property
+    def w_S(self) -> np.ndarray:
+        return self.idio_paths.get("w_S")
 
     def idiosyncratic(self, population: str) -> tuple[np.ndarray, np.ndarray]:
         if population == "I":
@@ -99,7 +144,8 @@ def _stream_rng(seed: int, tag: str, extra: tuple = ()) -> np.random.Generator:
 
 def _brownian(rng: np.random.Generator, count: int, times: np.ndarray) -> np.ndarray:
     dt = np.diff(times)
-    incr = rng.standard_normal((count, dt.size)) * np.sqrt(dt)[None, :]
+    incr = rng.standard_normal((count, dt.size))
+    incr *= np.sqrt(dt)[None, :]
     out = np.empty((count, times.size))
     out[:, 0] = 0.0
     np.cumsum(incr, axis=1, out=out[:, 1:])
@@ -115,8 +161,9 @@ def informed_factor_path(factor: InformedFactorSpec, b: np.ndarray,
 def sample_batch(spec: GridSpec, model_seed: int, count: int,
                  factor: InformedFactorSpec = InformedFactorSpec(),
                  init_laws: Optional[dict] = None) -> ScenarioBatch:
-    """Draw a reproducible batch: common noise, informed factor, idiosyncratic
-    noises and initial states, plus the tree node assignment of each sample."""
+    """Draw a reproducible batch: common noise, informed factor and initial
+    states, plus the tree node assignment of each sample.  The idiosyncratic
+    noises are drawn when first read (see ScenarioBatch)."""
     if count < 1:
         raise ValueError("count must be >= 1")
     init_laws = init_laws or {}
@@ -127,19 +174,14 @@ def sample_batch(spec: GridSpec, model_seed: int, count: int,
     b = _brownian(_stream_rng(model_seed, "b"), count, times)
     b_perp = _brownian(_stream_rng(model_seed, "c_perp"), count, times)
     c = informed_factor_path(factor, b, b_perp)
-    w_I = _brownian(_stream_rng(model_seed, "w_I"), count, times)
-    w_S = _brownian(_stream_rng(model_seed, "w_S"), count, times)
     xi_I = law_I.sample(_stream_rng(model_seed, "xi_I"), count)
     xi_S = law_S.sample(_stream_rng(model_seed, "xi_S"), count)
 
     node = project_path(b[:, spec.node_fine_indices()], spec.l)
-    batch = ScenarioBatch(spec=spec, count=count, fine_grid=times, b=b, c=c,
-                          w_I=w_I, w_S=w_S, xi_I=xi_I, xi_S=xi_S,
-                          node_path=node, seed=int(model_seed))
-    for arr in (batch.b, batch.c, batch.w_I, batch.w_S, batch.xi_I, batch.xi_S,
-                batch.node_path, batch.fine_grid):
+    for arr in (b, c, xi_I, xi_S, node, times):
         arr.setflags(write=False)
-    return batch
+    return ScenarioBatch(spec=spec, count=count, fine_grid=times, b=b, c=c, xi_I=xi_I,
+                         xi_S=xi_S, node_path=node, seed=int(model_seed))
 
 
 def idiosyncratic_copies(spec: GridSpec, seed: int, n_scenarios: int, n_agents: int,

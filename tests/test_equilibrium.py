@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from dataclasses import fields, is_dataclass, replace
 
+from mfpricelab import fbsde, sampling
 from mfpricelab.conditioning import TreeConditioner
 from mfpricelab.equilibrium import (apply_phi, consistency_residual, diagnostics,
                                     mz_distance, refinement_study, solve_fixed_point)
@@ -303,6 +304,52 @@ def test_report_holds_no_per_sample_array(name):
     report = solve_fixed_point(batch, model.with_solver(tol=1e-2))
     arrays = list(_arrays(report))
     assert arrays and all(a.shape[:1] != (batch.count,) for a in arrays)
+
+
+@pytest.fixture
+def path_draws(monkeypatch):
+    """The row count of every Brownian path drawn while the test runs."""
+    drawn = []
+    real = sampling._brownian
+
+    def spy(rng, count, times):
+        drawn.append(count)
+        return real(rng, count, times)
+
+    monkeypatch.setattr(sampling, "_brownian", spy)
+    return drawn
+
+
+class TestLazyReads:
+    def test_affine_solve_reads_no_noise_and_no_control(self, monkeypatch):
+        # the price and an affine adjoint are conditional expectations given
+        # the key and the common noise: nothing reads W_I, W_S or alpha
+        model = preset("single-informed")
+        batch = sample_batch(model.grid, 9, 2000, model.factor)
+        controls = []
+        real = fbsde.optimal_control
+        monkeypatch.setattr(fbsde, "optimal_control",
+                            lambda *args: controls.append(1) or real(*args))
+        report = solve_fixed_point(batch, model)
+        assert report.converged
+        assert batch.idio_paths.drawn == {} and controls == []
+
+    def test_convex_solve_draws_both_paths(self, path_draws):
+        model = preset("general-convex")
+        batch = sample_batch(model.grid, 9, 600, model.factor)
+        path_draws.clear()
+        solve_fixed_point(batch, model.with_solver(tol=1e-2))
+        assert sorted(batch.idio_paths.drawn) == ["w_I", "w_S"]
+        assert path_draws == [600, 600]
+
+    def test_convex_refinement_draws_each_path_once(self, path_draws):
+        # the levels' sub-batches come from dataclasses.replace and share the draws
+        model = preset("general-convex")
+        batch = sample_batch(model.grid, 10, 600, model.factor)
+        path_draws.clear()
+        refinement_study(model.with_solver(tol=1e-2, max_iter=4), [1, 2], batch)
+        assert sorted(batch.idio_paths.drawn) == ["w_I", "w_S"]
+        assert path_draws == [600, 600]
 
 
 class TestContinuityProbe:

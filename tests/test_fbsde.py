@@ -3,8 +3,9 @@ import pytest
 from dataclasses import replace
 
 from mfpricelab.conditioning import TreeConditioner
-from mfpricelab.fbsde import (_aitken_factor, backward_integral, cost_functional, decoupling_gamma,
-                              decoupling_probe, euler_state, optimal_control,
+from mfpricelab.fbsde import (_aitken_factor, _euler_noise, _slab, backward_integral,
+                              cost_functional, decoupling_gamma, decoupling_probe,
+                              euler_state, optimal_control,
                               per_sample_cost, solve_affine, solve_convex)
 from mfpricelab.models import (AFFINE, GENERAL_CONVEX, AgentSpec, ModelBounds,
                                coeff_constant, coeff_zero, preset)
@@ -70,6 +71,24 @@ class TestOptimalControl:
     def test_rejects_bad_penalty(self):
         with pytest.raises(ValueError):
             optimal_control(0.0, 0.0, 0.0)
+
+
+class TestCoefficientSlab:
+    def test_negative_zero_scalar_gives_positive_zero(self, batch, buckets):
+        # -0.0 slabs would leave -0.0 in zero Euler increments (and in CSV cells)
+        assert not np.signbit(_slab(-0.0, (3, 2, 4))).any()
+        negative_zero = lambda t, varpi: -0.0
+        agent = AgentSpec(population="S", lam=1.0, weight=0.5, drift=negative_zero,
+                          vol_common=negative_zero, vol_idio=negative_zero, cost_mode=AFFINE,
+                          running_cost=coeff_zero({}, "running_cost_affine"),
+                          terminal_cost=coeff_zero({}, "terminal_cost_affine"))
+        noise = _euler_noise(batch, materialize(zero_price(SPEC, buckets), buckets), agent)
+        assert noise.shape == (batch.count, SPEC.n_intervals, SPEC.m)
+        assert np.all(noise == 0.0) and not np.signbit(noise).any()
+
+    def test_broadcasts_like_a_zero_slab(self):
+        value = np.array([[[1.5], [-0.0]]])
+        assert np.array_equal(_slab(value, (3, 2, 4)), value + np.zeros((3, 2, 4)))
 
 
 class TestBackwardIntegral:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from dataclasses import replace
 
-from mfpricelab.sampling import (InformedFactorSpec, InitialLaw, ScenarioBatch,
+from mfpricelab.sampling import (InformedFactorSpec, InitialLaw, ScenarioBatch, _brownian,
                                  _stream_rng, discretize_at_level, load_batch,
                                  sample_batch, save_batch, summary_csv)
 from mfpricelab.errors import PriceLabError
@@ -94,6 +95,42 @@ class TestSampleBatch:
         batch = sample_batch(SPEC, 43, 10)
         with pytest.raises(ValueError):
             batch.b[0, 0] = 1.0
+
+
+class TestLazyIdiosyncratic:
+    def test_drawn_on_first_read(self):
+        batch = sample_batch(SPEC, 71, 40)
+        assert batch.idio_paths.drawn == {}
+        for tag in ("w_I", "w_S"):
+            w = getattr(batch, tag)
+            expect = _brownian(_stream_rng(71, tag), 40, SPEC.fine_times())
+            assert w.tobytes() == expect.tobytes()
+            assert not w.flags.writeable
+            assert getattr(batch, tag) is w
+        assert batch.idiosyncratic("I")[1] is batch.w_I
+
+    def test_replace_neither_forces_nor_drops_a_draw(self):
+        batch = sample_batch(SPEC, 72, 20)
+        sub_spec, node = discretize_at_level(batch, 1)
+        sub = replace(batch, spec=sub_spec, node_path=node)
+        assert batch.idio_paths.drawn == {}
+        assert sub.w_I is batch.w_I
+        w_S = batch.w_S
+        assert replace(batch, node_path=node).w_S is w_S
+
+    def test_explicit_paths_kept(self):
+        batch = sample_batch(SPEC, 73, 20)
+        zeros = np.zeros_like(batch.b)
+        given = replace(batch, w_I=zeros)
+        assert given.w_I is zeros
+        assert given.w_S.tobytes() == batch.w_S.tobytes()
+
+    def test_save_bytes_do_not_depend_on_reads(self, tmp_path):
+        fresh, read = sample_batch(SPEC, 74, 30), sample_batch(SPEC, 74, 30)
+        read.idiosyncratic("I"), read.idiosyncratic("S")
+        save_batch(tmp_path / "fresh.bin", fresh)
+        save_batch(tmp_path / "read.bin", read)
+        assert (tmp_path / "fresh.bin").read_bytes() == (tmp_path / "read.bin").read_bytes()
 
 
 class TestLevelCoupling:
