@@ -122,9 +122,8 @@ def apply_phi(theta: DiscretePrice, batch: ScenarioBatch, model: MarketModel,
     every agent is solved exactly (convex agents by a cold solve_convex to
     the Picard tolerance `cold_tol`; only the consistency check loosens it).
     `iterates` maps a convex agent's population to a Y slab: that agent then
-    takes one Picard pass from it, and its solution is the pass's
-    (Y_hat, response), picard_iters 1.  Affine agents are always solved
-    directly.
+    takes one Picard pass from it, and its solution is that pass's.  Affine
+    agents are always solved directly.
     """
     spec = batch.spec
     if buckets is None:
@@ -134,8 +133,7 @@ def apply_phi(theta: DiscretePrice, batch: ScenarioBatch, model: MarketModel,
     for agent in model.agents():
         p = agent.population
         if iterates is not None and agent.cost_mode != AFFINE:
-            Y_hat, response = _picard_map(batch, env, agent, buckets, model.bounds)(iterates[p])
-            sols[p] = FbsdeSolution(X=None, Y=Y_hat, picard_iters=1, response=response)
+            sols[p] = _picard_map(batch, env, agent, buckets, model.bounds)(iterates[p])
         else:
             sols[p] = solve_agent(batch, theta, agent, buckets, model.bounds,
                                   informed_state=informed_state, tol=cold_tol, env=env)

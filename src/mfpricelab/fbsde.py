@@ -11,6 +11,10 @@ terms of the BSDE are never materialized):
                  equilibrium's fixed-point iteration takes one pass per
                  map evaluation.
 
+X is read only inside a convex pass and is not kept.  It starts from the
+batch's xi_I or xi_S, so the decoupling field u(t, x) is a solve on a copy
+of the batch whose initial states are all x.
+
 Each conditional expectation is TreeConditioner.regress_slab on a state built
 once per solve: (X_t, B_t[, C_t]) for convex costs, (B_t[, C_t]) for the
 affine informed agent, none (bucket means) for the affine standard agent.
@@ -31,7 +35,7 @@ guarantees.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Optional
 
@@ -50,32 +54,27 @@ _PICARD_TOL = 1e-6
 
 @dataclass
 class FbsdeSolution:
-    """Per-sample state, adjoint and control of one population.
+    """Per-sample adjoint and control of one population.
 
     `Y`, `alpha` are cadlag slabs (count, n_intervals, m+1) like the
     materialized price `price_path`.  `alpha` is optimal_control(Y,
     price_path, lam), derived the first time something reads it: the
     fixed-point iteration never does.  `response` is the raw per-sample
     conditional-expectation target (the bracket) on the fine grid, smoothed
-    into `Y`, read by the price map and standard errors.
-    `X` is None for affine costs: their adjoint does not depend on the state,
-    so nothing needs the state path (per_sample_cost re-integrates it from a
-    control).  A convex solution is its last Picard pass, `X` the state under
-    `alpha`; the single pass of a fixed-point map evaluation carries neither
-    (None, and no price path), as nothing there reads them.
+    into `Y`, read by the price map and standard errors.  `picard_iters` is
+    the number of Picard passes behind `Y`: 0 for an affine solve, 1 for a
+    single pass (_picard_map).  No state path is kept: per_sample_cost
+    re-integrates it from any control.
     """
 
-    X: Optional[np.ndarray]
     Y: np.ndarray
-    price_path: Optional[np.ndarray] = None
-    lam: Optional[float] = None
-    picard_iters: int = 0
-    response: np.ndarray = None
+    response: np.ndarray
+    price_path: np.ndarray
+    lam: float
+    picard_iters: int
 
     @cached_property
-    def alpha(self) -> Optional[np.ndarray]:
-        if self.price_path is None:
-            return None
+    def alpha(self) -> np.ndarray:
         return optimal_control(self.Y, self.price_path, self.lam)
 
 
@@ -149,22 +148,21 @@ def _euler_noise(batch: ScenarioBatch, env: PriceEnv, agent: AgentSpec) -> np.nd
 
 
 def euler_state(batch: ScenarioBatch, env: PriceEnv, agent: AgentSpec,
-                alpha: np.ndarray, start_index: int = 0, x0=None,
+                alpha: np.ndarray, start_index: int = 0,
                 noise: Optional[np.ndarray] = None) -> np.ndarray:
     """Euler-Maruyama integration of the controlled state from start_index on.
 
     The increments alpha dt + noise do not depend on X, so the state is one
-    running sum of them along time, started at x0.  `noise` is the solve's
-    _euler_noise, built here when not given.  A fine step's left point is
-    one of its interval's sub-times 0..m-1, so the slabs are never read at
-    their left limits.
+    running sum of them along time, started at the batch's initial state of
+    the agent's population.  `noise` is the solve's _euler_noise, built here
+    when not given.  A fine step's left point is one of its interval's
+    sub-times 0..m-1, so the slabs are never read at their left limits.
     """
     spec = batch.spec
     count, m = batch.count, spec.m
     if noise is None:
         noise = _euler_noise(batch, env, agent)
-    if x0 is None:
-        x0 = batch.idiosyncratic(agent.population)[0]
+    x0 = batch.idiosyncratic(agent.population)[0]
     steps = alpha[:, :, :m] * spec.dt_fine
     steps += noise
     X = np.zeros((count, spec.n_fine))
@@ -219,13 +217,10 @@ def _smooth_response(response: np.ndarray, batch: ScenarioBatch, conditioner: Tr
 
 def solve_affine(batch: ScenarioBatch, price: DiscretePrice, agent: AgentSpec,
                  buckets: TreeConditioner, bounds: ModelBounds,
-                 informed_state: bool = True, start_index: int = 0,
-                 x0=None, env: Optional[PriceEnv] = None) -> FbsdeSolution:
-    """Direct conditional-expectation solve for affine costs.
-
-    Returns X = None: the adjoint does not depend on the state, so no Euler
-    pass runs; `x0` is accepted for solve_agent's uniform signature only.
-    """
+                 informed_state: bool = True, env: Optional[PriceEnv] = None) -> FbsdeSolution:
+    """Direct conditional-expectation solve for affine costs.  The adjoint
+    does not depend on the state, its initial value or its start time, so no
+    Euler pass runs."""
     if agent.cost_mode != AFFINE:
         raise ValueError(f"solve_affine requires affine costs, got {agent.cost_mode}")
     if env is None:
@@ -237,9 +232,9 @@ def solve_affine(batch: ScenarioBatch, price: DiscretePrice, agent: AgentSpec,
         state = np.stack([batch.b, batch.c], axis=2)
     else:
         state = batch.b[:, :, None]
-    Y = _smooth_response(response, batch, buckets, bounds.envelope(_times(batch))[0], state,
-                         start_index=start_index)
-    return FbsdeSolution(X=None, Y=Y, price_path=env.path, lam=agent.lam, response=response)
+    Y = _smooth_response(response, batch, buckets, bounds.envelope(_times(batch))[0], state)
+    return FbsdeSolution(Y=Y, response=response, price_path=env.path, lam=agent.lam,
+                         picard_iters=0)
 
 
 def _aitken_factor(w: float, f_prev: np.ndarray, f: np.ndarray) -> float:
@@ -257,83 +252,80 @@ def _aitken_factor(w: float, f_prev: np.ndarray, f: np.ndarray) -> float:
 
 
 def _picard_map(batch: ScenarioBatch, env: PriceEnv, agent: AgentSpec,
-                buckets: TreeConditioner, bounds: ModelBounds, start_index: int = 0, x0=None,
-                noise: Optional[np.ndarray] = None):
+                buckets: TreeConditioner, bounds: ModelBounds, start_index: int = 0):
     """The Picard map of a convex agent under a fixed price: a function
-    sending an iterate Y to (Y_hat, response), one pass alpha(Y) -> Euler ->
-    response -> Y_hat = smoothed response.  The Euler noise (unless given),
+    sending an iterate Y to the solution of one pass alpha(Y) -> Euler ->
+    response -> Y_hat = smoothed response (picard_iters 1).  The Euler noise,
     the regression state's fixed columns and the envelope are built once,
     when the map is made."""
     fixed = [batch.b, batch.c] if agent.population == "I" and agent.reads_factor else [batch.b]
     state = np.empty((batch.count, batch.spec.n_fine, 1 + len(fixed)))  # (X, B[, C])
     state[:, :, 1:] = np.stack(fixed, axis=2)  # X is written on every pass
-    if noise is None:
-        noise = _euler_noise(batch, env, agent)
+    noise = _euler_noise(batch, env, agent)
     env_bound = bounds.envelope(_times(batch))[0]
 
-    def one_pass(Y: np.ndarray):
+    def one_pass(Y: np.ndarray) -> FbsdeSolution:
         alpha = optimal_control(Y, env.path, agent.lam)
-        X = euler_state(batch, env, agent, alpha, start_index=start_index, x0=x0, noise=noise)
+        X = euler_state(batch, env, agent, alpha, start_index=start_index, noise=noise)
         response = _convex_response(batch, env, agent, X)
         state[:, :, 0] = X
-        return _smooth_response(response, batch, buckets, env_bound, state,
-                                start_index=start_index), response
+        Y_hat = _smooth_response(response, batch, buckets, env_bound, state,
+                                 start_index=start_index)
+        return FbsdeSolution(Y=Y_hat, response=response, price_path=env.path, lam=agent.lam,
+                             picard_iters=1)
 
     return one_pass
 
 
 def solve_convex(batch: ScenarioBatch, price: DiscretePrice, agent: AgentSpec,
                  buckets: TreeConditioner, bounds: ModelBounds,
-                 start_index: int = 0, x0=None, env: Optional[PriceEnv] = None,
+                 start_index: int = 0, env: Optional[PriceEnv] = None,
                  tol: float = _PICARD_TOL) -> FbsdeSolution:
     """Cold exact solve for general convex costs: Picard iteration from Y = 0,
     relaxed by Aitken's dynamic factor (Irons & Tuck, 1969).  Each pass maps
     its iterate Y to the smoothed response Y_hat (_picard_map) and steps
     Y <- Y + w (Y_hat - Y), w from _aitken_factor (0.5 on the first pass).
     The first pass whose Y_hat is within `tol` of its iterate Y on the fine
-    grid is the solution (Y_hat, response), plus one Euler pass under
-    alpha(Y_hat).  The fixed-point iteration does not call this: it runs
-    one pass of the map per evaluation (see equilibrium.apply_phi)."""
+    grid is the solution, so N passes cost N Euler passes.  The state starts
+    at the batch's initial state at `start_index`.  The fixed-point
+    iteration does not call this: it runs one pass of the map per evaluation
+    (see equilibrium.apply_phi)."""
     if agent.cost_mode != GENERAL_CONVEX:
         raise ValueError(f"solve_convex requires general convex costs, got {agent.cost_mode}")
     if env is None:
         env = materialize(price, buckets)
-    noise = _euler_noise(batch, env, agent)  # shared with the closing Euler pass
-    one_pass = _picard_map(batch, env, agent, buckets, bounds, start_index=start_index, x0=x0,
-                           noise=noise)
+    one_pass = _picard_map(batch, env, agent, buckets, bounds, start_index=start_index)
     Y = np.zeros_like(env.path)
     w, f_prev = _PICARD_DAMPING, None
     trace = []
     for _ in range(_PICARD_MAX):
-        Y_hat, response = one_pass(Y)
-        f = Y_hat - Y
+        sol = one_pass(Y)
+        f = sol.Y - Y
         delta = float(np.max(np.abs(fine_path(f)[:, start_index:])))
         trace.append(delta)
         if delta <= tol:
-            break
+            sol.picard_iters = len(trace)
+            return sol
         if f_prev is not None:
             w = _aitken_factor(w, f_prev, f)
         Y += w * f
         f_prev = f
-        del Y_hat  # not held through the next pass, which keeps f_prev instead
-    else:
-        raise PicardError(f"Picard loop of population {agent.population} did not converge to "
-                          f"tol {tol:g} in {len(trace)} passes (last update {trace[-1]:.3e})", trace)
-
-    alpha = optimal_control(Y_hat, env.path, agent.lam)
-    X = euler_state(batch, env, agent, alpha, start_index=start_index, x0=x0, noise=noise)
-    return FbsdeSolution(X=X, Y=Y_hat, price_path=env.path, lam=agent.lam,
-                         picard_iters=len(trace), response=response)
+        del sol  # not held through the next pass, which keeps f_prev instead
+    raise PicardError(f"Picard loop of population {agent.population} did not converge to "
+                      f"tol {tol:g} in {len(trace)} passes (last update {trace[-1]:.3e})", trace)
 
 
 def solve_agent(batch, price, agent, buckets, bounds, informed_state: bool = True,
-                tol: float = _PICARD_TOL, **kw) -> FbsdeSolution:
+                tol: float = _PICARD_TOL, start_index: int = 0,
+                env: Optional[PriceEnv] = None) -> FbsdeSolution:
     """solve_affine or solve_convex by the agent's cost; `informed_state` is
-    read by the affine solve only, the Picard `tol` by the convex one only."""
+    read by the affine solve only, the Picard `tol` and `start_index` by the
+    convex one only (an affine adjoint does not depend on the state)."""
     if agent.cost_mode == AFFINE:
         return solve_affine(batch, price, agent, buckets, bounds,
-                            informed_state=informed_state, **kw)
-    return solve_convex(batch, price, agent, buckets, bounds, tol=tol, **kw)
+                            informed_state=informed_state, env=env)
+    return solve_convex(batch, price, agent, buckets, bounds, start_index=start_index, env=env,
+                        tol=tol)
 
 
 def per_sample_cost(batch: ScenarioBatch, price: DiscretePrice, agent: AgentSpec,
@@ -369,15 +361,18 @@ def decoupling_probe(agent: AgentSpec, price: DiscretePrice, batch: ScenarioBatc
                      buckets: TreeConditioner, bounds: ModelBounds,
                      t: float, x1: float, x2: float) -> dict:
     """Ratio max_samples |Y1_t - Y2_t| / |x1 - x2| for the t-initialized problem
-    started from x1 and x2 on the same noise, against the analytic constant."""
+    started from x1 and x2 on the same noise, against the analytic constant.
+    Each start solves a copy of the batch whose initial states are all x; the
+    copies share the batch's noise (dataclasses.replace), drawn once."""
     if x1 == x2:
         raise ValueError("probe requires x1 != x2")
     spec = batch.spec
     jt = int(round(t / spec.dt_fine))
     if abs(jt * spec.dt_fine - t) > 1e-12 or not 0 <= jt < spec.n_fine:
         raise ValueError("probe time must lie on the fine grid")
-    sols = [solve_agent(batch, price, agent, buckets, bounds, start_index=jt, x0=float(x0))
-            for x0 in (x1, x2)]
+    starts = [np.full(batch.count, float(x)) for x in (x1, x2)]
+    sols = [solve_agent(replace(batch, xi_I=x0, xi_S=x0), price, agent, buckets, bounds,
+                        start_index=jt) for x0 in starts]
     gap = np.abs(fine_path(sols[0].Y)[:, jt] - fine_path(sols[1].Y)[:, jt])
     ratio = float(np.max(gap) / abs(x1 - x2))
     return {"ratio": ratio, "gamma_p": decoupling_gamma(bounds.T, bounds.L, agent.lam)}

@@ -5,8 +5,8 @@ from dataclasses import replace
 from mfpricelab.conditioning import TreeConditioner
 from mfpricelab.fbsde import (_aitken_factor, _euler_noise, _slab, backward_integral,
                               cost_functional, decoupling_gamma, decoupling_probe,
-                              euler_state, optimal_control,
-                              per_sample_cost, solve_affine, solve_convex)
+                              optimal_control, per_sample_cost, solve_affine, solve_agent,
+                              solve_convex)
 from mfpricelab.models import (AFFINE, GENERAL_CONVEX, AgentSpec, ModelBounds,
                                coeff_constant, coeff_zero, preset)
 from mfpricelab.price import constant_price, fine_path, interval_view, materialize, zero_price
@@ -175,11 +175,24 @@ class TestSolveAffine:
         with pytest.raises(ValueError, match="affine"):
             solve_affine(batch, price, model.standard, buckets, BOUNDS)
 
-    def test_no_state_path(self, batch, buckets):
+    def test_no_state_path(self, batch, buckets, monkeypatch):
         # the affine adjoint does not depend on the state: no Euler pass runs
+        from mfpricelab import fbsde
+        calls = []
+        monkeypatch.setattr(fbsde, "euler_state", lambda *a, **kw: calls.append(1))
         agent = affine_agent(run=coeff_constant({"value": 0.3}, "running_cost_affine"))
-        sol = solve_affine(batch, constant_price(SPEC, buckets, -0.2), agent, buckets, BOUNDS)
-        assert sol.X is None
+        solve_affine(batch, constant_price(SPEC, buckets, -0.2), agent, buckets, BOUNDS)
+        assert calls == []
+
+    def test_start_index_does_not_change_adjoint(self, batch, buckets):
+        # solve_agent hands start_index to the convex solve only: an affine
+        # adjoint does not depend on the state or its start time
+        agent = affine_agent(run=coeff_constant({"value": 0.3}, "running_cost_affine"),
+                             term=lambda w, b, c: np.clip(b, -1, 1))
+        price = constant_price(SPEC, buckets, -0.2)
+        base = solve_agent(batch, price, agent, buckets, BOUNDS)
+        late = solve_agent(batch, price, agent, buckets, BOUNDS, start_index=2 * SPEC.m + 1)
+        assert np.array_equal(late.Y, base.Y)
 
     def test_no_bucket_stats_call(self, batch, buckets, monkeypatch):
         # every adjoint is a regress_slab fit (the degree-0 bucket mean when
@@ -303,18 +316,9 @@ class TestSolveConvex:
                 sol = solve_convex(batch, price, agent, buckets, BOUNDS)
                 assert sol.picard_iters <= 14, (value, agent.population, sol.picard_iters)
 
-    def test_euler_state_recompute(self, batch, buckets):
-        agent = preset("general-convex").standard
-        price = constant_price(SPEC, buckets, -0.2)
-        sol = solve_convex(batch, price, agent, buckets, BOUNDS)
-        env = materialize(price, buckets)
-        again = euler_state(batch, env, agent, sol.alpha)
-        scale = np.maximum(np.abs(sol.X), 1.0)
-        assert np.max(np.abs(again - sol.X) / scale) <= 1e-10
-
     def test_last_pass_is_the_solution(self, batch, buckets, monkeypatch):
-        # N Picard passes cost N smoothings and N+1 Euler passes: the
-        # converged pass is returned, plus one Euler pass under its control
+        # N Picard passes cost N smoothings and N Euler passes: the
+        # converged pass is returned as it is
         from mfpricelab import fbsde
         calls = {"_smooth_response": 0, "euler_state": 0}
         for name in calls:
@@ -326,7 +330,7 @@ class TestSolveConvex:
         sol = solve_convex(batch, constant_price(SPEC, buckets, -0.2), agent, buckets, BOUNDS)
         assert sol.picard_iters > 1
         assert calls == {"_smooth_response": sol.picard_iters,
-                         "euler_state": sol.picard_iters + 1}
+                         "euler_state": sol.picard_iters}
 
     def test_euler_noise_built_once(self, batch, buckets, monkeypatch):
         # the control-free increments do not depend on the iterate
@@ -430,6 +434,34 @@ class TestDecouplingProbe:
         out = decoupling_probe(model.standard, price, batch, buckets, BOUNDS,
                                t=0.0, x1=-0.5, x2=0.5)
         assert 0.0 < out["ratio"] <= out["gamma_p"]
+
+    def test_starts_from_batch_initial_state(self, monkeypatch):
+        # at t = 0.5 both solves start their state at x1 and x2 at the fine
+        # index of t, on copies of one batch that draw each noise stream once
+        from mfpricelab import fbsde, sampling
+        draws = []
+        real_brownian, real_euler = sampling._brownian, fbsde.euler_state
+        monkeypatch.setattr(sampling, "_brownian",
+                            lambda rng, count, times: draws.append(count)
+                            or real_brownian(rng, count, times))
+        starts = []
+
+        def spy(b, env, agent, alpha, start_index=0, noise=None):
+            X = real_euler(b, env, agent, alpha, start_index=start_index, noise=noise)
+            starts.append((start_index, np.unique(X[:, start_index]).tolist()))
+            return X
+
+        monkeypatch.setattr(fbsde, "euler_state", spy)
+        b = sample_batch(SPEC, 78, 600)
+        cond = TreeConditioner(SPEC, b.node_path, FULL_PREFIX, min_count=30)
+        model = preset("general-convex")
+        draws.clear()  # sample_batch drew the common noises
+        decoupling_probe(model.standard, zero_price(SPEC, cond), b, cond, BOUNDS,
+                         t=0.5, x1=-0.5, x2=0.25)
+        jt = int(0.5 / SPEC.dt_fine)
+        assert {(j, tuple(x)) for j, x in starts} == {(jt, (-0.5,)), (jt, (0.25,))}
+        assert draws == [600]  # the standard agent reads w_S only, drawn once
+        assert list(b.idio_paths.drawn) == ["w_S"]
 
     def test_equal_starts_rejected(self, batch, buckets):
         agent = affine_agent()
