@@ -350,7 +350,8 @@ def _conditional_variation(path: np.ndarray, buckets: TreeConditioner) -> tuple[
 
 def diagnostics(price: DiscretePrice, solutions: dict, batch: ScenarioBatch,
                 buckets: TreeConditioner, model: MarketModel) -> DiagnosticsRecord:
-    """Boundedness, time-Lipschitz and conditional-variation diagnostics."""
+    """Boundedness, time-Lipschitz and conditional-variation diagnostics of
+    `price` and its evaluation's solutions, which hold materialize(price).path."""
     spec = price.spec
     L = model.bounds.L
     dt_sub = spec.interval_length / spec.m
@@ -366,7 +367,7 @@ def diagnostics(price: DiscretePrice, solutions: dict, batch: ScenarioBatch,
         excess = slopes - 2.0 * L - 10.0 * se / dt_sub
         lip_excess = max(lip_excess, float(excess.max()))
 
-    cv_p, cv_p_se = _conditional_variation(fine_path(materialize(price, buckets).path), buckets)
+    cv_p, cv_p_se = _conditional_variation(fine_path(solutions["I"].price_path), buckets)
     cv_i, cv_i_se = _conditional_variation(fine_path(solutions["I"].Y), buckets)
     cv_s, cv_s_se = _conditional_variation(fine_path(solutions["S"].Y), buckets)
     return DiagnosticsRecord(

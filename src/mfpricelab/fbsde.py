@@ -17,7 +17,8 @@ of the batch whose initial states are all x.
 
 Each conditional expectation is TreeConditioner.regress_slab on a state built
 once per solve: (X_t, B_t[, C_t]) for convex costs, (B_t[, C_t]) for the
-affine informed agent, none (bucket means) for the affine standard agent.
+affine informed agent, none (bucket means) for the affine standard agent; an
+affine Y is fitted only when something reads it.
 
 Y and alpha are cadlag slabs (count, n_intervals, m+1), sub-time m the left
 limit at the interval's end, as the materialized price is (see price.py); X,
@@ -37,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -57,21 +58,25 @@ class FbsdeSolution:
     """Per-sample adjoint and control of one population.
 
     `Y`, `alpha` are cadlag slabs (count, n_intervals, m+1) like the
-    materialized price `price_path`.  `alpha` is optimal_control(Y,
-    price_path, lam), derived the first time something reads it: the
-    fixed-point iteration never does.  `response` is the raw per-sample
-    conditional-expectation target (the bracket) on the fine grid, smoothed
-    into `Y`, read by the price map and standard errors.  `picard_iters` is
-    the number of Picard passes behind `Y`: 0 for an affine solve, 1 for a
-    single pass (_picard_map).  No state path is kept: per_sample_cost
-    re-integrates it from any control.
+    materialized price `price_path`.  `Y` is `adjoint` (a convex pass) or,
+    from an affine solve, made by `adjoint` when first read, as `alpha` =
+    optimal_control(Y, price_path, lam) is: a price-map evaluation reads
+    neither.  `response` is the raw per-sample conditional-expectation target
+    (the bracket) on the fine grid, smoothed into `Y`, read by the price map
+    and standard errors.  `picard_iters` is the number of Picard passes
+    behind `Y`: 0 for an affine solve, 1 for a single pass (_picard_map).  No
+    state path is kept: per_sample_cost re-integrates it from any control.
     """
 
-    Y: np.ndarray
+    adjoint: Union[np.ndarray, Callable[[], np.ndarray]]
     response: np.ndarray
     price_path: np.ndarray
     lam: float
     picard_iters: int
+
+    @cached_property
+    def Y(self) -> np.ndarray:
+        return self.adjoint() if callable(self.adjoint) else self.adjoint
 
     @cached_property
     def alpha(self) -> np.ndarray:
@@ -172,14 +177,20 @@ def euler_state(batch: ScenarioBatch, env: PriceEnv, agent: AgentSpec,
     return X
 
 
+def _factor(batch: ScenarioBatch, agent: AgentSpec) -> tuple:
+    """batch.c per interval and at T if the agent reads_factor, else None (not drawn)."""
+    c = interval_view(batch.c, batch.spec.m) if agent.reads_factor else None
+    return c, None if c is None else batch.c[:, -1]
+
+
 def _affine_response(batch: ScenarioBatch, env: PriceEnv, agent: AgentSpec):
     """Per-sample bracket g(env_T) + int_t^T c(s, env_s) ds on the fine grid."""
     m = batch.spec.m
     P = env.path
-    run = _slab(agent.running_cost(_times(batch), P, interval_view(batch.b, m),
-                                   interval_view(batch.c, m)), P.shape)
+    c, c_T = _factor(batch, agent)
+    run = _slab(agent.running_cost(_times(batch), P, interval_view(batch.b, m), c), P.shape)
     integral = backward_integral(run, batch.spec)
-    terminal = np.asarray(agent.terminal_cost(P[:, -1, m], batch.b[:, -1], batch.c[:, -1]), dtype=float)
+    terminal = np.asarray(agent.terminal_cost(P[:, -1, m], batch.b[:, -1], c_T), dtype=float)
     integral += terminal[:, None]
     return integral
 
@@ -187,10 +198,10 @@ def _affine_response(batch: ScenarioBatch, env: PriceEnv, agent: AgentSpec):
 def _convex_response(batch: ScenarioBatch, env: PriceEnv, agent: AgentSpec, X: np.ndarray):
     m = batch.spec.m
     Xv = interval_view(X, m)
-    run = _slab(agent.running_cost_dx(_times(batch), Xv, env.path, interval_view(batch.c, m)),
-                Xv.shape)
+    c, c_T = _factor(batch, agent)
+    run = _slab(agent.running_cost_dx(_times(batch), Xv, env.path, c), Xv.shape)
     integral = backward_integral(run, batch.spec)
-    terminal = np.asarray(agent.terminal_cost_dx(X[:, -1], env.path[:, -1, m], batch.c[:, -1]), dtype=float)
+    terminal = np.asarray(agent.terminal_cost_dx(X[:, -1], env.path[:, -1, m], c_T), dtype=float)
     integral += terminal[:, None]
     return integral
 
@@ -220,20 +231,23 @@ def solve_affine(batch: ScenarioBatch, price: DiscretePrice, agent: AgentSpec,
                  informed_state: bool = True, env: Optional[PriceEnv] = None) -> FbsdeSolution:
     """Direct conditional-expectation solve for affine costs.  The adjoint
     does not depend on the state, its initial value or its start time, so no
-    Euler pass runs."""
+    Euler pass runs; it is smoothed from the response when first read."""
     if agent.cost_mode != AFFINE:
         raise ValueError(f"solve_affine requires affine costs, got {agent.cost_mode}")
     if env is None:
         env = materialize(price, buckets)
     response = _affine_response(batch, env, agent)
-    if agent.population != "I" or not informed_state:
-        state = np.empty((batch.count, batch.spec.n_fine, 0))
-    elif agent.reads_factor:
-        state = np.stack([batch.b, batch.c], axis=2)
-    else:
-        state = batch.b[:, :, None]
-    Y = _smooth_response(response, batch, buckets, bounds.envelope(_times(batch))[0], state)
-    return FbsdeSolution(Y=Y, response=response, price_path=env.path, lam=agent.lam,
+
+    def adjoint():
+        if agent.population != "I" or not informed_state:
+            state = np.empty((batch.count, batch.spec.n_fine, 0))
+        elif agent.reads_factor:
+            state = np.stack([batch.b, batch.c], axis=2)
+        else:
+            state = batch.b[:, :, None]
+        return _smooth_response(response, batch, buckets, bounds.envelope(_times(batch))[0], state)
+
+    return FbsdeSolution(adjoint=adjoint, response=response, price_path=env.path, lam=agent.lam,
                          picard_iters=0)
 
 
@@ -271,8 +285,8 @@ def _picard_map(batch: ScenarioBatch, env: PriceEnv, agent: AgentSpec,
         state[:, :, 0] = X
         Y_hat = _smooth_response(response, batch, buckets, env_bound, state,
                                  start_index=start_index)
-        return FbsdeSolution(Y=Y_hat, response=response, price_path=env.path, lam=agent.lam,
-                             picard_iters=1)
+        return FbsdeSolution(adjoint=Y_hat, response=response, price_path=env.path,
+                             lam=agent.lam, picard_iters=1)
 
     return one_pass
 
@@ -339,14 +353,15 @@ def per_sample_cost(batch: ScenarioBatch, price: DiscretePrice, agent: AgentSpec
     if env is None:
         env = materialize(price, buckets)
     X = euler_state(batch, env, agent, control)
-    t, Xv, P, c = _times(batch), interval_view(X, m), env.path, interval_view(batch.c, m)
+    t, Xv, P = _times(batch), interval_view(X, m), env.path
+    c, c_T = _factor(batch, agent)
     if agent.cost_mode == AFFINE:
         run = agent.running_cost(t, P, interval_view(batch.b, m), c)
         fbar = Xv * _slab(run, Xv.shape)
-        g = X[:, -1] * np.asarray(agent.terminal_cost(P[:, -1, m], batch.b[:, -1], batch.c[:, -1]), dtype=float)
+        g = X[:, -1] * np.asarray(agent.terminal_cost(P[:, -1, m], batch.b[:, -1], c_T), dtype=float)
     else:
         fbar = _slab(agent.running_cost(t, Xv, P, c), Xv.shape)
-        g = np.asarray(agent.terminal_cost(X[:, -1], P[:, -1, m], batch.c[:, -1]), dtype=float)
+        g = np.asarray(agent.terminal_cost(X[:, -1], P[:, -1, m], c_T), dtype=float)
     f = P * control + 0.5 * agent.lam * control ** 2 + fbar
     integral = backward_integral(f, spec)[:, 0]
     return integral + np.broadcast_to(g, integral.shape)

@@ -2,8 +2,8 @@
 
 Coefficients are vectorized callables.  Affine costs take the environment
 (t, varpi, b, c) directly; general convex costs take (t, x, varpi, c) and must
-come with their x-derivative.  Standard-population coefficients must not read
-the informed factor c (declared via reads_factor and probed by validate).
+come with their x-derivative.  Costs of an agent without reads_factor (every
+standard agent) receive c = None for the informed factor; validate probes them.
 """
 
 from __future__ import annotations
@@ -311,10 +311,7 @@ def validate(agent: AgentSpec, bounds: ModelBounds, probe_budget: int = 2000,
         finite("terminal cost", tc, (t, varpi, b, cfac))
         record("|running cost| <= L", np.abs(rc) - L, (t, varpi, b, cfac))
         record("|terminal cost| <= L", np.abs(tc) - L, (t, varpi, b, cfac))
-        if not agent.reads_factor:
-            rc2 = np.asarray(agent.running_cost(t, varpi, b, cfac + 1.0), dtype=float)
-            tc2 = np.asarray(agent.terminal_cost(varpi, b, cfac + 1.0), dtype=float)
-            record("factor independence", np.abs(rc2 - rc) + np.abs(tc2 - tc), (t, varpi, b, cfac))
+        costs = [(agent.running_cost, (t, varpi, b)), (agent.terminal_cost, (varpi, b))]
     else:
         dfx = np.asarray(agent.running_cost_dx(t, x, varpi, cfac), dtype=float)
         dgx = np.asarray(agent.terminal_cost_dx(x, varpi, cfac), dtype=float)
@@ -332,6 +329,12 @@ def validate(agent: AgentSpec, bounds: ModelBounds, probe_budget: int = 2000,
                (t, x, varpi, cfac))
         # convexity: the derivative must be nondecreasing in x
         record("convexity (monotone d_x)", np.maximum(df_lo - df_hi, dg_lo - dg_hi), (t, x, varpi, cfac))
+        costs = [(agent.running_cost, (t, x, varpi)), (agent.running_cost_dx, (t, x, varpi)),
+                 (agent.terminal_cost, (x, varpi)), (agent.terminal_cost_dx, (x, varpi))]
+    if not agent.reads_factor:  # a solve hands such an agent's costs c = None
+        gap = sum(np.abs(np.asarray(fn(*args, cfac + 1.0), dtype=float)
+                         - np.asarray(fn(*args, cfac), dtype=float)) for fn, args in costs)
+        record("factor independence", gap, costs[0][1] + (cfac,))
     return ValidationReport(agent=agent.population, checks=checks)
 
 

@@ -3,12 +3,12 @@
 Every stream is drawn from a counter-based Philox generator keyed by
 (base seed, stream tag); within a stream, sample i owns the counter block
 [i*steps, (i+1)*steps).  Streams are drawn on the finest grid when first
-read: the common noise, the informed factor and the initial states when the
-batch is made, the idiosyncratic Brownian paths (which affine populations
-never read) the first time something reads them.  A stream drawn late is the
-same stream, bit for bit, so results depend only on (seed, tag, sample), not
-on thread count or call order.  Coarser dyadic levels are derived views of
-the same Brownian paths (coupled coarsening).
+read: the common noise and the initial states when the batch is made, the
+informed factor (read by agents with reads_factor only) and the idiosyncratic
+paths (never read by affine populations) the first time something reads them.
+A stream drawn late is the same stream, bit for bit, so results depend only on
+(seed, tag, sample), not on thread count or call order.  Coarser dyadic levels
+are derived views of the same Brownian paths (coupled coarsening).
 """
 
 from __future__ import annotations
@@ -84,6 +84,20 @@ class _IdiosyncraticPaths:
         return path
 
 
+class _FactorPath:
+    """The informed factor path of the batch whose common noise is `b`: an
+    array, or the function that draws it when first read (then kept, read-only)."""
+
+    def __init__(self, b: np.ndarray, path):
+        self.b, self.path = b, path
+
+    def get(self) -> np.ndarray:
+        if callable(self.path):
+            self.path = self.path()
+            self.path.setflags(write=False)
+        return self.path
+
+
 @dataclass(frozen=True, init=False)
 class ScenarioBatch:
     """An immutable batch of sampled paths on the fine grid.
@@ -93,31 +107,40 @@ class ScenarioBatch:
     w_I and w_S given to the constructor are used as they are; one not given
     is drawn from the (seed, tag) stream when first read (idio_paths holds
     it, and dataclasses.replace hands it on: a replace that changes count or
-    fine_grid gives both paths).
+    fine_grid gives both paths).  c is given as an array or as a function
+    drawing it (factor_path); a replace that changes b must give c.
     """
 
     spec: GridSpec
     count: int
     fine_grid: np.ndarray
     b: np.ndarray
-    c: np.ndarray
     xi_I: np.ndarray
     xi_S: np.ndarray
     node_path: np.ndarray
     seed: int
     idio_paths: _IdiosyncraticPaths
+    factor_path: _FactorPath
 
     def __init__(self, *, spec: GridSpec, count: int, fine_grid: np.ndarray, b: np.ndarray,
-                 c: np.ndarray, xi_I: np.ndarray, xi_S: np.ndarray, node_path: np.ndarray,
-                 seed: int, w_I: Optional[np.ndarray] = None, w_S: Optional[np.ndarray] = None,
-                 idio_paths: Optional[_IdiosyncraticPaths] = None):
+                 xi_I: np.ndarray, xi_S: np.ndarray, node_path: np.ndarray, seed: int,
+                 c=None, w_I: Optional[np.ndarray] = None, w_S: Optional[np.ndarray] = None,
+                 idio_paths=None, factor_path=None):
         given = {tag: w for tag, w in (("w_I", w_I), ("w_S", w_S)) if w is not None}
         if idio_paths is None or given:
             idio_paths = _IdiosyncraticPaths(seed, count, fine_grid, given)
-        values = dict(spec=spec, count=count, fine_grid=fine_grid, b=b, c=c, xi_I=xi_I,
-                      xi_S=xi_S, node_path=node_path, seed=seed, idio_paths=idio_paths)
+        if c is not None:
+            factor_path = _FactorPath(b, c)
+        elif factor_path is None or factor_path.b is not b:
+            raise ValueError("a batch with new common noise b needs its own factor path c")
+        values = dict(spec=spec, count=count, fine_grid=fine_grid, b=b, xi_I=xi_I, xi_S=xi_S,
+                      node_path=node_path, seed=seed, idio_paths=idio_paths, factor_path=factor_path)
         for name, value in values.items():
             object.__setattr__(self, name, value)
+
+    @property
+    def c(self) -> np.ndarray:
+        return self.factor_path.get()
 
     @property
     def w_I(self) -> np.ndarray:
@@ -161,9 +184,9 @@ def informed_factor_path(factor: InformedFactorSpec, b: np.ndarray,
 def sample_batch(spec: GridSpec, model_seed: int, count: int,
                  factor: InformedFactorSpec = InformedFactorSpec(),
                  init_laws: Optional[dict] = None) -> ScenarioBatch:
-    """Draw a reproducible batch: common noise, informed factor and initial
-    states, plus the tree node assignment of each sample.  The idiosyncratic
-    noises are drawn when first read (see ScenarioBatch)."""
+    """Draw a reproducible batch: common noise and initial states, plus the
+    tree node assignment of each sample.  The informed factor and the
+    idiosyncratic noises are drawn when first read (see ScenarioBatch)."""
     if count < 1:
         raise ValueError("count must be >= 1")
     init_laws = init_laws or {}
@@ -172,16 +195,15 @@ def sample_batch(spec: GridSpec, model_seed: int, count: int,
     times = spec.fine_times()
 
     b = _brownian(_stream_rng(model_seed, "b"), count, times)
-    b_perp = _brownian(_stream_rng(model_seed, "c_perp"), count, times)
-    c = informed_factor_path(factor, b, b_perp)
     xi_I = law_I.sample(_stream_rng(model_seed, "xi_I"), count)
     xi_S = law_S.sample(_stream_rng(model_seed, "xi_S"), count)
 
     node = project_path(b[:, spec.node_fine_indices()], spec.l)
-    for arr in (b, c, xi_I, xi_S, node, times):
+    for arr in (b, xi_I, xi_S, node, times):
         arr.setflags(write=False)
-    return ScenarioBatch(spec=spec, count=count, fine_grid=times, b=b, c=c, xi_I=xi_I,
-                         xi_S=xi_S, node_path=node, seed=int(model_seed))
+    return ScenarioBatch(spec=spec, count=count, fine_grid=times, b=b, xi_I=xi_I, xi_S=xi_S,
+                         node_path=node, seed=int(model_seed), c=lambda: informed_factor_path(
+                             factor, b, _brownian(_stream_rng(model_seed, "c_perp"), count, times)))
 
 
 def idiosyncratic_copies(spec: GridSpec, seed: int, n_scenarios: int, n_agents: int,

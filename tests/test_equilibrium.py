@@ -323,7 +323,8 @@ def path_draws(monkeypatch):
 class TestLazyReads:
     def test_affine_solve_reads_no_noise_and_no_control(self, monkeypatch):
         # the price and an affine adjoint are conditional expectations given
-        # the key and the common noise: nothing reads W_I, W_S or alpha
+        # the key and the common noise: nothing reads W_I, W_S or alpha, and
+        # no agent of the preset reads the informed factor C
         model = preset("single-informed")
         batch = sample_batch(model.grid, 9, 2000, model.factor)
         controls = []
@@ -333,6 +334,7 @@ class TestLazyReads:
         report = solve_fixed_point(batch, model)
         assert report.converged
         assert batch.idio_paths.drawn == {} and controls == []
+        assert callable(batch.factor_path.path)
 
     def test_convex_solve_draws_both_paths(self, path_draws):
         model = preset("general-convex")
@@ -350,6 +352,23 @@ class TestLazyReads:
         refinement_study(model.with_solver(tol=1e-2, max_iter=4), [1, 2], batch)
         assert sorted(batch.idio_paths.drawn) == ["w_I", "w_S"]
         assert path_draws == [600, 600]
+
+
+def test_consistency_check_regresses_no_affine_adjoint(monkeypatch):
+    # the price map reads the affine agents' responses, not their adjoints
+    model = preset("single-informed").with_solver(samples=2000)
+    batch = sample_batch(model.grid, 11, 2000, model.factor)
+    price = solve_fixed_point(batch, model).price
+    dims = []
+    real = TreeConditioner.regress_slab
+
+    def spy(self, interval, state, *args, **kwargs):
+        dims.append(state.shape[-1])
+        return real(self, interval, state, *args, **kwargs)
+
+    monkeypatch.setattr(TreeConditioner, "regress_slab", spy)
+    consistency_residual(price, model, seed=12)
+    assert [d for d in dims if d > 0] == []
 
 
 class TestContinuityProbe:

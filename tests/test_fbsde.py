@@ -3,7 +3,8 @@ import pytest
 from dataclasses import replace
 
 from mfpricelab.conditioning import TreeConditioner
-from mfpricelab.fbsde import (_aitken_factor, _euler_noise, _slab, backward_integral,
+from mfpricelab.fbsde import (_aitken_factor, _euler_noise, _slab, _smooth_response, _times,
+                              backward_integral,
                               cost_functional, decoupling_gamma, decoupling_probe,
                               optimal_control, per_sample_cost, solve_affine, solve_agent,
                               solve_convex)
@@ -208,10 +209,17 @@ class TestSolveAffine:
         price = constant_price(SPEC, buckets, -0.2)
         for pop, reads_factor, informed_state in [("S", False, True), ("I", False, True),
                                                   ("I", True, True), ("I", False, False)]:
-            agent = affine_agent(term=lambda w, b, c: np.clip(b + c, -1, 1), pop=pop,
-                                 reads_factor=reads_factor)
-            solve_affine(batch, price, agent, buckets, BOUNDS, informed_state=informed_state)
+            agent = affine_agent(term=lambda w, b, c: np.clip(b + (0.0 if c is None else c), -1, 1),
+                                 pop=pop, reads_factor=reads_factor)
+            solve_affine(batch, price, agent, buckets, BOUNDS, informed_state=informed_state).Y
         assert calls == []
+
+    def test_late_adjoint_is_the_smoothed_response(self, batch, buckets):
+        agent = affine_agent(term=lambda w, b, c: np.clip(b, -1, 1), pop="I")
+        sol = solve_affine(batch, constant_price(SPEC, buckets, -0.2), agent, buckets, BOUNDS)
+        expect = _smooth_response(sol.response, batch, buckets,
+                                  BOUNDS.envelope(_times(batch))[0], batch.b[:, :, None])
+        assert sol.Y.tobytes() == expect.tobytes()
 
     def test_control_identity(self, batch, buckets):
         agent = affine_agent(term=lambda w, b, c: np.clip(b, -1, 1))

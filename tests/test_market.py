@@ -8,10 +8,11 @@ from mfpricelab import equilibrium
 from mfpricelab.equilibrium import solve_fixed_point
 from mfpricelab.errors import ModelError
 from mfpricelab.market import (clearing_bound, clearing_residual, informed_inference_check,
-                               rate_study, _agent_controls, _residual_from_controls)
+                               rate_study, _agent_controls, _population_batch,
+                               _residual_from_controls)
 from mfpricelab.models import ModelBounds, preset
 from mfpricelab.price import fine_path
-from mfpricelab.sampling import sample_batch
+from mfpricelab.sampling import idiosyncratic_copies, sample_batch
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +55,17 @@ class TestStandardError:
         model, price = det_price
         with pytest.raises(ValueError, match=">= 2 per-scenario values"):
             rate_study(price, model, [8, 16, 32, 64], seeds=[1], n_scenarios=1)
+
+
+def test_population_batch_repeats_the_factor_rows():
+    model = preset("terminal-common-noise")
+    common = sample_batch(model.grid, 23, 6, model.factor)
+    xi, w = idiosyncratic_copies(model.grid, 24, 6, 3, "I")
+    batch = _population_batch(common, xi, w)
+    assert callable(common.factor_path.path)
+    reps = np.repeat(np.arange(6), 3)
+    assert batch.c.tobytes() == common.c[reps].tobytes()
+    assert batch.b.tobytes() == common.b[reps].tobytes()
 
 
 class TestBoundConstant:

@@ -126,6 +126,28 @@ class TestValidation:
         assert not dep.passed
 
 
+    def test_convex_factor_independence_probed(self):
+        # a convex informed agent whose terminal cost reads c, undeclared; its
+        # x-derivatives do not, so only the probe of the cost itself sees it
+        zero = lambda t, x, w, c: np.zeros_like(x)
+        leaky = AgentSpec(population="I", lam=1.0, weight=0.5,
+                          drift=coeff_zero({}, "drift"),
+                          vol_common=coeff_zero({}, "vol_common"),
+                          vol_idio=coeff_zero({}, "vol_idio"),
+                          cost_mode=GENERAL_CONVEX, running_cost=zero, running_cost_dx=zero,
+                          terminal_cost=lambda x, w, c: 0.5 * x + 0.5 * np.clip(c, -1, 1),
+                          terminal_cost_dx=lambda x, w, c: np.full_like(x, 0.5))
+        report = validate(leaky, ModelBounds(L=1.0, T=1.0), probe_budget=500)
+        dep = next(c for c in report.checks if "factor independence" in c.name)
+        assert not dep.passed
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_presets_pass(self, name):
+        model = preset(name)
+        for agent in model.agents():
+            assert validate(agent, model.bounds).passed
+
+
 class TestSolverDefaults:
     @pytest.mark.parametrize("change", [{"samples": 0}, {"tol": 0.0}, {"max_iter": 0},
                                         {"mode": "bogus"}, {"min_bucket": 0},

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from mfpricelab import sampling
 from mfpricelab.sampling import (InformedFactorSpec, InitialLaw, ScenarioBatch, _brownian,
-                                 _stream_rng, discretize_at_level, load_batch,
-                                 sample_batch, save_batch, summary_csv)
+                                 _stream_rng, discretize_at_level, informed_factor_path,
+                                 load_batch, sample_batch, save_batch, summary_csv)
 from mfpricelab.errors import PriceLabError
 from mfpricelab.tree import GridSpec, project_path
 
@@ -127,10 +128,38 @@ class TestLazyIdiosyncratic:
 
     def test_save_bytes_do_not_depend_on_reads(self, tmp_path):
         fresh, read = sample_batch(SPEC, 74, 30), sample_batch(SPEC, 74, 30)
-        read.idiosyncratic("I"), read.idiosyncratic("S")
+        read.idiosyncratic("I"), read.idiosyncratic("S"), read.c
         save_batch(tmp_path / "fresh.bin", fresh)
         save_batch(tmp_path / "read.bin", read)
         assert (tmp_path / "fresh.bin").read_bytes() == (tmp_path / "read.bin").read_bytes()
+
+
+class TestLazyFactor:
+    def test_drawn_on_first_read(self, monkeypatch):
+        tags = []
+        real = sampling._stream_rng
+        monkeypatch.setattr(sampling, "_stream_rng",
+                            lambda seed, tag, *a: tags.append(tag) or real(seed, tag, *a))
+        factor = InformedFactorSpec(kind="section6", rho=0.3)
+        batch = sample_batch(SPEC, 75, 40, factor)
+        assert "c_perp" not in tags
+        c = batch.c
+        assert tags.count("c_perp") == 1
+        b_perp = _brownian(real(75, "c_perp"), 40, SPEC.fine_times())
+        assert c.tobytes() == informed_factor_path(factor, batch.b, b_perp).tobytes()
+        assert not c.flags.writeable
+        assert batch.c is c and tags.count("c_perp") == 1
+
+    def test_replace_keeps_or_demands_the_factor(self):
+        batch = sample_batch(SPEC, 76, 20)
+        sub_spec, node = discretize_at_level(batch, 1)
+        sub = replace(batch, spec=sub_spec, node_path=node)
+        assert callable(batch.factor_path.path)
+        assert sub.c is batch.c
+        with pytest.raises(ValueError, match="factor path"):
+            replace(batch, b=np.zeros_like(batch.b))
+        given = replace(batch, b=np.zeros_like(batch.b), c=np.ones_like(batch.b))
+        assert np.all(given.c == 1.0)
 
 
 class TestLevelCoupling:
