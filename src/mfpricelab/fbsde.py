@@ -43,7 +43,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .conditioning import TreeConditioner
-from .errors import PicardError
+from .errors import ModelError, PicardError
 from .models import AFFINE, GENERAL_CONVEX, AgentSpec, ModelBounds
 from .price import DiscretePrice, PriceEnv, fine_path, interval_view, materialize
 from .sampling import ScenarioBatch
@@ -183,14 +183,27 @@ def _factor(batch: ScenarioBatch, agent: AgentSpec) -> tuple:
     return c, None if c is None else batch.c[:, -1]
 
 
+def _cost(agent: AgentSpec, name: str, *args):
+    """agent.<name>(*args) as a float array; the factor argument of an agent
+    without reads_factor is None, so such a cost that reads it raises ModelError."""
+    try:
+        return np.asarray(getattr(agent, name)(*args), dtype=float)
+    except TypeError as exc:
+        if agent.reads_factor:
+            raise
+        raise ModelError(f"population {agent.population}: {name} failed on the factor c = None, "
+                         f"which an agent without reads_factor is given ({exc})") from exc
+
+
 def _affine_response(batch: ScenarioBatch, env: PriceEnv, agent: AgentSpec):
     """Per-sample bracket g(env_T) + int_t^T c(s, env_s) ds on the fine grid."""
     m = batch.spec.m
     P = env.path
     c, c_T = _factor(batch, agent)
-    run = _slab(agent.running_cost(_times(batch), P, interval_view(batch.b, m), c), P.shape)
+    run = _slab(_cost(agent, "running_cost", _times(batch), P, interval_view(batch.b, m), c),
+                P.shape)
     integral = backward_integral(run, batch.spec)
-    terminal = np.asarray(agent.terminal_cost(P[:, -1, m], batch.b[:, -1], c_T), dtype=float)
+    terminal = _cost(agent, "terminal_cost", P[:, -1, m], batch.b[:, -1], c_T)
     integral += terminal[:, None]
     return integral
 
@@ -199,9 +212,9 @@ def _convex_response(batch: ScenarioBatch, env: PriceEnv, agent: AgentSpec, X: n
     m = batch.spec.m
     Xv = interval_view(X, m)
     c, c_T = _factor(batch, agent)
-    run = _slab(agent.running_cost_dx(_times(batch), Xv, env.path, c), Xv.shape)
+    run = _slab(_cost(agent, "running_cost_dx", _times(batch), Xv, env.path, c), Xv.shape)
     integral = backward_integral(run, batch.spec)
-    terminal = np.asarray(agent.terminal_cost_dx(X[:, -1], env.path[:, -1, m], c_T), dtype=float)
+    terminal = _cost(agent, "terminal_cost_dx", X[:, -1], env.path[:, -1, m], c_T)
     integral += terminal[:, None]
     return integral
 
@@ -356,12 +369,12 @@ def per_sample_cost(batch: ScenarioBatch, price: DiscretePrice, agent: AgentSpec
     t, Xv, P = _times(batch), interval_view(X, m), env.path
     c, c_T = _factor(batch, agent)
     if agent.cost_mode == AFFINE:
-        run = agent.running_cost(t, P, interval_view(batch.b, m), c)
+        run = _cost(agent, "running_cost", t, P, interval_view(batch.b, m), c)
         fbar = Xv * _slab(run, Xv.shape)
-        g = X[:, -1] * np.asarray(agent.terminal_cost(P[:, -1, m], batch.b[:, -1], c_T), dtype=float)
+        g = X[:, -1] * _cost(agent, "terminal_cost", P[:, -1, m], batch.b[:, -1], c_T)
     else:
-        fbar = _slab(agent.running_cost(t, Xv, P, c), Xv.shape)
-        g = np.asarray(agent.terminal_cost(X[:, -1], P[:, -1, m], c_T), dtype=float)
+        fbar = _slab(_cost(agent, "running_cost", t, Xv, P, c), Xv.shape)
+        g = _cost(agent, "terminal_cost", X[:, -1], P[:, -1, m], c_T)
     f = P * control + 0.5 * agent.lam * control ** 2 + fbar
     integral = backward_integral(f, spec)[:, 0]
     return integral + np.broadcast_to(g, integral.shape)

@@ -62,12 +62,12 @@ def clearing_bound(model: MarketModel, N: int) -> float:
 
 
 def _population_batch(common, xi, w):
-    """Flattened finite-market batch: common rows repeated per agent (the
-    factor's when first read), and the fresh idiosyncratics (xi, w) in both
-    populations' slots, since only the solved population's slot is read."""
-    n_rows = xi.shape[0]
-    reps = np.repeat(np.arange(common.count), n_rows // common.count)
-    return replace(common, count=n_rows, b=common.b[reps], c=lambda: common.c[reps],
+    """Flattened finite-market batch: common rows repeated per agent, and the
+    fresh idiosyncratics (xi, w) in both populations' slots, since only the
+    solved population's slot is read.  Its b is new, so it gives all three
+    late paths: w twice, and the factor's rows, taken when first read."""
+    reps = np.repeat(np.arange(common.count), xi.shape[0] // common.count)
+    return replace(common, b=common.b[reps], c=lambda: common.c[reps],
                    node_path=common.node_path[reps], w_I=w, xi_I=xi, w_S=w, xi_S=xi)
 
 

@@ -3,7 +3,8 @@
 Coefficients are vectorized callables.  Affine costs take the environment
 (t, varpi, b, c) directly; general convex costs take (t, x, varpi, c) and must
 come with their x-derivative.  Costs of an agent without reads_factor (every
-standard agent) receive c = None for the informed factor; validate probes them.
+standard agent) receive c = None for the informed factor; validate probes them,
+and a solve in which one reads it raises ModelError.
 """
 
 from __future__ import annotations

@@ -7,8 +7,10 @@ read: the common noise and the initial states when the batch is made, the
 informed factor (read by agents with reads_factor only) and the idiosyncratic
 paths (never read by affine populations) the first time something reads them.
 A stream drawn late is the same stream, bit for bit, so results depend only on
-(seed, tag, sample), not on thread count or call order.  Coarser dyadic levels
-are derived views of the same Brownian paths (coupled coarsening).
+(seed, tag, sample), not on thread count or call order.  The late paths belong
+to the batch's b (see ScenarioBatch), and its count and fine grid follow from
+b and the grid.  Coarser dyadic levels are derived views of the same Brownian
+paths (coupled coarsening).
 """
 
 from __future__ import annotations
@@ -66,36 +68,23 @@ class InitialLaw:
         raise ValueError(f"unknown initial law {self.kind!r}")
 
 
-class _IdiosyncraticPaths:
-    """The idiosyncratic Brownian paths w_I, w_S of a batch: each is drawn
-    from its own (seed, tag) stream the first time it is read, then kept,
-    read-only.  Batches made from one another by dataclasses.replace share
-    it, so a replace neither forces a draw nor drops one already made."""
+class _LatePaths:
+    """The paths of a batch drawn when first read (c, w_I, w_S), held for the
+    common noise `b` they belong to: each is an array, or the function that
+    draws it when first read (then kept, read-only)."""
 
-    def __init__(self, seed: int, count: int, times: np.ndarray, drawn: dict):
-        self.seed, self.count, self.times, self.drawn = int(seed), count, times, drawn
+    def __init__(self, b: np.ndarray, paths: dict):
+        self.b, self.paths = b, paths
 
-    def get(self, tag: str) -> np.ndarray:
-        path = self.drawn.get(tag)
-        if path is None:
-            path = _brownian(_stream_rng(self.seed, tag), self.count, self.times)
+    def get(self, name: str) -> np.ndarray:
+        path = self.paths[name]
+        if callable(path):
+            path = self.paths[name] = path()
             path.setflags(write=False)
-            self.drawn[tag] = path
         return path
 
 
-class _FactorPath:
-    """The informed factor path of the batch whose common noise is `b`: an
-    array, or the function that draws it when first read (then kept, read-only)."""
-
-    def __init__(self, b: np.ndarray, path):
-        self.b, self.path = b, path
-
-    def get(self) -> np.ndarray:
-        if callable(self.path):
-            self.path = self.path()
-            self.path.setflags(write=False)
-        return self.path
+_LATE = ("c", "w_I", "w_S")
 
 
 @dataclass(frozen=True, init=False)
@@ -104,51 +93,43 @@ class ScenarioBatch:
 
     b, c, w_I, w_S have shape (count, n_fine); xi_* have shape (count,);
     node_path holds the projected values of b at the interior dyadic times.
-    w_I and w_S given to the constructor are used as they are; one not given
-    is drawn from the (seed, tag) stream when first read (idio_paths holds
-    it, and dataclasses.replace hands it on: a replace that changes count or
-    fine_grid gives both paths).  c is given as an array or as a function
-    drawing it (factor_path); a replace that changes b must give c.
+    count (b's rows) and fine_grid (spec.fine_times()) follow from b and spec.
+    c, w_I and w_S are the late paths: each is given as an array or as the
+    function that draws it when first read, and late_paths holds them for b.
+    A dataclasses.replace that keeps b shares late_paths, so it neither forces
+    a draw nor drops one already made (a late path it gives replaces that one
+    in a copy); a batch with a new b must give all three.
     """
 
     spec: GridSpec
-    count: int
-    fine_grid: np.ndarray
     b: np.ndarray
     xi_I: np.ndarray
     xi_S: np.ndarray
     node_path: np.ndarray
     seed: int
-    idio_paths: _IdiosyncraticPaths
-    factor_path: _FactorPath
+    late_paths: _LatePaths
 
-    def __init__(self, *, spec: GridSpec, count: int, fine_grid: np.ndarray, b: np.ndarray,
-                 xi_I: np.ndarray, xi_S: np.ndarray, node_path: np.ndarray, seed: int,
-                 c=None, w_I: Optional[np.ndarray] = None, w_S: Optional[np.ndarray] = None,
-                 idio_paths=None, factor_path=None):
-        given = {tag: w for tag, w in (("w_I", w_I), ("w_S", w_S)) if w is not None}
-        if idio_paths is None or given:
-            idio_paths = _IdiosyncraticPaths(seed, count, fine_grid, given)
-        if c is not None:
-            factor_path = _FactorPath(b, c)
-        elif factor_path is None or factor_path.b is not b:
-            raise ValueError("a batch with new common noise b needs its own factor path c")
-        values = dict(spec=spec, count=count, fine_grid=fine_grid, b=b, xi_I=xi_I, xi_S=xi_S,
-                      node_path=node_path, seed=seed, idio_paths=idio_paths, factor_path=factor_path)
+    def __init__(self, *, spec: GridSpec, b: np.ndarray, xi_I: np.ndarray, xi_S: np.ndarray,
+                 node_path: np.ndarray, seed: int, c=None, w_I=None, w_S=None, late_paths=None):
+        given = {name: path for name, path in zip(_LATE, (c, w_I, w_S)) if path is not None}
+        if late_paths is None or late_paths.b is not b:
+            missing = [name for name in _LATE if name not in given]
+            if missing:
+                raise ValueError(f"a batch with new common noise b must give its late paths; "
+                                 f"missing: {', '.join(missing)}")
+            late_paths = _LatePaths(b, given)
+        elif given:
+            late_paths = _LatePaths(b, {**late_paths.paths, **given})
+        values = dict(spec=spec, b=b, xi_I=xi_I, xi_S=xi_S, node_path=node_path, seed=seed,
+                      late_paths=late_paths)
         for name, value in values.items():
             object.__setattr__(self, name, value)
 
-    @property
-    def c(self) -> np.ndarray:
-        return self.factor_path.get()
-
-    @property
-    def w_I(self) -> np.ndarray:
-        return self.idio_paths.get("w_I")
-
-    @property
-    def w_S(self) -> np.ndarray:
-        return self.idio_paths.get("w_S")
+    count = property(lambda self: self.b.shape[0])
+    fine_grid = property(lambda self: self.spec.fine_times())
+    c = property(lambda self: self.late_paths.get("c"))
+    w_I = property(lambda self: self.late_paths.get("w_I"))
+    w_S = property(lambda self: self.late_paths.get("w_S"))
 
     def idiosyncratic(self, population: str) -> tuple[np.ndarray, np.ndarray]:
         if population == "I":
@@ -199,26 +180,29 @@ def sample_batch(spec: GridSpec, model_seed: int, count: int,
     xi_S = law_S.sample(_stream_rng(model_seed, "xi_S"), count)
 
     node = project_path(b[:, spec.node_fine_indices()], spec.l)
-    for arr in (b, xi_I, xi_S, node, times):
+    for arr in (b, xi_I, xi_S, node):
         arr.setflags(write=False)
-    return ScenarioBatch(spec=spec, count=count, fine_grid=times, b=b, xi_I=xi_I, xi_S=xi_S,
-                         node_path=node, seed=int(model_seed), c=lambda: informed_factor_path(
-                             factor, b, _brownian(_stream_rng(model_seed, "c_perp"), count, times)))
+
+    def brownian(tag):
+        return lambda: _brownian(_stream_rng(model_seed, tag), count, times)
+
+    return ScenarioBatch(spec=spec, b=b, xi_I=xi_I, xi_S=xi_S, node_path=node,
+                         seed=int(model_seed), w_I=brownian("w_I"), w_S=brownian("w_S"),
+                         c=lambda: informed_factor_path(factor, b, brownian("c_perp")()))
 
 
 def idiosyncratic_copies(spec: GridSpec, seed: int, n_scenarios: int, n_agents: int,
-                         population: str, law: InitialLaw = InitialLaw()) -> tuple[np.ndarray, np.ndarray]:
-    """Fresh i.i.d. (xi, W) streams for a finite market of n_agents per scenario.
+                         population: str) -> tuple[np.ndarray, np.ndarray]:
+    """Fresh i.i.d. (xi, W) streams for a finite market of n_agents per scenario,
+    every initial state at 0 (the point-mass law).
 
     Returns xi with shape (n_scenarios*n_agents,) and w with shape
     (n_scenarios*n_agents, n_fine); rows are grouped scenario-major.
     """
-    times = spec.fine_times()
     tag = "w_I" if population == "I" else "w_S"
     rows = n_scenarios * n_agents
-    w = _brownian(_stream_rng(seed, tag, extra=(9,)), rows, times)
-    xi = law.sample(_stream_rng(seed, "xi_I" if population == "I" else "xi_S", extra=(9,)), rows)
-    return xi, w
+    w = _brownian(_stream_rng(seed, tag, extra=(9,)), rows, spec.fine_times())
+    return np.zeros(rows), w
 
 
 def discretize_at_level(batch: ScenarioBatch, n_prime: int, l_prime: Optional[int] = None) -> tuple[GridSpec, np.ndarray]:
@@ -279,8 +263,8 @@ def load_batch(path) -> ScenarioBatch:
         w_I = read((count, nf), "w_I"); w_S = read((count, nf), "w_S")
         xi_I = read((count,), "xi_I"); xi_S = read((count,), "xi_S")
         node = read((count, spec.n_nodes), "node_path")
-    return ScenarioBatch(spec=spec, count=count, fine_grid=spec.fine_times(), b=b, c=c,
-                         w_I=w_I, w_S=w_S, xi_I=xi_I, xi_S=xi_S, node_path=node, seed=seed)
+    return ScenarioBatch(spec=spec, b=b, c=c, w_I=w_I, w_S=w_S, xi_I=xi_I, xi_S=xi_S,
+                         node_path=node, seed=seed)
 
 
 def summary_csv(path, batch: ScenarioBatch) -> None:

@@ -242,6 +242,15 @@ class TestMainEntry:
         assert "min_bucket" in capsys.readouterr().err
         assert conditioner_builds == []
 
+    def test_undeclared_factor_read_exits_3(self, tmp_path, capsys):
+        # the informed terminal cost reads the factor, which reads_factor (false) withholds
+        cfg = FULL_MODEL.format(out=tmp_path / "f").replace(
+            "terminal_cost = constant\nterminal_cost.value = 0.5\nvol_common",
+            "terminal_cost = clipped-factor\nvol_common", 1)
+        assert main(["solve", "--config", str(write(tmp_path, cfg))]) == 3
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: population I: terminal_cost failed on the factor c = None")
+
     def test_clearing_sizes_checked_before_solve(self, tmp_path, capsys, conditioner_builds):
         # four sizes spanning less than two octaves: refused before any solve
         cfg = ("[run]\nmodel = clearing\ncommand = clearing\n"

@@ -333,15 +333,15 @@ class TestLazyReads:
                             lambda *args: controls.append(1) or real(*args))
         report = solve_fixed_point(batch, model)
         assert report.converged
-        assert batch.idio_paths.drawn == {} and controls == []
-        assert callable(batch.factor_path.path)
+        assert all(map(callable, batch.late_paths.paths.values())) and controls == []
 
     def test_convex_solve_draws_both_paths(self, path_draws):
         model = preset("general-convex")
         batch = sample_batch(model.grid, 9, 600, model.factor)
         path_draws.clear()
         solve_fixed_point(batch, model.with_solver(tol=1e-2))
-        assert sorted(batch.idio_paths.drawn) == ["w_I", "w_S"]
+        assert sorted(k for k, p in batch.late_paths.paths.items() if not callable(p)) == [
+            "w_I", "w_S"]
         assert path_draws == [600, 600]
 
     def test_convex_refinement_draws_each_path_once(self, path_draws):
@@ -350,7 +350,8 @@ class TestLazyReads:
         batch = sample_batch(model.grid, 10, 600, model.factor)
         path_draws.clear()
         refinement_study(model.with_solver(tol=1e-2, max_iter=4), [1, 2], batch)
-        assert sorted(batch.idio_paths.drawn) == ["w_I", "w_S"]
+        assert sorted(k for k, p in batch.late_paths.paths.items() if not callable(p)) == [
+            "w_I", "w_S"]
         assert path_draws == [600, 600]
 
 

@@ -3,6 +3,7 @@ import pytest
 from dataclasses import replace
 
 from mfpricelab.conditioning import TreeConditioner
+from mfpricelab.errors import ModelError
 from mfpricelab.fbsde import (_aitken_factor, _euler_noise, _slab, _smooth_response, _times,
                               backward_integral,
                               cost_functional, decoupling_gamma, decoupling_probe,
@@ -185,6 +186,13 @@ class TestSolveAffine:
         solve_affine(batch, constant_price(SPEC, buckets, -0.2), agent, buckets, BOUNDS)
         assert calls == []
 
+    def test_undeclared_factor_read_is_a_model_error(self, batch, buckets):
+        # an agent without reads_factor is given c = None: a cost reading it names itself
+        agent = affine_agent(term=lambda w, b, c: np.clip(c, -1, 1))
+        with pytest.raises(ModelError, match="population S: terminal_cost") as info:
+            solve_affine(batch, zero_price(SPEC, buckets), agent, buckets, BOUNDS)
+        assert isinstance(info.value.__cause__, TypeError)
+
     def test_start_index_does_not_change_adjoint(self, batch, buckets):
         # solve_agent hands start_index to the convex solve only: an affine
         # adjoint does not depend on the state or its start time
@@ -350,6 +358,17 @@ class TestSolveConvex:
                            preset("general-convex").standard, buckets, BOUNDS)
         assert sol.picard_iters > 1 and len(calls) == 1
 
+    def test_row_subset_batch_solves(self):
+        # a replace that takes rows gives every late path, so the solve sees one count
+        batch, keep = sample_batch(SPEC, 81, 1000), slice(0, 400)
+        sub = replace(batch, b=batch.b[keep], c=batch.c[keep], node_path=batch.node_path[keep],
+                      xi_I=batch.xi_I[keep], xi_S=batch.xi_S[keep], w_I=batch.w_I[keep],
+                      w_S=batch.w_S[keep])
+        cond = TreeConditioner(SPEC, sub.node_path, FULL_PREFIX, min_count=30)
+        sol = solve_convex(sub, zero_price(SPEC, cond), preset("general-convex").standard,
+                           cond, BOUNDS)
+        assert sol.Y.shape == (400, SPEC.n_intervals, SPEC.m + 1)
+
     def test_boundedness(self, batch, buckets):
         model = preset("general-convex")
         price = zero_price(SPEC, buckets)
@@ -469,7 +488,7 @@ class TestDecouplingProbe:
         jt = int(0.5 / SPEC.dt_fine)
         assert {(j, tuple(x)) for j, x in starts} == {(jt, (-0.5,)), (jt, (0.25,))}
         assert draws == [600]  # the standard agent reads w_S only, drawn once
-        assert list(b.idio_paths.drawn) == ["w_S"]
+        assert [k for k, p in b.late_paths.paths.items() if not callable(p)] == ["w_S"]
 
     def test_equal_starts_rejected(self, batch, buckets):
         agent = affine_agent()

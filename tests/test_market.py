@@ -62,7 +62,7 @@ def test_population_batch_repeats_the_factor_rows():
     common = sample_batch(model.grid, 23, 6, model.factor)
     xi, w = idiosyncratic_copies(model.grid, 24, 6, 3, "I")
     batch = _population_batch(common, xi, w)
-    assert callable(common.factor_path.path)
+    assert callable(common.late_paths.paths["c"])
     reps = np.repeat(np.arange(6), 3)
     assert batch.c.tobytes() == common.c[reps].tobytes()
     assert batch.b.tobytes() == common.b[reps].tobytes()

@@ -101,7 +101,7 @@ class TestSampleBatch:
 class TestLazyIdiosyncratic:
     def test_drawn_on_first_read(self):
         batch = sample_batch(SPEC, 71, 40)
-        assert batch.idio_paths.drawn == {}
+        assert all(map(callable, batch.late_paths.paths.values()))
         for tag in ("w_I", "w_S"):
             w = getattr(batch, tag)
             expect = _brownian(_stream_rng(71, tag), 40, SPEC.fine_times())
@@ -114,7 +114,7 @@ class TestLazyIdiosyncratic:
         batch = sample_batch(SPEC, 72, 20)
         sub_spec, node = discretize_at_level(batch, 1)
         sub = replace(batch, spec=sub_spec, node_path=node)
-        assert batch.idio_paths.drawn == {}
+        assert all(map(callable, batch.late_paths.paths.values()))
         assert sub.w_I is batch.w_I
         w_S = batch.w_S
         assert replace(batch, node_path=node).w_S is w_S
@@ -154,12 +154,36 @@ class TestLazyFactor:
         batch = sample_batch(SPEC, 76, 20)
         sub_spec, node = discretize_at_level(batch, 1)
         sub = replace(batch, spec=sub_spec, node_path=node)
-        assert callable(batch.factor_path.path)
+        assert callable(batch.late_paths.paths["c"])
         assert sub.c is batch.c
-        with pytest.raises(ValueError, match="factor path"):
+        with pytest.raises(ValueError, match="missing: c, w_I, w_S"):
             replace(batch, b=np.zeros_like(batch.b))
-        given = replace(batch, b=np.zeros_like(batch.b), c=np.ones_like(batch.b))
+        given = replace(batch, b=np.zeros_like(batch.b), c=np.ones_like(batch.b),
+                        w_I=batch.w_I, w_S=batch.w_S)
         assert np.all(given.c == 1.0)
+
+
+class TestDerivedFields:
+    def test_new_b_must_give_every_late_path(self):
+        batch = sample_batch(SPEC, 77, 20)
+        with pytest.raises(ValueError, match="missing: w_I, w_S$"):
+            replace(batch, b=np.zeros_like(batch.b), c=np.zeros_like(batch.b))
+
+    def test_row_subset(self):
+        batch = sample_batch(SPEC, 78, 100)
+        rows = {name: getattr(batch, name)[:40] for name in ("b", "c", "node_path", "xi_I", "xi_S")}
+        with pytest.raises(ValueError, match="missing: w_I, w_S$"):
+            replace(batch, **rows)
+        sub = replace(batch, **rows, w_I=batch.w_I[:40], w_S=batch.w_S[:40])
+        assert sub.count == 40
+        assert sub.w_I.shape == sub.w_S.shape == sub.c.shape == (40, SPEC.n_fine)
+
+    def test_level_sub_batch_keeps_the_fine_grid(self):
+        batch = sample_batch(SPEC, 79, 10)
+        sub_spec, node = discretize_at_level(batch, 1)
+        sub = replace(batch, spec=sub_spec, node_path=node)
+        assert sub.fine_grid.tobytes() == batch.fine_grid.tobytes()
+        assert sub.count == batch.count
 
 
 class TestLevelCoupling:
@@ -171,9 +195,8 @@ class TestLevelCoupling:
 
     def test_zero_path_all_levels(self):
         batch = sample_batch(SPEC, 52, 4)
-        frozen = ScenarioBatch(spec=batch.spec, count=batch.count, fine_grid=batch.fine_grid,
-                               b=np.zeros_like(batch.b), c=batch.c, w_I=batch.w_I,
-                               w_S=batch.w_S, xi_I=batch.xi_I, xi_S=batch.xi_S,
+        frozen = ScenarioBatch(spec=batch.spec, b=np.zeros_like(batch.b), c=batch.c,
+                               w_I=batch.w_I, w_S=batch.w_S, xi_I=batch.xi_I, xi_S=batch.xi_S,
                                node_path=np.zeros_like(batch.node_path), seed=batch.seed)
         for n_prime in (1, 2):
             _, node = discretize_at_level(frozen, n_prime)
