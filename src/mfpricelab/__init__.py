@@ -16,9 +16,8 @@ from .market import (ClearingReport, clearing_bound, clearing_residual,
 from .models import (AFFINE, GENERAL_CONVEX, AgentSpec, MarketModel,
                      ModelBounds, preset, validate)
 from .price import DiscretePrice, materialize, price_to_csv, zero_price
-from .sampling import (InformedFactorSpec, InitialLaw, ScenarioBatch,
-                       discretize_at_level, load_batch, sample_batch,
-                       save_batch, summary_csv)
+from .sampling import (InformedFactorSpec, ScenarioBatch, discretize_at_level,
+                       sample_batch)
 from .tree import (FULL_PREFIX, MARKOV, GridSpec, Lattice, TransitionKernel,
                    TreeKey, kernel_row, project_path, project_scalar,
                    transition_matrix)

@@ -98,7 +98,7 @@ def _coefficient_from(entries: dict, slot_key: str, slot: str, default_name: str
     return make_coefficient(entries.get(slot_key, default_name), params, slot)
 
 
-def _agent_from(section: str, entries: dict, population: str, grid_T: float) -> AgentSpec:
+def _agent_from(section: str, entries: dict, population: str) -> AgentSpec:
     _check_keys(section, entries, _AGENT_KEYS,
                 dotted_roots={"drift", "vol_common", "vol_idio", "running_cost", "terminal_cost"})
     cost_mode = entries.get("cost_mode", AFFINE)
@@ -217,8 +217,8 @@ def parse_config(path, command: str = None) -> RunSpec:
         try:
             model = MarketModel(
                 name=Path(path).stem,
-                informed=_agent_from("informed", sections["informed"], "I", grid.T),
-                standard=_agent_from("standard", sections["standard"], "S", grid.T),
+                informed=_agent_from("informed", sections["informed"], "I"),
+                standard=_agent_from("standard", sections["standard"], "S"),
                 grid=grid, factor=factor, bounds=bounds)
         except ValueError as exc:
             raise ConfigError(str(exc))

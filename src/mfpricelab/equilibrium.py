@@ -450,10 +450,10 @@ class RefinementTable:
         return [r.median_dm for r in self.rows]
 
 
-def default_level_resolution(n: int, cap: int = 4) -> int:
-    """Lattice resolution coupled to the time depth (l = 2n, capped for desk
-    scale so buckets stay populated)."""
-    return min(2 * n, cap)
+def default_level_resolution(n: int) -> int:
+    """Lattice resolution coupled to the time depth (l = 2n, capped at 4 for
+    desk scale so buckets stay populated)."""
+    return min(2 * n, 4)
 
 
 def check_levels(levels, n: int) -> list:
@@ -482,10 +482,9 @@ def refinement_study(model: MarketModel, levels: list, batch: ScenarioBatch,
     trajectories = {}
     reports = {}
     for n in levels:
-        sub_spec, node = discretize_at_level(batch, n, level_resolution(n))
-        sub_batch = replace(batch, spec=sub_spec, node_path=node)
+        sub_batch = discretize_at_level(batch, n, level_resolution(n))
         buckets = model.solver.conditioner(sub_batch, mode)
-        report = solve_fixed_point(sub_batch, model.with_grid(sub_spec), buckets=buckets)
+        report = solve_fixed_point(sub_batch, model.with_grid(sub_batch.spec), buckets=buckets)
         reports[n] = report
         trajectories[n] = fine_path(materialize(report.price, buckets).path)
     rows = []

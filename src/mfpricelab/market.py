@@ -65,10 +65,11 @@ def _population_batch(common, xi, w):
     """Flattened finite-market batch: common rows repeated per agent, and the
     fresh idiosyncratics (xi, w) in both populations' slots, since only the
     solved population's slot is read.  Its b is new, so it gives all three
-    late paths: w twice, and the factor's rows, taken when first read."""
+    late paths (w twice, and the factor's rows, taken when first read), and
+    its node path projects the repeated rows."""
     reps = np.repeat(np.arange(common.count), xi.shape[0] // common.count)
     return replace(common, b=common.b[reps], c=lambda: common.c[reps],
-                   node_path=common.node_path[reps], w_I=w, xi_I=xi, w_S=w, xi_S=xi)
+                   w_I=w, xi_I=xi, w_S=w, xi_S=xi)
 
 
 def _agent_controls(price: DiscretePrice, model: MarketModel, common, population: str,

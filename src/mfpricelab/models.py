@@ -5,6 +5,13 @@ Coefficients are vectorized callables.  Affine costs take the environment
 come with their x-derivative.  Costs of an agent without reads_factor (every
 standard agent) receive c = None for the informed factor; validate probes them,
 and a solve in which one reads it raises ModelError.
+
+Each population's adjoint is a conditional expectation given the tree key
+(the projected common-noise path up to the interval) and, within the key:
+- an affine standard agent: nothing more (the key only);
+- an affine informed agent: (B_t[, C_t]), C when it reads the factor; the
+  informed inference check conditions it on the key only;
+- a convex agent: (X_t, B_t[, C_t]).
 """
 
 from __future__ import annotations
@@ -271,14 +278,13 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def validate(agent: AgentSpec, bounds: ModelBounds, probe_budget: int = 2000,
-             box: float = None, seed: int = 7) -> ValidationReport:
-    """Numerically probe the standing coefficient assumptions on a random box."""
+def validate(agent: AgentSpec, bounds: ModelBounds, probe_budget: int = 2000) -> ValidationReport:
+    """Numerically probe the standing coefficient assumptions on a random box
+    of half-width max(2*C_B, 10), at a fixed seed."""
     if probe_budget < 1:
         raise ValueError("probe budget must be >= 1")
-    if box is None:
-        box = max(2.0 * bounds.C_B, 10.0)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 11))))
+    box = max(2.0 * bounds.C_B, 10.0)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((7, 11))))
     t = rng.random(probe_budget) * bounds.T
     x = box * (2 * rng.random(probe_budget) - 1)
     varpi = box * (2 * rng.random(probe_budget) - 1)

@@ -317,6 +317,7 @@ class TestMainEntry:
         ("zero", "grid", "L = x"),
         ("zero", "grid", "L = -1"),
         (None, "factor", "rho = 3"),
+        (None, "factor", "rho = nan"),
         (None, "factor", "kind = bogus"),
         ("single-informed", "factor", "rho = 0.9"),
     ])

@@ -361,9 +361,8 @@ class TestSolveConvex:
     def test_row_subset_batch_solves(self):
         # a replace that takes rows gives every late path, so the solve sees one count
         batch, keep = sample_batch(SPEC, 81, 1000), slice(0, 400)
-        sub = replace(batch, b=batch.b[keep], c=batch.c[keep], node_path=batch.node_path[keep],
-                      xi_I=batch.xi_I[keep], xi_S=batch.xi_S[keep], w_I=batch.w_I[keep],
-                      w_S=batch.w_S[keep])
+        sub = replace(batch, b=batch.b[keep], c=batch.c[keep], xi_I=batch.xi_I[keep],
+                      xi_S=batch.xi_S[keep], w_I=batch.w_I[keep], w_S=batch.w_S[keep])
         cond = TreeConditioner(SPEC, sub.node_path, FULL_PREFIX, min_count=30)
         sol = solve_convex(sub, zero_price(SPEC, cond), preset("general-convex").standard,
                            cond, BOUNDS)

@@ -85,7 +85,7 @@ class TestValidation:
                           cost_mode=GENERAL_CONVEX,
                           running_cost=f, running_cost_dx=df,
                           terminal_cost=g, terminal_cost_dx=dg)
-        report = validate(agent, ModelBounds(L=1.0, T=1.0), probe_budget=2000, box=10.0)
+        report = validate(agent, ModelBounds(L=1.0, T=1.0), probe_budget=2000)
         bad = next(c for c in report.checks if "d_x running" in c.name)
         assert not bad.passed and bad.worst > 0
         assert abs(bad.location[1]) > 0.5  # flagged point has |x| > L/2

@@ -9,8 +9,6 @@ reads the tables along each sample's key into a cadlag slab (count,
 n_intervals, m+1); fine_path turns a slab into its fine-grid path.
 """
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -35,10 +33,9 @@ def nodes(codes, repeat=1):
 
 def stored_price(mode):
     """A price with a distinct row per key: one price-map step on a batch
-    whose tree is STORED, five samples per path."""
+    keyed by the tree STORED, five samples per path."""
     batch = sample_batch(SPEC, 1, 5 * len(STORED), MODEL.factor)
-    batch = replace(batch, node_path=nodes(STORED, 5))
-    cond = TreeConditioner(SPEC, batch.node_path, mode, min_count=1)
+    cond = TreeConditioner(SPEC, nodes(STORED, 5), mode, min_count=1)
     return apply_phi(zero_price(SPEC, cond), batch, MODEL, buckets=cond)
 
 

@@ -3,11 +3,13 @@ import pytest
 from dataclasses import replace
 
 from mfpricelab import sampling
-from mfpricelab.sampling import (InformedFactorSpec, InitialLaw, ScenarioBatch, _brownian,
-                                 _stream_rng, discretize_at_level, informed_factor_path,
-                                 load_batch, sample_batch, save_batch, summary_csv)
-from mfpricelab.errors import PriceLabError
-from mfpricelab.tree import GridSpec, project_path
+from mfpricelab.conditioning import TreeConditioner
+from mfpricelab.equilibrium import solve_fixed_point
+from mfpricelab.models import preset
+from mfpricelab.price import materialize
+from mfpricelab.sampling import (InformedFactorSpec, ScenarioBatch, _brownian, _stream_rng,
+                                 discretize_at_level, informed_factor_path, sample_batch)
+from mfpricelab.tree import FULL_PREFIX, GridSpec, project_path
 
 SPEC = GridSpec(n=2, l=1, m=4, T=1.0)
 
@@ -71,12 +73,21 @@ class TestSampleBatch:
                 r = np.corrcoef(cols[i], cols[j])[0, 1]
                 assert abs(r) <= 5 / np.sqrt(batch.count)
 
-    def test_initial_law_fourth_moment(self):
-        laws = {"I": InitialLaw("gaussian", 0.0, 1.0), "S": InitialLaw("uniform", 0.0, 2.0)}
-        batch = sample_batch(SPEC, 37, 20000, init_laws=laws)
-        assert np.isfinite(np.mean(batch.xi_I ** 4))
-        assert np.isfinite(np.mean(batch.xi_S ** 4))
-        assert abs(np.mean(batch.xi_I ** 4) - 3.0) < 0.3  # gaussian kurtosis sanity
+    def test_draws_only_the_common_noise(self, monkeypatch):
+        # the initial states draw no stream; the late paths wait for a read
+        tags = []
+        real = sampling._stream_rng
+        monkeypatch.setattr(sampling, "_stream_rng",
+                            lambda seed, tag, *a: tags.append(tag) or real(seed, tag, *a))
+        batch = sample_batch(SPEC, 37, 20)
+        assert tags == ["b"]
+        for xi in (batch.xi_I, batch.xi_S):
+            assert xi.shape == (20,) and not xi.flags.writeable
+            assert np.all(xi == 0.0) and not np.any(np.signbit(xi))
+
+    def test_stream_tags_pinned(self):
+        # a tag that moved would change every stream drawn after it
+        assert sampling._STREAMS == {"b": 1, "c_perp": 2, "w_I": 3, "w_S": 4, "xi_I": 5, "xi_S": 6}
 
     def test_section6_form(self):
         rho = 0.5
@@ -112,12 +123,11 @@ class TestLazyIdiosyncratic:
 
     def test_replace_neither_forces_nor_drops_a_draw(self):
         batch = sample_batch(SPEC, 72, 20)
-        sub_spec, node = discretize_at_level(batch, 1)
-        sub = replace(batch, spec=sub_spec, node_path=node)
+        sub = discretize_at_level(batch, 1)
         assert all(map(callable, batch.late_paths.paths.values()))
         assert sub.w_I is batch.w_I
         w_S = batch.w_S
-        assert replace(batch, node_path=node).w_S is w_S
+        assert replace(batch).w_S is w_S
 
     def test_explicit_paths_kept(self):
         batch = sample_batch(SPEC, 73, 20)
@@ -126,12 +136,12 @@ class TestLazyIdiosyncratic:
         assert given.w_I is zeros
         assert given.w_S.tobytes() == batch.w_S.tobytes()
 
-    def test_save_bytes_do_not_depend_on_reads(self, tmp_path):
-        fresh, read = sample_batch(SPEC, 74, 30), sample_batch(SPEC, 74, 30)
-        read.idiosyncratic("I"), read.idiosyncratic("S"), read.c
-        save_batch(tmp_path / "fresh.bin", fresh)
-        save_batch(tmp_path / "read.bin", read)
-        assert (tmp_path / "fresh.bin").read_bytes() == (tmp_path / "read.bin").read_bytes()
+    def test_bytes_do_not_depend_on_read_order(self):
+        late = ("c", "w_I", "w_S")
+        forward, backward = sample_batch(SPEC, 74, 30), sample_batch(SPEC, 74, 30)
+        got = {name: getattr(forward, name).tobytes() for name in late}
+        got_back = {name: getattr(backward, name).tobytes() for name in reversed(late)}
+        assert got == got_back
 
 
 class TestLazyFactor:
@@ -152,8 +162,7 @@ class TestLazyFactor:
 
     def test_replace_keeps_or_demands_the_factor(self):
         batch = sample_batch(SPEC, 76, 20)
-        sub_spec, node = discretize_at_level(batch, 1)
-        sub = replace(batch, spec=sub_spec, node_path=node)
+        sub = discretize_at_level(batch, 1)
         assert callable(batch.late_paths.paths["c"])
         assert sub.c is batch.c
         with pytest.raises(ValueError, match="missing: c, w_I, w_S"):
@@ -171,36 +180,67 @@ class TestDerivedFields:
 
     def test_row_subset(self):
         batch = sample_batch(SPEC, 78, 100)
-        rows = {name: getattr(batch, name)[:40] for name in ("b", "c", "node_path", "xi_I", "xi_S")}
+        rows = {name: getattr(batch, name)[:40] for name in ("b", "c", "xi_I", "xi_S")}
         with pytest.raises(ValueError, match="missing: w_I, w_S$"):
             replace(batch, **rows)
         sub = replace(batch, **rows, w_I=batch.w_I[:40], w_S=batch.w_S[:40])
         assert sub.count == 40
         assert sub.w_I.shape == sub.w_S.shape == sub.c.shape == (40, SPEC.n_fine)
+        assert sub.node_path.tobytes() == batch.node_path[:40].tobytes()
+        assert solve_fixed_point(sub, preset("terminal-common-noise").with_grid(SPEC)).converged
 
     def test_level_sub_batch_keeps_the_fine_grid(self):
         batch = sample_batch(SPEC, 79, 10)
-        sub_spec, node = discretize_at_level(batch, 1)
-        sub = replace(batch, spec=sub_spec, node_path=node)
+        sub = discretize_at_level(batch, 1)
         assert sub.fine_grid.tobytes() == batch.fine_grid.tobytes()
         assert sub.count == batch.count
+
+    def test_node_path_is_read_only_and_made_once(self, monkeypatch):
+        calls = []
+        real = sampling.project_path
+        monkeypatch.setattr(sampling, "project_path", lambda *a: calls.append(1) or real(*a))
+        batch = sample_batch(SPEC, 80, 10)
+        assert calls == []
+        node = batch.node_path
+        assert batch.node_path is node and calls == [1]
+        assert not node.flags.writeable
+        with pytest.raises(AttributeError):
+            batch.node_path = np.zeros_like(node)
+
+    def test_new_b_gets_its_own_tree(self):
+        # terminal-common-noise on b and c sign-flipped: the price tracks
+        # -V_1 of the flipped paths at interval 1 (criterion 3's bound)
+        model = preset("terminal-common-noise")
+        spec = model.grid
+        batch = sample_batch(spec, 3, 4000, model.factor)
+        batch.node_path  # made before the replace, so a tree carried over would show
+        flip = replace(batch, b=-batch.b, c=-batch.c, w_I=batch.w_I, w_S=batch.w_S)
+        v = project_path(-batch.b[:, spec.node_fine_indices()], spec.l)
+        assert flip.node_path.tobytes() == v.tobytes()
+        buckets = TreeConditioner(spec, v, FULL_PREFIX, min_count=model.solver.min_bucket)
+        rep = solve_fixed_point(flip, model)
+        assert rep.converged
+        keys = buckets.inverse(1)
+        judged = buckets.counts(1)[keys] >= model.solver.min_bucket
+        price = materialize(rep.price, buckets).path[:, 1, 0]
+        bound = 2.0 ** -spec.l + 3.0 * rep.phi_stats.se[1][keys, 0]
+        assert judged.sum() > 0.9 * batch.count
+        assert np.all(np.abs(price + v[:, 0])[judged] <= bound[judged])
 
 
 class TestLevelCoupling:
     def test_full_depth_identity(self):
         batch = sample_batch(SPEC, 51, 100)
-        sub_spec, node = discretize_at_level(batch, SPEC.n)
-        assert sub_spec == SPEC
-        assert np.array_equal(node, batch.node_path)
+        sub = discretize_at_level(batch, SPEC.n)
+        assert sub.spec == SPEC
+        assert np.array_equal(sub.node_path, batch.node_path)
 
     def test_zero_path_all_levels(self):
         batch = sample_batch(SPEC, 52, 4)
         frozen = ScenarioBatch(spec=batch.spec, b=np.zeros_like(batch.b), c=batch.c,
-                               w_I=batch.w_I, w_S=batch.w_S, xi_I=batch.xi_I, xi_S=batch.xi_S,
-                               node_path=np.zeros_like(batch.node_path), seed=batch.seed)
+                               w_I=batch.w_I, w_S=batch.w_S, xi_I=batch.xi_I, xi_S=batch.xi_S)
         for n_prime in (1, 2):
-            _, node = discretize_at_level(frozen, n_prime)
-            assert np.all(node == 0.0)
+            assert np.all(discretize_at_level(frozen, n_prime).node_path == 0.0)
 
     def test_incompatible_level(self):
         batch = sample_batch(SPEC, 53, 4)
@@ -211,38 +251,11 @@ class TestLevelCoupling:
         big = GridSpec(n=3, l=3, m=2, T=1.0)
         batch = sample_batch(big, 54, 5000)
         for n_prime in (1, 2, 3):
-            sub_spec, node = discretize_at_level(batch, n_prime)
+            sub = discretize_at_level(batch, n_prime)
+            sub_spec, node = sub.spec, sub.node_path
             b_at = batch.b[:, sub_spec.node_fine_indices()]
             inside = np.all(np.abs(b_at) <= 2 ** big.l - 1, axis=1)
             err = np.abs(b_at[inside] - node[inside])
             bound = np.arange(1, sub_spec.n_nodes + 1) * 2.0 ** (-big.l)
             assert np.all(err <= bound[None, :] + 1e-12)
 
-
-class TestPersistence:
-    def test_roundtrip(self, tmp_path):
-        batch = sample_batch(SPEC, 61, 37)
-        path = tmp_path / "batch.bin"
-        save_batch(path, batch)
-        back = load_batch(path)
-        assert back.spec == batch.spec and back.count == batch.count and back.seed == batch.seed
-        for name in ("b", "c", "w_I", "w_S", "xi_I", "xi_S", "node_path"):
-            assert np.array_equal(getattr(back, name), getattr(batch, name))
-
-    def test_short_file_raises(self, tmp_path):
-        path = tmp_path / "batch.bin"
-        save_batch(path, sample_batch(SPEC, 63, 37))
-        data = path.read_bytes()
-        for name, size, what in [("half.bin", len(data) // 2, "array"), ("tiny.bin", 10, "header")]:
-            short = tmp_path / name
-            short.write_bytes(data[:size])
-            with pytest.raises(PriceLabError, match=f"{name}.*{what}"):
-                load_batch(short)
-
-    def test_summary_csv(self, tmp_path):
-        batch = sample_batch(SPEC, 62, 100)
-        path = tmp_path / "summary.csv"
-        summary_csv(path, batch)
-        lines = path.read_text().splitlines()
-        assert lines[0].startswith("t,b_mean,b_var")
-        assert len(lines) == SPEC.n_fine + 1
