@@ -7,18 +7,24 @@ dotted keys (`running_cost = constant`, `running_cost.value = 0.25`).
 The [run] section may instead name a preset via `model = <name>`; its solver
 settings are folded into the model's SolverDefaults.  Command line flags
 override config values.  Every run writes its artifacts plus a
-manifest echoing the exact configuration and seed; the exit status reflects
-the command's declared checks only.
+manifest echoing the exact configuration and seed, with the package,
+Python and numpy versions, the wall time and the process's peak resident
+memory; the exit status reflects the command's declared checks only.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import platform
 import sys
+import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+import numpy as np
+
+from . import __version__
 from .errors import ConfigError, PriceLabError
 from .models import (AFFINE, GENERAL_CONVEX, AgentSpec, MarketModel, ModelBounds,
                      PRESET_NAMES, make_coefficient, preset, validate)
@@ -240,8 +246,25 @@ def _echo_config(spec: RunSpec) -> dict:
     }
 
 
+def _peak_rss_mb() -> float:
+    """Peak resident memory of this process in MB (2^20 bytes): VmHWM from
+    /proc/self/status, else ru_maxrss, which on Linux keeps the peak of the
+    process this one was started from."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as fh:
+            for line in fh:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024.0
+    except OSError:
+        pass
+    import resource
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KB; bytes on macOS
+    return peak / (1024.0 ** 2 if sys.platform == "darwin" else 1024.0)
+
+
 def run(spec: RunSpec) -> tuple[int, dict]:
     """Execute the command; returns (exit status, manifest)."""
+    t0 = time.perf_counter()
     out_dir = Path(spec.run["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     checks = []
@@ -349,9 +372,14 @@ def run(spec: RunSpec) -> tuple[int, dict]:
         "checks": checks,
         "artifacts": sorted(artifacts),
         "config": _echo_config(spec),
+        "versions": {"mfpricelab": __version__, "python": platform.python_version(),
+                     "numpy": np.__version__},
+        "wall_s": time.perf_counter() - t0,
+        "peak_rss_mb": _peak_rss_mb(),
     }
+    # strict JSON: a non-finite value is an error here, not an Infinity in the file
     (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8")
     return status, manifest
 
 

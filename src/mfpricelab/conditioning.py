@@ -16,7 +16,8 @@ on a total-degree-2 polynomial basis of a continuous state (e.g. (X_t, B_t,
 C_t)); with no state the basis is empty and the fit is the bucket mean
 (degree 0).  It clips its fit to the caller's envelope, at key level on the
 pooled-mean table when there is no state and else on the predictions in
-bucket order, and writes it straight into the caller's slab.  Undersized
+bucket order, and writes it straight into the caller's slab; with no state
+and no slab it returns the key table.  Undersized
 buckets (below min_count) take a kernel-weighted average of the bucket means
 at the same interval, weighted by bucket count and the Gaussian one-step
 transition density in the current lattice state.  A weight depends on a key
@@ -178,7 +179,8 @@ class TreeConditioner:
         return BucketStats(counts=counts, mean=mean, se=se, fallback=self.pooled(interval))
 
     def regress_slab(self, interval: int, state: np.ndarray, values: np.ndarray, *,
-                     bound: np.ndarray | float, out: np.ndarray) -> None:
+                     bound: np.ndarray | float,
+                     out: np.ndarray | None = None) -> np.ndarray | None:
         """Within-bucket least squares, one fit per (bucket, value column).
 
         `state` has shape (count, k, d): the regression state per column.
@@ -187,7 +189,8 @@ class TreeConditioner:
         interval of the caller's slab; clipping is elementwise, so it is done
         where it is cheapest.  With d = 0 no bucket is fitted: the
         (n_keys, k) pooled-mean table is clipped, then gathered per sample
-        through the bucket ids.  Otherwise
+        through the bucket ids, or, when `out` is omitted, returned as it
+        is (a fit on a state needs `out`).  Otherwise
         `[values | basis]` is written once, in bucket order, into one
         (count, k, 1+p) block, so every bucket is a contiguous slice and one
         reduceat gives all bucket means.  Each fitted bucket (count >=
@@ -212,8 +215,12 @@ class TreeConditioner:
             mean_y = np.add.reduceat(values[order], starts, axis=0) / counts[:, None]
             self._pool_means(interval, mean_y)
             np.clip(mean_y, -bound, bound, out=mean_y)
+            if out is None:
+                return mean_y
             out[:] = mean_y.take(self._inverse[interval], axis=0)
             return
+        if out is None:
+            raise ValueError("a fit on a state is written into out")
         # basis: x_i, then x_i*x_j for i <= j (the constant is the centring)
         block = np.empty(values.shape + (1 + p,))
         rank = np.empty_like(order)

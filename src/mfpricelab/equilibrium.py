@@ -104,9 +104,12 @@ def _weights(model: MarketModel) -> tuple[float, float, float]:
     return wi, ws, 1.0 / (wi + ws)
 
 
-def _combined_response(model: MarketModel, sol_I: FbsdeSolution, sol_S: FbsdeSolution) -> np.ndarray:
+def _combined_response(model: MarketModel, sols: dict, m: int, i: int) -> np.ndarray:
+    """Interval i's weighted response of both populations, (count, m+1):
+    the fine-grid columns i*m..(i+1)*m, both ends included."""
     wi, ws, inv = _weights(model)
-    return (wi * sol_I.response + ws * sol_S.response) * inv
+    cols = slice(i * m, (i + 1) * m + 1)
+    return (wi * sols["I"].response[:, cols] + ws * sols["S"].response[:, cols]) * inv
 
 
 def apply_phi(theta: DiscretePrice, batch: ScenarioBatch, model: MarketModel,
@@ -137,12 +140,11 @@ def apply_phi(theta: DiscretePrice, batch: ScenarioBatch, model: MarketModel,
         else:
             sols[p] = solve_agent(batch, theta, agent, buckets, model.bounds,
                                   informed_state=informed_state, tol=cold_tol, env=env)
-    combo = interval_view(_combined_response(model, sols["I"], sols["S"]), spec.m)
     C_B = model.bounds.C_B
     tables, se_list, fb_list = [], [], []
     clip_excess = 0.0
     for i in range(spec.n_intervals):
-        stats = buckets.bucket_stats(i, combo[:, i])
+        stats = buckets.bucket_stats(i, _combined_response(model, sols, spec.m, i))
         raw = -stats.mean
         clip_excess = max(clip_excess, float(np.max(np.abs(raw))) - C_B)
         tables.append(np.clip(raw, -C_B, C_B))
@@ -244,11 +246,11 @@ def solve_fixed_point(batch: ScenarioBatch, model: MarketModel,
         updates = _agent_slabs(f, n_price, convex, slab)
         for p in convex:
             np.subtract(sols[p].Y, Ys[p], out=updates[p])
-        deltas = [_sup_fine(updates[p]) for p in convex]
+        deltas = [_sup_fine(np.moveaxis(updates[p], 1, 0)) for p in convex]
         resid = price_metric(phi, theta)
         trace.append(resid)
         sup_p.append(theta.sup_norm())
-        sup_y.append({p: _sup_fine(s.Y) for p, s in sols.items()})
+        sup_y.append({p: _sup_Y(s) for p, s in sols.items()})
         if resid > 10.0 * C_B:
             raise DivergenceError(f"fixed-point iteration diverged (residual {resid:.3e})", trace)
         if resid + max(deltas, default=0.0) <= sd.tol:
@@ -321,25 +323,57 @@ def mz_distance(x: np.ndarray, y: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return 0.5 * ((integrand[..., :-1] + integrand[..., 1:]) * dt).sum(axis=-1)
 
 
-def _sup_fine(slab: np.ndarray) -> float:
-    """Sup of a cadlag slab over its fine-grid points (left limits only at T),
-    read in place: every interval's sub-times 0..m-1, then the left limit at T.
-    The abs turns the -0.0 of an all-zero slab into 0.0."""
-    inner, last = slab[:, :, :-1], slab[:, -1, -1]
-    return abs(float(np.max([inner.max(), -inner.min(), last.max(), -last.min()])))
+def _sup_fine(pieces) -> float:
+    """Sup of a cadlag field over its fine-grid points (left limits only at
+    T), given per interval as (rows, m+1) pieces: a slab's [:, i] (pass
+    np.moveaxis(slab, 1, 0)) or key tables, which hold the same values as
+    the slab gathered from them, since every key holds a sample.  Reads
+    every piece's sub-times 0..m-1, then the last piece's left limit at T,
+    in place.  The abs turns the -0.0 of an all-zero field into 0.0."""
+    last = pieces[-1][:, -1]
+    ext = [last.max(), -last.min()]
+    for piece in pieces:
+        inner = piece[:, :-1]
+        ext += [inner.max(), -inner.min()]
+    return abs(float(np.max(ext)))
 
 
-def _conditional_variation(path: np.ndarray, buckets: TreeConditioner) -> tuple[float, float]:
+def _sup_Y(sol: FbsdeSolution) -> float:
+    """_sup_fine of sol.Y, read off the key tables when it is held as tables."""
+    fit = sol.fit()
+    return _sup_fine(fit.tables if isinstance(fit, DiscretePrice) else np.moveaxis(fit, 1, 0))
+
+
+def _node_values(source, buckets: TreeConditioner) -> np.ndarray:
+    """The (count, n_intervals+1) node values of a cadlag field: sub-time 0
+    of each interval, then the left limit at T.  `source` is a slab, or a
+    DiscretePrice (a price, or key-table adjoint), read along each sample's
+    key at those points only."""
+    n = buckets.spec.n_intervals
+    out = np.empty((buckets.count, n + 1))
+    if isinstance(source, DiscretePrice):
+        for i in range(n):
+            mat, _ = interval_matrix(source, buckets, i)
+            out[:, i] = mat[buckets.inverse(i), 0]
+        out[:, n] = mat[buckets.inverse(n - 1), -1]
+    else:
+        out[:, :n] = source[:, :, 0]
+        out[:, n] = source[:, -1, -1]
+    return out
+
+
+def _conditional_variation(nodes: np.ndarray, buckets: TreeConditioner) -> tuple[float, float]:
     """Tree estimate of the conditional variation over the dyadic partition:
     sum_j E |E[ A_{t_{j+1}} - A_{t_j} | key_j ]| with bucket means, plus the
-    quadrature-combined standard error of the estimate; A is a fine-grid path."""
+    quadrature-combined standard error of the estimate.  `nodes` holds A at
+    the nodes, (count, n_intervals+1): a continuous path's [:, ::m], or
+    _node_values of a cadlag field (its left limit at T last)."""
     spec = buckets.spec
-    m = spec.m
     total = 0.0
     var = 0.0
     count = buckets.count
     for j in range(spec.n_intervals):
-        diff = path[:, (j + 1) * m] - path[:, j * m]
+        diff = nodes[:, j + 1] - nodes[:, j]
         stats = buckets.bucket_stats(j, diff)
         frac = stats.counts / count
         total += float(np.sum(frac * np.abs(stats.mean[:, 0])))
@@ -351,29 +385,32 @@ def _conditional_variation(path: np.ndarray, buckets: TreeConditioner) -> tuple[
 def diagnostics(price: DiscretePrice, solutions: dict, batch: ScenarioBatch,
                 buckets: TreeConditioner, model: MarketModel) -> DiagnosticsRecord:
     """Boundedness, time-Lipschitz and conditional-variation diagnostics of
-    `price` and its evaluation's solutions, which hold materialize(price).path."""
+    `price` and its evaluation's solutions, which hold materialize(price).path.
+    It builds no fine-grid copy: the combined response is read one interval
+    at a time, the price and the adjoints at their nodes only, and the sup
+    of a key-table adjoint off its tables."""
     spec = price.spec
     L = model.bounds.L
     dt_sub = spec.interval_length / spec.m
     lip_max = 0.0
     lip_excess = -np.inf
-    combo = interval_view(_combined_response(model, solutions["I"], solutions["S"]), spec.m)
     for i in range(spec.n_intervals):
         mat, _ = interval_matrix(price, buckets, i)
         slopes = np.abs(np.diff(mat, axis=1)) / dt_sub
         lip_max = max(lip_max, float(slopes.max()))
-        inc_stats = buckets.bucket_stats(i, np.diff(combo[:, i], axis=1))
+        combo = _combined_response(model, solutions, spec.m, i)
+        inc_stats = buckets.bucket_stats(i, np.diff(combo, axis=1))
         se = np.where(np.isfinite(inc_stats.se), inc_stats.se, 0.0)
         excess = slopes - 2.0 * L - 10.0 * se / dt_sub
         lip_excess = max(lip_excess, float(excess.max()))
 
-    cv_p, cv_p_se = _conditional_variation(fine_path(solutions["I"].price_path), buckets)
-    cv_i, cv_i_se = _conditional_variation(fine_path(solutions["I"].Y), buckets)
-    cv_s, cv_s_se = _conditional_variation(fine_path(solutions["S"].Y), buckets)
+    cv_p, cv_p_se = _conditional_variation(_node_values(price, buckets), buckets)
+    cv_i, cv_i_se = _conditional_variation(_node_values(solutions["I"].fit(), buckets), buckets)
+    cv_s, cv_s_se = _conditional_variation(_node_values(solutions["S"].fit(), buckets), buckets)
     return DiagnosticsRecord(
         sup_price=price.sup_norm(),
-        sup_Y_I=_sup_fine(solutions["I"].Y),
-        sup_Y_S=_sup_fine(solutions["S"].Y),
+        sup_Y_I=_sup_Y(solutions["I"]),
+        sup_Y_S=_sup_Y(solutions["S"]),
         time_lipschitz_max=lip_max,
         time_lipschitz_bound_excess=lip_excess,
         cond_variation_price=cv_p, cond_variation_price_se=cv_p_se,

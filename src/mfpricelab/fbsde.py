@@ -18,7 +18,8 @@ of the batch whose initial states are all x.
 Each conditional expectation is TreeConditioner.regress_slab on a state built
 once per solve: (X_t, B_t[, C_t]) for convex costs, (B_t[, C_t]) for the
 affine informed agent, none (bucket means) for the affine standard agent; an
-affine Y is fitted only when something reads it.
+affine Y is fitted only when something reads it, and one fitted on no state
+is kept as its key tables, not as a per-sample slab.
 
 Y and alpha are cadlag slabs (count, n_intervals, m+1), sub-time m the left
 limit at the interval's end, as the materialized price is (see price.py); X,
@@ -58,25 +59,39 @@ class FbsdeSolution:
     """Per-sample adjoint and control of one population.
 
     `Y`, `alpha` are cadlag slabs (count, n_intervals, m+1) like the
-    materialized price `price_path`.  `Y` is `adjoint` (a convex pass) or,
-    from an affine solve, made by `adjoint` when first read, as `alpha` =
-    optimal_control(Y, price_path, lam) is: a price-map evaluation reads
-    neither.  `response` is the raw per-sample conditional-expectation target
-    (the bracket) on the fine grid, smoothed into `Y`, read by the price map
-    and standard errors.  `picard_iters` is the number of Picard passes
-    behind `Y`: 0 for an affine solve, 1 for a single pass (_picard_map).  No
-    state path is kept: per_sample_cost re-integrates it from any control.
+    materialized price `price_path`.  `adjoint` is what `Y` is read from: a
+    convex pass's slab, or, from an affine solve, a function that fits the
+    adjoint when first read (fit() keeps the fit in its place), as `alpha` =
+    optimal_control(Y, price_path, lam) is made when first read: a price-map
+    evaluation reads neither.  An affine adjoint conditioned on the tree key
+    alone (the standard agent; the informed one under informed_state=False)
+    is fitted as its clipped key tables, a DiscretePrice on `conditioner`'s
+    keys: `Y` gathers them along each sample's key on every read and keeps
+    no slab, and the solve's sup and node reads take the tables.  `response`
+    is the raw per-sample conditional-expectation target (the bracket) on
+    the fine grid, smoothed into `Y`, read by the price map and standard
+    errors.  `picard_iters` is the number of Picard passes behind `Y`: 0 for
+    an affine solve, 1 for a single pass (_picard_map).  No state path is
+    kept: per_sample_cost re-integrates it from any control.
     """
 
-    adjoint: Union[np.ndarray, Callable[[], np.ndarray]]
+    adjoint: Union[np.ndarray, DiscretePrice, Callable[[], Union[np.ndarray, DiscretePrice]]]
     response: np.ndarray
     price_path: np.ndarray
     lam: float
     picard_iters: int
+    conditioner: Optional[TreeConditioner] = None  # the keys of key-table adjoints
 
-    @cached_property
+    def fit(self) -> Union[np.ndarray, DiscretePrice]:
+        """The adjoint as fitted: a slab, or key tables; fitted on the first call."""
+        if callable(self.adjoint):
+            self.adjoint = self.adjoint()
+        return self.adjoint
+
+    @property
     def Y(self) -> np.ndarray:
-        return self.adjoint() if callable(self.adjoint) else self.adjoint
+        fit = self.fit()
+        return materialize(fit, self.conditioner).path if isinstance(fit, DiscretePrice) else fit
 
     @cached_property
     def alpha(self) -> np.ndarray:
@@ -106,13 +121,17 @@ def backward_integral(slab: np.ndarray, spec) -> np.ndarray:
     """I[:, j] = trapezoid of a cadlag slab over [t_j, T] on the fine grid,
     interval by interval, each closed by its left limit.
 
-    The suffix sums run in a time-major (n_intervals, m, count) buffer, one
-    contiguous in-place add per sub-time and per interval, in the order of a
-    reversed cumulative sum."""
+    `slab` is read only, so it may be a broadcast view of a coefficient's
+    value.  The suffix sums run in a time-major (n_intervals, m, count)
+    buffer, one contiguous in-place add per sub-time and per interval, in the
+    order of a reversed cumulative sum.  Adding 0.0 to the pairwise sums
+    turns -0.0 into 0.0, as adding it to each value would: (a+0)+(b+0) is
+    (a+b)+0 bit for bit."""
     count = slab.shape[0]
     m, n_int = spec.m, spec.n_intervals
     pair = np.empty((n_int, m, count))
     np.add(slab[:, :, :-1].transpose(1, 2, 0), slab[:, :, 1:].transpose(1, 2, 0), out=pair)
+    pair += 0.0
     pair *= 0.5
     pair *= spec.dt_fine
     for s in range(m - 2, -1, -1):
@@ -196,13 +215,13 @@ def _cost(agent: AgentSpec, name: str, *args):
 
 
 def _affine_response(batch: ScenarioBatch, env: PriceEnv, agent: AgentSpec):
-    """Per-sample bracket g(env_T) + int_t^T c(s, env_s) ds on the fine grid."""
+    """Per-sample bracket g(env_T) + int_t^T c(s, env_s) ds on the fine grid;
+    the running cost's value is integrated as it is, broadcast, not copied."""
     m = batch.spec.m
     P = env.path
     c, c_T = _factor(batch, agent)
-    run = _slab(_cost(agent, "running_cost", _times(batch), P, interval_view(batch.b, m), c),
-                P.shape)
-    integral = backward_integral(run, batch.spec)
+    run = _cost(agent, "running_cost", _times(batch), P, interval_view(batch.b, m), c)
+    integral = backward_integral(np.broadcast_to(run, P.shape), batch.spec)
     terminal = _cost(agent, "terminal_cost", P[:, -1, m], batch.b[:, -1], c_T)
     integral += terminal[:, None]
     return integral
@@ -239,12 +258,28 @@ def _smooth_response(response: np.ndarray, batch: ScenarioBatch, conditioner: Tr
     return Y
 
 
+def _key_tables(response: np.ndarray, batch: ScenarioBatch, conditioner: TreeConditioner,
+                env_bound: np.ndarray) -> DiscretePrice:
+    """The conditional expectation of the response given the tree key alone,
+    as key tables on the conditioner's keys: regress_slab's degree-0 fit,
+    pooled and clipped to the envelope `env_bound`, per interval.  Read along
+    each sample's key it is _smooth_response on no state, bit for bit."""
+    m = batch.spec.m
+    response = interval_view(response, m)
+    no_state = np.empty((batch.count, m + 1, 0))
+    return DiscretePrice.from_tables(conditioner, [
+        conditioner.regress_slab(i, no_state, response[:, i], bound=env_bound[i])
+        for i in range(batch.spec.n_intervals)])
+
+
 def solve_affine(batch: ScenarioBatch, price: DiscretePrice, agent: AgentSpec,
                  buckets: TreeConditioner, bounds: ModelBounds,
                  informed_state: bool = True, env: Optional[PriceEnv] = None) -> FbsdeSolution:
     """Direct conditional-expectation solve for affine costs.  The adjoint
     does not depend on the state, its initial value or its start time, so no
-    Euler pass runs; it is smoothed from the response when first read."""
+    Euler pass runs; it is smoothed from the response when first read: as
+    key tables when it is conditioned on the tree key alone (the standard
+    agent, or `informed_state` False), else as a slab fitted on (B[, C])."""
     if agent.cost_mode != AFFINE:
         raise ValueError(f"solve_affine requires affine costs, got {agent.cost_mode}")
     if env is None:
@@ -252,16 +287,14 @@ def solve_affine(batch: ScenarioBatch, price: DiscretePrice, agent: AgentSpec,
     response = _affine_response(batch, env, agent)
 
     def adjoint():
+        env_bound = bounds.envelope(_times(batch))[0]
         if agent.population != "I" or not informed_state:
-            state = np.empty((batch.count, batch.spec.n_fine, 0))
-        elif agent.reads_factor:
-            state = np.stack([batch.b, batch.c], axis=2)
-        else:
-            state = batch.b[:, :, None]
-        return _smooth_response(response, batch, buckets, bounds.envelope(_times(batch))[0], state)
+            return _key_tables(response, batch, buckets, env_bound)
+        state = np.stack([batch.b, batch.c], axis=2) if agent.reads_factor else batch.b[:, :, None]
+        return _smooth_response(response, batch, buckets, env_bound, state)
 
     return FbsdeSolution(adjoint=adjoint, response=response, price_path=env.path, lam=agent.lam,
-                         picard_iters=0)
+                         picard_iters=0, conditioner=buckets)
 
 
 def _aitken_factor(w: float, f_prev: np.ndarray, f: np.ndarray) -> float:

@@ -16,6 +16,7 @@ Each population's adjoint is a conditional expectation given the tree key
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
@@ -42,8 +43,8 @@ class ModelBounds:
     T: float
 
     def __post_init__(self):
-        if not self.L > 0:
-            raise ValueError(f"coefficient bound L must be > 0, got {self.L}")
+        if not (math.isfinite(self.L) and self.L > 0):
+            raise ValueError(f"coefficient bound L must be finite and > 0, got {self.L}")
 
     @property
     def C_B(self) -> float:
@@ -74,8 +75,8 @@ class AgentSpec:
     def __post_init__(self):
         if self.population not in (INFORMED, STANDARD):
             raise ValueError(f"population must be I or S, got {self.population!r}")
-        if not self.lam > 0:
-            raise ValueError("control penalty must be positive")
+        if not (math.isfinite(self.lam) and self.lam > 0):
+            raise ValueError(f"control penalty must be finite and positive, got {self.lam}")
         if not 0.0 < self.weight < 1.0:
             raise ValueError("population weight must lie in (0,1)")
         if self.cost_mode not in (AFFINE, GENERAL_CONVEX):
@@ -108,8 +109,8 @@ class SolverDefaults:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
-        if not self.tol > 0:
-            raise ValueError("tol must be > 0")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be finite and > 0, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if self.mode not in (None, FULL_PREFIX, MARKOV):

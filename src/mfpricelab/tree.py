@@ -32,7 +32,7 @@ class GridSpec:
     T: float
 
     def __post_init__(self):
-        if self.n < 1 or self.l < 0 or self.m < 1 or not self.T > 0:
+        if self.n < 1 or self.l < 0 or self.m < 1 or not (math.isfinite(self.T) and self.T > 0):
             raise ValueError(f"invalid GridSpec (n={self.n}, l={self.l}, m={self.m}, T={self.T})")
 
     @property

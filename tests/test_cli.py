@@ -145,6 +145,23 @@ class TestRun:
         assert all(c["passed"] for c in data["checks"])
         assert data["config"]["run"]["seed"] == 123
 
+    def test_manifest_versions_time_and_memory(self, tmp_path):
+        # the manifest records what produced the run and what it cost, as strict JSON
+        out = tmp_path / "out"
+        status, manifest = run(parse_config(write(tmp_path, MINIMAL.format(out=out))))
+        assert status == 0
+
+        def strict(name):
+            raise ValueError(f"non-finite {name} in manifest.json")
+
+        data = json.loads((out / "manifest.json").read_text(encoding="utf-8"),
+                          parse_constant=strict)
+        assert data == manifest
+        assert set(data["versions"]) == {"mfpricelab", "python", "numpy"}
+        assert all(isinstance(v, str) and v for v in data["versions"].values())
+        assert isinstance(data["wall_s"], float) and data["wall_s"] >= 0.0
+        assert isinstance(data["peak_rss_mb"], float) and data["peak_rss_mb"] > 0.0
+
     def test_repeat_run_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         for out in (out1, out2):
@@ -316,14 +333,19 @@ class TestMainEntry:
         ("zero", "grid", "n = 0"),
         ("zero", "grid", "L = x"),
         ("zero", "grid", "L = -1"),
+        ("zero", "grid", "T = inf"),
+        ("terminal-common-noise", "grid", "L = inf"),
+        ("zero", "grid", "L = nan"),
+        (None, "informed", "lambda = inf"),
         (None, "factor", "rho = 3"),
         (None, "factor", "rho = nan"),
         (None, "factor", "kind = bogus"),
         ("single-informed", "factor", "rho = 0.9"),
     ])
     def test_grid_and_factor_values(self, tmp_path, capsys, model, section, text):
-        # a bad [grid] or [factor] value exits 2 naming its section; a good
-        # [factor] value is applied to a preset and echoed in the manifest
+        # a bad [grid], [factor] or agent value, a non-finite one included,
+        # exits 2 naming its section; a good [factor] value is applied to a
+        # preset and echoed in the manifest
         out = tmp_path / "gf"
         if model:
             cfg = f"[run]\nmodel = {model}\nout_dir = {out}\n"

@@ -1,15 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from dataclasses import fields, is_dataclass, replace
 
 from mfpricelab import fbsde, sampling
 from mfpricelab.conditioning import TreeConditioner
-from mfpricelab.equilibrium import (apply_phi, consistency_residual, diagnostics,
+from mfpricelab.equilibrium import (_conditional_variation, _node_values, _sup_fine, _sup_Y,
+                                    apply_phi, consistency_residual, diagnostics,
                                     mz_distance, refinement_study, solve_fixed_point)
 from mfpricelab.errors import DivergenceError
+from mfpricelab.fbsde import solve_affine
 from mfpricelab.models import preset
-from mfpricelab.price import (constant_price, fine_path, key_rows, materialize, price_metric,
-                              price_to_csv, zero_price)
+from mfpricelab.price import (DiscretePrice, constant_price, fine_path, key_rows, materialize,
+                              price_metric, price_to_csv, zero_price)
 from mfpricelab.sampling import sample_batch
 from mfpricelab.tree import FULL_PREFIX, GridSpec
 
@@ -372,6 +376,79 @@ def test_consistency_check_regresses_no_affine_adjoint(monkeypatch):
     assert [d for d in dims if d > 0] == []
 
 
+def _sup_fine_slab(slab):
+    """Reference sup of a slab over its fine-grid points, read on the whole slab at once."""
+    inner, last = slab[:, :, :-1], slab[:, -1, -1]
+    return abs(float(np.max([inner.max(), -inner.min(), last.max(), -last.min()])))
+
+
+def _conditional_variation_fine(path, buckets):
+    """Reference conditional variation, read off a whole fine-grid path at the node columns."""
+    m = buckets.spec.m
+    total = var = 0.0
+    for j in range(buckets.spec.n_intervals):
+        stats = buckets.bucket_stats(j, path[:, (j + 1) * m] - path[:, j * m])
+        frac = stats.counts / buckets.count
+        total += float(np.sum(frac * np.abs(stats.mean[:, 0])))
+        se = np.where(np.isfinite(stats.se[:, 0]), stats.se[:, 0], 0.0)
+        var += float(np.sum((frac * se) ** 2))
+    return total, float(np.sqrt(var))
+
+
+class TestWorkingSet:
+    @pytest.fixture(scope="class")
+    def key_solution(self):
+        model = preset("single-informed")
+        batch = sample_batch(model.grid, 21, 3000, model.factor)
+        buckets = TreeConditioner(model.grid, batch.node_path, FULL_PREFIX, min_count=30)
+        sol = solve_affine(batch, constant_price(model.grid, buckets, -0.3), model.standard,
+                           buckets, model.bounds)
+        return batch, buckets, sol
+
+    def test_table_sup_is_the_slab_sup(self, key_solution):
+        _, buckets, sol = key_solution
+        assert isinstance(sol.fit(), DiscretePrice)
+        sup = _sup_Y(sol)
+        assert sup == _sup_fine_slab(sol.Y) == _sup_fine(np.moveaxis(sol.Y, 1, 0)) > 0.0
+        # -0.0 tables read 0.0, as the all -0.0 slab gathered from them does
+        tables = [np.full_like(t, -0.0) for t in sol.fit().tables]
+        zero = replace(sol, adjoint=DiscretePrice.from_tables(buckets, tables))
+        assert not np.signbit(_sup_Y(zero)) and np.signbit(zero.Y).all()
+        assert _sup_Y(zero) == _sup_fine_slab(zero.Y) == 0.0
+
+    def test_conditional_variation_on_nodes(self, key_solution):
+        # node values give the fine-path estimate bit for bit: a slab, key
+        # tables read at the nodes, and a continuous path's [:, ::m]
+        batch, buckets, sol = key_solution
+        m = batch.spec.m
+        want = _conditional_variation_fine(fine_path(sol.Y), buckets)
+        assert _conditional_variation(_node_values(sol.Y, buckets), buckets) == want
+        assert _conditional_variation(_node_values(sol.fit(), buckets), buckets) == want
+        want_b = _conditional_variation_fine(batch.b, buckets)
+        assert _conditional_variation(batch.b[:, ::m], buckets) == want_b
+        nodes = _node_values(sol.price_path, buckets)
+        assert nodes.shape == (batch.count, batch.spec.n_intervals + 1)
+        assert np.array_equal(nodes, fine_path(sol.price_path)[:, ::m])
+
+    def test_key_adjoint_solve_working_set(self):
+        # one single-informed solve with both adjoints on the tree key alone
+        # keeps no per-sample adjoint and builds no full-batch combined
+        # response: its traced peak stays under 6.75 arrays of (count, n_fine)
+        # floats (5.8 measured; keeping both adjoints' slabs read 8.1)
+        model = preset("single-informed")
+        batch = sample_batch(model.grid, 3, 2000, model.factor)
+        batch.node_path
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            report = solve_fixed_point(batch, model, informed_state=False)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert report.converged
+        assert peak < 6.75 * batch.count * batch.spec.n_fine * 8
+
+
 class TestContinuityProbe:
     def test_shrinking_perturbations(self):
         # d(Phi(theta_k), Phi(theta)) decreases as theta_k -> theta
@@ -486,9 +563,9 @@ class TestDiagnosticsExamples:
         batch = sample_batch(model.grid, 10, 50000, model.factor)
         buckets = TreeConditioner(model.grid, batch.node_path, FULL_PREFIX, min_count=30)
         from mfpricelab.equilibrium import _conditional_variation
-        v, se = _conditional_variation(batch.b, buckets)
-        # mean of |N(0,s)| is s*sqrt(2/pi); allow 5 sigma over the folded mean
         spec = model.grid
+        v, se = _conditional_variation(batch.b[:, ::spec.m], buckets)
+        # mean of |N(0,s)| is s*sqrt(2/pi); allow 5 sigma over the folded mean
         null = 0.0
         for j in range(spec.n_intervals):
             counts = buckets.counts(j)

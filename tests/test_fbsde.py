@@ -4,14 +4,15 @@ from dataclasses import replace
 
 from mfpricelab.conditioning import TreeConditioner
 from mfpricelab.errors import ModelError
-from mfpricelab.fbsde import (_aitken_factor, _euler_noise, _slab, _smooth_response, _times,
-                              backward_integral,
+from mfpricelab.fbsde import (_aitken_factor, _euler_noise, _key_tables, _slab, _smooth_response,
+                              _times, backward_integral,
                               cost_functional, decoupling_gamma, decoupling_probe,
                               optimal_control, per_sample_cost, solve_affine, solve_agent,
                               solve_convex)
 from mfpricelab.models import (AFFINE, GENERAL_CONVEX, AgentSpec, ModelBounds,
                                coeff_constant, coeff_zero, preset)
-from mfpricelab.price import constant_price, fine_path, interval_view, materialize, zero_price
+from mfpricelab.price import (DiscretePrice, constant_price, fine_path, interval_view, materialize,
+                              zero_price)
 from mfpricelab.sampling import sample_batch
 from mfpricelab.tree import FULL_PREFIX, GridSpec
 
@@ -228,6 +229,49 @@ class TestSolveAffine:
         expect = _smooth_response(sol.response, batch, buckets,
                                   BOUNDS.envelope(_times(batch))[0], batch.b[:, :, None])
         assert sol.Y.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("pop, informed_state", [("S", True), ("I", False)])
+    def test_key_adjoint_is_held_as_tables(self, batch, buckets, pop, informed_state):
+        # an adjoint on the tree key alone is fitted as key tables; read along
+        # each sample's key it is the smoothed response on no state, byte for
+        # byte, and every read gathers it anew (no slab is kept)
+        agent = affine_agent(run=coeff_constant({"value": 0.3}, "running_cost_affine"),
+                             term=lambda w, b, c: np.clip(b, -1, 1), pop=pop)
+        sol = solve_affine(batch, constant_price(SPEC, buckets, -0.2), agent, buckets, BOUNDS,
+                           informed_state=informed_state)
+        assert isinstance(sol.fit(), DiscretePrice)
+        expect = _smooth_response(sol.response, batch, buckets, BOUNDS.envelope(_times(batch))[0],
+                                  np.empty((batch.count, SPEC.n_fine, 0)))
+        Y = sol.Y
+        assert Y.tobytes() == expect.tobytes()
+        again = sol.Y
+        assert again is not Y and again.tobytes() == Y.tobytes()
+
+    def test_negative_zero_costs_integrate_as_copied(self, batch, buckets):
+        # the running cost's value is integrated broadcast, not copied into a
+        # slab; the response is the copied slab's integral byte for byte, and
+        # -0.0 costs leave no -0.0 in the response or the adjoint
+        agent = affine_agent(run=lambda t, w, b, c: -0.0,
+                             term=lambda w, b, c: np.full_like(b, -0.0))
+        env = materialize(zero_price(SPEC, buckets), buckets)
+        sol = solve_affine(batch, zero_price(SPEC, buckets), agent, buckets, BOUNDS, env=env)
+        expect = backward_integral(_slab(-0.0, env.path.shape), SPEC)
+        expect += np.full(batch.count, -0.0)[:, None]
+        assert sol.response.tobytes() == expect.tobytes()
+        assert not np.signbit(sol.response).any() and not np.signbit(sol.Y).any()
+
+    def test_key_tables_keep_negative_zero_like_the_slab(self, batch, buckets):
+        # a response that is -0.0 over the first two intervals: the tables
+        # read along each sample's key equal the no-state smoothed slab byte
+        # for byte, -0.0 means included
+        response = batch.b.copy()
+        response[:, :2 * SPEC.m + 1] = -0.0
+        env_bound = BOUNDS.envelope(_times(batch))[0]
+        tables = _key_tables(response, batch, buckets, env_bound)
+        slab = _smooth_response(response, batch, buckets, env_bound,
+                                np.empty((batch.count, SPEC.n_fine, 0)))
+        assert (np.signbit(slab) & (slab == 0.0)).any()
+        assert materialize(tables, buckets).path.tobytes() == slab.tobytes()
 
     def test_control_identity(self, batch, buckets):
         agent = affine_agent(term=lambda w, b, c: np.clip(b, -1, 1))
