@@ -4,8 +4,9 @@ Config files are flat UTF-8 INI-style sections ([grid], [informed],
 [standard], [factor], [run]) with `key = value` lines.  Coefficients are
 selected from the registered catalog by name, with parameters given as
 dotted keys (`running_cost = constant`, `running_cost.value = 0.25`).
-The [run] section may instead name a preset via `model = <name>`; its solver
-settings are folded into the model's SolverDefaults.  Command line flags
+The [run] section may instead name a preset via `model = <name>`, which
+fixes both agents, so [informed] and [standard] are then refused; its
+solver settings are folded into the model's SolverDefaults.  Command line flags
 override config values.  Every run writes its artifacts plus a
 manifest echoing the exact configuration and seed, with the package,
 Python and numpy versions, the wall time and the process's peak resident
@@ -196,7 +197,9 @@ def _run_settings(run_raw: dict, model: MarketModel) -> dict:
 
 
 def parse_config(path, command: str = None) -> RunSpec:
-    """Fully resolved RunSpec with defaults applied; unknown keys rejected."""
+    """Fully resolved RunSpec with defaults applied.  Unknown sections and
+    keys are rejected, and so are [informed] and [standard] beside a preset
+    (`model =`), which fixes both agents."""
     sections = _parse_sections(path)
     known = {"grid", "informed", "standard", "factor", "run"}
     for name in sections:
@@ -211,6 +214,10 @@ def parse_config(path, command: str = None) -> RunSpec:
 
     preset_name = run_raw.get("model")
     if preset_name:
+        for name in ("informed", "standard"):
+            if name in sections:
+                raise ConfigError(f"section [{name}] cannot be given with [run] model = "
+                                  f"{preset_name}: the preset fixes both agents")
         model = _preset(preset_name)
         grid, bounds = _grid_from(grid_raw, model.grid, model.bounds.L)
         model = replace(model, grid=grid, bounds=bounds,

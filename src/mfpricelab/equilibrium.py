@@ -28,8 +28,8 @@ from .conditioning import TreeConditioner
 from .errors import DivergenceError
 from .fbsde import _PICARD_TOL, FbsdeSolution, _picard_map, solve_agent
 from .models import AFFINE, MarketModel
-from .price import (DiscretePrice, fine_path, interval_matrix, interval_view, key_rows,
-                    materialize, price_metric, zero_price)
+from .price import (DiscretePrice, _sup_fine, fine_path, interval_matrix, interval_view,
+                    key_rows, materialize, price_metric, zero_price)
 from .sampling import ScenarioBatch, discretize_at_level, sample_batch
 from .tree import MARKOV
 
@@ -128,6 +128,22 @@ def apply_phi(theta: DiscretePrice, batch: ScenarioBatch, model: MarketModel,
     takes one Picard pass from it, and its solution is that pass's.  Affine
     agents are always solved directly.
     """
+    out, stats, sols = _phi(theta, batch, model, buckets, informed_state, iterates=iterates,
+                            cold_tol=cold_tol, held=None)
+    if return_internals:
+        return out, stats, sols
+    return out
+
+
+def _phi(theta: DiscretePrice, batch: ScenarioBatch, model: MarketModel,
+         buckets: Optional[TreeConditioner], informed_state: bool, iterates: Optional[dict],
+         cold_tol: float, held: Optional[dict]):
+    """apply_phi's (price, stats, solutions).  A solve passes one `held`
+    dict to all of its evaluations: it maps the population of an affine
+    agent whose costs read no price (not reads_price) to that agent's held
+    solution (_hold), solved at the first evaluation; each evaluation gets a
+    copy under its own price path that reads the held one fit.  With `held`
+    None every agent is solved."""
     spec = batch.spec
     if buckets is None:
         buckets = model.solver.conditioner(batch, theta.mode)
@@ -137,9 +153,14 @@ def apply_phi(theta: DiscretePrice, batch: ScenarioBatch, model: MarketModel,
         p = agent.population
         if iterates is not None and agent.cost_mode != AFFINE:
             sols[p] = _picard_map(batch, env, agent, buckets, model.bounds)(iterates[p])
-        else:
+        elif held is None or agent.reads_price:
             sols[p] = solve_agent(batch, theta, agent, buckets, model.bounds,
                                   informed_state=informed_state, tol=cold_tol, env=env)
+        else:
+            if p not in held:
+                held[p] = _hold(solve_agent(batch, theta, agent, buckets, model.bounds,
+                                            informed_state=informed_state, env=env), buckets)
+            sols[p] = replace(held[p], adjoint=held[p].fit, price_path=env.path)
     C_B = model.bounds.C_B
     tables, se_list, fb_list = [], [], []
     clip_excess = 0.0
@@ -151,10 +172,31 @@ def apply_phi(theta: DiscretePrice, batch: ScenarioBatch, model: MarketModel,
         se_list.append(stats.se)
         fb_list.append(stats.fallback)
     out = DiscretePrice.from_tables(buckets, tables)
-    stats = PhiStats(se=se_list, fallback=fb_list, clip_excess=max(clip_excess, 0.0))
-    if return_internals:
-        return out, stats, sols
-    return out
+    return out, PhiStats(se=se_list, fallback=fb_list, clip_excess=max(clip_excess, 0.0)), sols
+
+
+@dataclass(frozen=True)
+class _FitReads:
+    """What a solve reads of a held adjoint fitted on a state: its sup over
+    the fine grid and its node values (see _node_values)."""
+
+    sup: float
+    nodes: np.ndarray  # (count, n_intervals+1)
+
+
+def _hold(sol: FbsdeSolution, buckets: TreeConditioner) -> FbsdeSolution:
+    """An affine solution to hold through a solve: no price path, and its
+    adjoint fitted when first read, as key tables or, fitted on a state, as
+    _FitReads: the slab is dropped once its sup and nodes are read off."""
+    fit = sol.adjoint
+
+    def reads():
+        Y = fit()
+        if isinstance(Y, DiscretePrice):
+            return Y
+        return _FitReads(sup=_sup_fine(np.moveaxis(Y, 1, 0)), nodes=_node_values(Y, buckets))
+
+    return replace(sol, adjoint=reads, price_path=None)
 
 
 _ANDERSON_MEMORY = 2
@@ -180,7 +222,8 @@ def solve_fixed_point(batch: ScenarioBatch, model: MarketModel,
     The iterate is one vector x = [price tables | Y slab of each convex
     agent], convex adjoints starting from 0.  One evaluation applies the
     price map with one Picard pass per convex agent from its Y (see
-    apply_phi; affine agents are solved directly), and its residual is
+    apply_phi; affine agents are solved directly, and one whose costs read
+    no price at the first evaluation only: see _phi), and its residual is
     f = [Phi(theta) - theta | Y_hat - Y].  The first step is the plain step
     x + f; later steps take the Anderson update over the last
     _ANDERSON_MEMORY differences of iterates and residuals with unit mixing
@@ -235,11 +278,11 @@ def solve_fixed_point(batch: ScenarioBatch, model: MarketModel,
     last = np.inf  # the largest of the map residual and the pass updates at the previous evaluation
     restarts = 0
     converged = False
+    held = {}  # the solutions of the agents whose costs read no price, made once (see _phi)
     for _ in range(sd.max_iter):
         Ys = _agent_slabs(x, n_price, convex, slab)
-        phi, stats, sols = apply_phi(theta, batch, model, buckets=buckets,
-                                     informed_state=informed_state, iterates=Ys,
-                                     return_internals=True)
+        phi, stats, sols = _phi(theta, batch, model, buckets, informed_state, iterates=Ys,
+                                cold_tol=_PICARD_TOL, held=held)
         f = np.empty_like(x)
         for t, lo, hi in zip(phi.tables, cuts[:-1], cuts[1:]):
             np.subtract(t.ravel(), x[lo:hi], out=f[lo:hi])
@@ -323,24 +366,12 @@ def mz_distance(x: np.ndarray, y: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return 0.5 * ((integrand[..., :-1] + integrand[..., 1:]) * dt).sum(axis=-1)
 
 
-def _sup_fine(pieces) -> float:
-    """Sup of a cadlag field over its fine-grid points (left limits only at
-    T), given per interval as (rows, m+1) pieces: a slab's [:, i] (pass
-    np.moveaxis(slab, 1, 0)) or key tables, which hold the same values as
-    the slab gathered from them, since every key holds a sample.  Reads
-    every piece's sub-times 0..m-1, then the last piece's left limit at T,
-    in place.  The abs turns the -0.0 of an all-zero field into 0.0."""
-    last = pieces[-1][:, -1]
-    ext = [last.max(), -last.min()]
-    for piece in pieces:
-        inner = piece[:, :-1]
-        ext += [inner.max(), -inner.min()]
-    return abs(float(np.max(ext)))
-
-
 def _sup_Y(sol: FbsdeSolution) -> float:
-    """_sup_fine of sol.Y, read off the key tables when it is held as tables."""
+    """_sup_fine of sol.Y, read off the key tables when it is held as
+    tables, and kept from the one fit of a held state fit (_FitReads)."""
     fit = sol.fit()
+    if isinstance(fit, _FitReads):
+        return fit.sup
     return _sup_fine(fit.tables if isinstance(fit, DiscretePrice) else np.moveaxis(fit, 1, 0))
 
 
@@ -349,6 +380,8 @@ def _node_values(source, buckets: TreeConditioner) -> np.ndarray:
     of each interval, then the left limit at T.  `source` is a slab, or a
     DiscretePrice (a price, or key-table adjoint), read along each sample's
     key at those points only."""
+    if isinstance(source, _FitReads):
+        return source.nodes
     n = buckets.spec.n_intervals
     out = np.empty((buckets.count, n + 1))
     if isinstance(source, DiscretePrice):

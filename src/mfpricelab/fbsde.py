@@ -46,7 +46,7 @@ import numpy as np
 from .conditioning import TreeConditioner
 from .errors import ModelError, PicardError
 from .models import AFFINE, GENERAL_CONVEX, AgentSpec, ModelBounds
-from .price import DiscretePrice, PriceEnv, fine_path, interval_view, materialize
+from .price import DiscretePrice, PriceEnv, _sup_fine, fine_path, interval_view, materialize
 from .sampling import ScenarioBatch
 
 _PICARD_DAMPING = 0.5
@@ -73,11 +73,20 @@ class FbsdeSolution:
     errors.  `picard_iters` is the number of Picard passes behind `Y`: 0 for
     an affine solve, 1 for a single pass (_picard_map).  No state path is
     kept: per_sample_cost re-integrates it from any control.
+
+    The fixed-point iteration holds the solution of an affine agent whose
+    costs read no price (AgentSpec.reads_price False) through the whole
+    solve, without a price path (`price_path` None): its response and
+    adjoint are the same at every price.  Each evaluation gets a fresh copy
+    under its own price path whose `adjoint` is the held solution's `fit`,
+    so the copies share one fit, made on the first read.  Of a fit on a
+    state the solve keeps only what it reads, the sup and the node values
+    (equilibrium._hold), so such a copy has no `Y` slab to give.
     """
 
     adjoint: Union[np.ndarray, DiscretePrice, Callable[[], Union[np.ndarray, DiscretePrice]]]
     response: np.ndarray
-    price_path: np.ndarray
+    price_path: Optional[np.ndarray]
     lam: float
     picard_iters: int
     conditioner: Optional[TreeConditioner] = None  # the keys of key-table adjoints
@@ -361,7 +370,7 @@ def solve_convex(batch: ScenarioBatch, price: DiscretePrice, agent: AgentSpec,
     for _ in range(_PICARD_MAX):
         sol = one_pass(Y)
         f = sol.Y - Y
-        delta = float(np.max(np.abs(fine_path(f)[:, start_index:])))
+        delta = _sup_fine(np.moveaxis(f, 1, 0), start_index)
         trace.append(delta)
         if delta <= tol:
             sol.picard_iters = len(trace)

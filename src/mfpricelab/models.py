@@ -6,6 +6,15 @@ come with their x-derivative.  Costs of an agent without reads_factor (every
 standard agent) receive c = None for the informed factor; validate probes them,
 and a solve in which one reads it raises ModelError.
 
+Each catalog coefficient declares, as its `reads` set, the arguments its
+value depends on: `zero` and `constant` read none, `clipped-common-noise`
+reads b, `clipped-price` varpi, `clipped-factor` c, and the convex
+`tanh-state` and `affine-state` x (affine-state's derivative none).  A raw
+callable declares nothing and counts as reading every argument.  An affine
+agent whose two costs declare no varpi read (AgentSpec.reads_price False)
+has an adjoint the price does not move: a solve fits it once, at its first
+price-map evaluation, and validate probes the claim.
+
 Each population's adjoint is a conditional expectation given the tree key
 (the projected common-noise path up to the interval) and, within the key:
 - an affine standard agent: nothing more (the key only);
@@ -90,6 +99,15 @@ class AgentSpec:
     def lam_bar(self) -> float:
         return 1.0 / self.lam
 
+    @property
+    def reads_price(self) -> bool:
+        """False only for an affine agent neither of whose costs declares a
+        varpi read (see the module docstring): its response and adjoint are
+        the same at every price."""
+        costs = (self.running_cost, self.terminal_cost)
+        return self.cost_mode != AFFINE or any("varpi" in getattr(fn, "reads", ("varpi",))
+                                               for fn in costs)
+
 
 @dataclass(frozen=True)
 class SolverDefaults:
@@ -160,24 +178,30 @@ class MarketModel:
 # ---------------------------------------------------------------------------
 # coefficient catalog (used by config files; tests may pass raw callables)
 
+def _reading(fn, *names):
+    """fn, declaring as fn.reads the only arguments its value depends on."""
+    fn.reads = frozenset(names)
+    return fn
+
+
 def coeff_zero(_params, slot):
     if slot in ("drift", "vol_common", "vol_idio"):
-        return lambda t, varpi: np.zeros_like(np.asarray(varpi, dtype=float))
+        return _reading(lambda t, varpi: np.zeros_like(np.asarray(varpi, dtype=float)))
     if slot == "running_cost_affine":
-        return lambda t, varpi, b, c: np.zeros_like(np.asarray(varpi, dtype=float))
+        return _reading(lambda t, varpi, b, c: np.zeros_like(np.asarray(varpi, dtype=float)))
     if slot == "terminal_cost_affine":
-        return lambda varpi, b, c: np.zeros_like(np.asarray(varpi, dtype=float))
+        return _reading(lambda varpi, b, c: np.zeros_like(np.asarray(varpi, dtype=float)))
     raise ModelError(f"zero coefficient unsupported for slot {slot}")
 
 
 def coeff_constant(params, slot):
     v = float(params.get("value", 0.0))
     if slot in ("drift", "vol_common", "vol_idio"):
-        return lambda t, varpi: np.full_like(np.asarray(varpi, dtype=float), v)
+        return _reading(lambda t, varpi: np.full_like(np.asarray(varpi, dtype=float), v))
     if slot == "running_cost_affine":
-        return lambda t, varpi, b, c: np.full_like(np.asarray(varpi, dtype=float), v)
+        return _reading(lambda t, varpi, b, c: np.full_like(np.asarray(varpi, dtype=float), v))
     if slot == "terminal_cost_affine":
-        return lambda varpi, b, c: np.full_like(np.asarray(varpi, dtype=float), v)
+        return _reading(lambda varpi, b, c: np.full_like(np.asarray(varpi, dtype=float), v))
     raise ModelError(f"constant coefficient unsupported for slot {slot}")
 
 
@@ -185,9 +209,9 @@ def coeff_clipped_common_noise(params, slot):
     scale = float(params.get("scale", 1.0))
     bound = float(params.get("bound", 1.0))
     if slot == "running_cost_affine":
-        return lambda t, varpi, b, c: scale * np.clip(b, -bound, bound)
+        return _reading(lambda t, varpi, b, c: scale * np.clip(b, -bound, bound), "b")
     if slot == "terminal_cost_affine":
-        return lambda varpi, b, c: scale * np.clip(b, -bound, bound)
+        return _reading(lambda varpi, b, c: scale * np.clip(b, -bound, bound), "b")
     raise ModelError(f"clipped-common-noise unsupported for slot {slot}")
 
 
@@ -195,9 +219,9 @@ def coeff_clipped_price(params, slot):
     kappa = float(params.get("kappa", 0.25))
     bound = float(params.get("bound", 1.0))
     if slot == "running_cost_affine":
-        return lambda t, varpi, b, c: kappa * np.clip(varpi, -bound, bound)
+        return _reading(lambda t, varpi, b, c: kappa * np.clip(varpi, -bound, bound), "varpi")
     if slot == "terminal_cost_affine":
-        return lambda varpi, b, c: kappa * np.clip(varpi, -bound, bound)
+        return _reading(lambda varpi, b, c: kappa * np.clip(varpi, -bound, bound), "varpi")
     raise ModelError(f"clipped-price unsupported for slot {slot}")
 
 
@@ -205,21 +229,21 @@ def coeff_clipped_factor(params, slot):
     scale = float(params.get("scale", 1.0))
     bound = float(params.get("bound", 1.0))
     if slot == "running_cost_affine":
-        return lambda t, varpi, b, c: scale * np.clip(c, -bound, bound)
+        return _reading(lambda t, varpi, b, c: scale * np.clip(c, -bound, bound), "c")
     if slot == "terminal_cost_affine":
-        return lambda varpi, b, c: scale * np.clip(c, -bound, bound)
+        return _reading(lambda varpi, b, c: scale * np.clip(c, -bound, bound), "c")
     raise ModelError(f"clipped-factor unsupported for slot {slot}")
 
 
 def coeff_tanh_state(params, slot):
     scale = float(params.get("scale", 1.0))
     if slot == "running_cost_convex":
-        f = lambda t, x, varpi, c: scale * np.log(np.cosh(x))
-        df = lambda t, x, varpi, c: scale * np.tanh(x)
+        f = _reading(lambda t, x, varpi, c: scale * np.log(np.cosh(x)), "x")
+        df = _reading(lambda t, x, varpi, c: scale * np.tanh(x), "x")
         return f, df
     if slot == "terminal_cost_convex":
-        g = lambda x, varpi, c: scale * np.log(np.cosh(x))
-        dg = lambda x, varpi, c: scale * np.tanh(x)
+        g = _reading(lambda x, varpi, c: scale * np.log(np.cosh(x)), "x")
+        dg = _reading(lambda x, varpi, c: scale * np.tanh(x), "x")
         return g, dg
     raise ModelError(f"tanh-state unsupported for slot {slot}")
 
@@ -228,9 +252,11 @@ def coeff_affine_state(params, slot):
     """Convex-mode coefficient that is actually affine in x (oracle instances)."""
     v = float(params.get("value", 0.0))
     if slot == "running_cost_convex":
-        return (lambda t, x, varpi, c: v * x), (lambda t, x, varpi, c: np.full_like(np.asarray(x, float), v))
+        return (_reading(lambda t, x, varpi, c: v * x, "x"),
+                _reading(lambda t, x, varpi, c: np.full_like(np.asarray(x, float), v)))
     if slot == "terminal_cost_convex":
-        return (lambda x, varpi, c: v * x), (lambda x, varpi, c: np.full_like(np.asarray(x, float), v))
+        return (_reading(lambda x, varpi, c: v * x, "x"),
+                _reading(lambda x, varpi, c: np.full_like(np.asarray(x, float), v)))
     raise ModelError(f"affine-state unsupported for slot {slot}")
 
 
@@ -281,7 +307,10 @@ class ValidationReport:
 
 def validate(agent: AgentSpec, bounds: ModelBounds, probe_budget: int = 2000) -> ValidationReport:
     """Numerically probe the standing coefficient assumptions on a random box
-    of half-width max(2*C_B, 10), at a fixed seed."""
+    of half-width max(2*C_B, 10), at a fixed seed, and the declarations a
+    solve relies on: that the costs of an agent without reads_factor do not
+    read the factor, and that those of a price-free agent (not reads_price)
+    give the same values, bit for bit, with varpi moved by 1."""
     if probe_budget < 1:
         raise ValueError("probe budget must be >= 1")
     box = max(2.0 * bounds.C_B, 10.0)
@@ -294,11 +323,11 @@ def validate(agent: AgentSpec, bounds: ModelBounds, probe_budget: int = 2000) ->
     L = bounds.L
     checks = []
 
-    def record(name, slack, idx):
+    def record(name, slack, idx, tol=1e-9):
         worst = float(np.max(slack))
         j = int(np.argmax(slack))
         loc = tuple(float(v[j]) for v in idx)
-        checks.append(CheckResult(name, worst <= 1e-9, worst, loc))
+        checks.append(CheckResult(name, worst <= tol, worst, loc))
 
     def finite(name, arr, idx):
         if not np.all(np.isfinite(arr)):
@@ -320,6 +349,11 @@ def validate(agent: AgentSpec, bounds: ModelBounds, probe_budget: int = 2000) ->
         record("|running cost| <= L", np.abs(rc) - L, (t, varpi, b, cfac))
         record("|terminal cost| <= L", np.abs(tc) - L, (t, varpi, b, cfac))
         costs = [(agent.running_cost, (t, varpi, b)), (agent.terminal_cost, (varpi, b))]
+        if not agent.reads_price:  # a solve fits such an agent once and reuses it at every price
+            moved = varpi + 1.0
+            gap = (np.abs(np.asarray(agent.running_cost(t, moved, b, cfac), dtype=float) - rc)
+                   + np.abs(np.asarray(agent.terminal_cost(moved, b, cfac), dtype=float) - tc))
+            record("price independence", gap, (t, varpi, b, cfac), tol=0.0)
     else:
         dfx = np.asarray(agent.running_cost_dx(t, x, varpi, cfac), dtype=float)
         dgx = np.asarray(agent.terminal_cost_dx(x, varpi, cfac), dtype=float)

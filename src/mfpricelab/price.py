@@ -168,6 +168,24 @@ def fine_path(slab: np.ndarray) -> np.ndarray:
     return out
 
 
+def _sup_fine(pieces, start_index: int = 0) -> float:
+    """max|field| over the fine-grid points of a cadlag field from fine index
+    `start_index` on, given per interval as (rows, m+1) pieces: a slab's
+    [:, i] (pass np.moveaxis(slab, 1, 0)) or key tables, which hold the same
+    values as the slab gathered from them, since every key holds a sample.
+    Reads the pieces' sub-times 0..m-1 from start_index on, then the last
+    piece's left limit at T, in place: no fine_path copy, and the same float
+    as np.max(np.abs(fine_path(slab)[:, start_index:])).  The abs turns the
+    -0.0 of an all-zero field into 0.0."""
+    first, s0 = divmod(start_index, pieces[0].shape[1] - 1)
+    last = pieces[-1][:, -1]
+    ext = [last.max(), -last.min()]
+    for i in range(first, len(pieces)):
+        inner = pieces[i][:, s0 if i == first else 0:-1]
+        ext += [inner.max(), -inner.min()]
+    return abs(float(np.max(ext)))
+
+
 def _require_same_keys(a: DiscretePrice, b: DiscretePrice, what: str) -> None:
     if a.spec != b.spec or a.mode != b.mode:
         raise ValueError(f"{what} requires matching grid spec and key mode")

@@ -112,6 +112,22 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="mystery"):
             parse_config(write(tmp_path, "[mystery]\nx = 1\n"))
 
+    @pytest.mark.parametrize("model,section,text", [
+        ("single-informed", "informed", "bogus_key = 1"),
+        ("terminal-common-noise", "informed", "lambda = inf"),
+        ("zero", "standard", "lambda = 2.0"),
+    ])
+    def test_agent_section_beside_preset_rejected(self, tmp_path, capsys, model, section, text):
+        # a preset fixes both agents, so an [informed] or [standard] section
+        # beside `model =` is refused, naming the section (exit 2), not dropped unread
+        cfg = f"[run]\nmodel = {model}\nout_dir = {tmp_path / 'out'}\n\n[{section}]\n{text}\n"
+        path = write(tmp_path, cfg)
+        with pytest.raises(ConfigError, match=rf"\[{section}\]"):
+            parse_config(path)
+        assert main(["solve", "--config", str(path)]) == 2
+        assert f"[{section}]" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_syntax_error_reports_line(self, tmp_path):
         bad = "[run]\nmodel = zero\nthis line has no equals\n"
         with pytest.raises(ConfigError, match="line 3"):

@@ -194,16 +194,16 @@ class TestSolveFixedPoint:
         # residual grows: the history is cleared and the plain map step retaken
         from mfpricelab import equilibrium
         model, batch, _ = det_setup
-        calls = []
+        calls, evaluate = [], equilibrium._phi
 
         def bumped(*args, **kwargs):
-            phi, stats, sols = apply_phi(*args, **kwargs)
+            phi, stats, sols = evaluate(*args, **kwargs)
             calls.append(phi)
             if len(calls) == 2:
                 phi = replace(phi, tables=[t + 1.2 for t in phi.tables])
             return phi, stats, sols
 
-        monkeypatch.setattr(equilibrium, "apply_phi", bumped)
+        monkeypatch.setattr(equilibrium, "_phi", bumped)
         report = solve_fixed_point(batch, model)
         assert report.residual_trace[1] > report.residual_trace[0]
         assert report.restarts == 1 and "restarts=1" in report.summary()
@@ -212,22 +212,23 @@ class TestSolveFixedPoint:
 
 
 def _recorded_solve(monkeypatch, model, batch, patch=None, init=None):
-    """solve_fixed_point with every apply_phi call's (theta, iterates,
+    """solve_fixed_point with every map evaluation's (theta, iterates,
     pass updates) recorded, the iterates copied and each update
     max|fine_path(Y_hat - Y)| of a convex agent; `patch(k, theta, result)`
-    may replace the k-th call's result."""
+    may replace the k-th evaluation's result."""
     from mfpricelab import equilibrium
     calls = []
+    evaluate = equilibrium._phi
 
     def recording(theta, *args, **kwargs):
         iterates = {p: Y.copy() for p, Y in kwargs["iterates"].items()}
-        out = apply_phi(theta, *args, **kwargs)
+        out = evaluate(theta, *args, **kwargs)
         updates = {p: float(np.max(np.abs(fine_path(out[2][p].Y - Y))))
                    for p, Y in iterates.items()}
         calls.append((theta, iterates, updates))
         return out if patch is None else patch(len(calls), theta, out)
 
-    monkeypatch.setattr(equilibrium, "apply_phi", recording)
+    monkeypatch.setattr(equilibrium, "_phi", recording)
     return solve_fixed_point(batch, model, init=init), calls
 
 
@@ -447,6 +448,83 @@ class TestWorkingSet:
             tracemalloc.stop()
         assert report.converged
         assert peak < 6.75 * batch.count * batch.spec.n_fine * 8
+
+
+def _raw_costs(model):
+    """The model with every agent's costs behind raw callables, which declare
+    no reads: every agent then reads the price and is solved at every evaluation."""
+    def raw(agent):
+        run, term = agent.running_cost, agent.terminal_cost
+        return replace(agent, running_cost=lambda *a: run(*a), terminal_cost=lambda *a: term(*a))
+    return replace(model, informed=raw(model.informed), standard=raw(model.standard))
+
+
+@pytest.fixture
+def affine_responses(monkeypatch):
+    """The population of every affine response computed while the test runs."""
+    real, calls = fbsde._affine_response, []
+
+    def spy(batch, env, agent):
+        calls.append(agent.population)
+        return real(batch, env, agent)
+
+    monkeypatch.setattr(fbsde, "_affine_response", spy)
+    return calls
+
+
+class TestPriceFreeAgents:
+    @pytest.mark.parametrize("informed_state", [True, False])
+    def test_informed_solved_once(self, affine_responses, informed_state):
+        # single-informed: the informed costs read b only, the standard
+        # running cost reads the price
+        model = preset("single-informed")
+        batch = sample_batch(model.grid, 5, 3000, model.factor)
+        report = solve_fixed_point(batch, model, informed_state=informed_state)
+        assert report.iterations > 2
+        assert affine_responses.count("I") == 1
+        assert affine_responses.count("S") == report.iterations
+
+    def test_informed_state_fit_made_once(self, monkeypatch):
+        # the informed (B) adjoint is fitted once per solve: one regression
+        # on a state per interval, though every evaluation reads its sup
+        model = preset("single-informed")
+        batch = sample_batch(model.grid, 5, 3000, model.factor)
+        dims, real = [], TreeConditioner.regress_slab
+
+        def spy(self, interval, state, *args, **kwargs):
+            dims.append(state.shape[-1])
+            return real(self, interval, state, *args, **kwargs)
+
+        monkeypatch.setattr(TreeConditioner, "regress_slab", spy)
+        report = solve_fixed_point(batch, model)
+        assert report.iterations > 2 and len(report.iterate_sup_Y) == report.iterations
+        assert dims.count(1) == batch.spec.n_intervals
+        assert dims.count(0) == report.iterations * batch.spec.n_intervals
+
+    def test_raw_callables_solved_every_evaluation(self, affine_responses):
+        model = _raw_costs(preset("single-informed"))
+        assert all(a.reads_price for a in model.agents())
+        batch = sample_batch(model.grid, 5, 3000, model.factor)
+        report = solve_fixed_point(batch, model)
+        assert affine_responses.count("I") == affine_responses.count("S") == report.iterations
+
+    @pytest.mark.parametrize("name,informed_state", [
+        ("single-informed", True), ("single-informed", False),
+        ("terminal-common-noise", True), ("deterministic", True), ("zero", True)])
+    def test_same_solve_as_solved_every_evaluation(self, name, informed_state):
+        # holding a price-free agent's solution changes no number of the solve
+        model = preset(name)
+        batch = sample_batch(model.grid, 5, 3000, model.factor)
+        held = solve_fixed_point(batch, model, informed_state=informed_state)
+        every = solve_fixed_point(batch, _raw_costs(model), informed_state=informed_state)
+        assert held.iterate_sup_Y == every.iterate_sup_Y
+        assert held.summary(bounds=model.bounds) == every.summary(bounds=model.bounds)
+        assert held.residual_trace == every.residual_trace
+        assert held.diagnostics == every.diagnostics
+        assert all(np.array_equal(a, b) for a, b in zip(held.price.tables, every.price.tables))
+        for p in "IS":
+            assert all(np.array_equal(a.mean, b.mean) and np.array_equal(a.se, b.se)
+                       for a, b in zip(held.response_stats[p], every.response_stats[p]))
 
 
 class TestContinuityProbe:

@@ -343,6 +343,29 @@ class TestSolveConvex:
             gap = np.abs(stats_c.mean[keep] - stats_a.mean[keep])
             assert np.all(gap <= 3 * se)
 
+    @pytest.mark.parametrize("start_index", [0, 2 * SPEC.m + 1, SPEC.n_fine - 1])
+    def test_pass_updates_read_in_place(self, batch, buckets, monkeypatch, start_index):
+        # each pass update of a cold solve, read in place by _sup_fine from
+        # start_index on, is max|fine_path(Y_hat - Y)[:, start_index:]| bit for
+        # bit; started at T (the last index), the state is its initial value
+        # whatever the control, and one pass solves
+        from mfpricelab import fbsde
+        real, pairs = fbsde._sup_fine, []
+
+        def spy(pieces, start=0):
+            got = real(pieces, start)
+            old = float(np.max(np.abs(fine_path(np.moveaxis(pieces, 0, 1))[:, start:])))
+            pairs.append((got, old))
+            return got
+
+        monkeypatch.setattr(fbsde, "_sup_fine", spy)
+        agent = preset("general-convex").standard
+        solve_convex(batch, constant_price(SPEC, buckets, 0.2), agent, buckets, BOUNDS,
+                     start_index=start_index)
+        assert len(pairs) >= (1 if start_index == SPEC.n_fine - 1 else 2)
+        assert all(got > 0.0 for got, _ in pairs[:-1])
+        assert all(got == old for got, old in pairs)
+
     def test_short_horizon_contracts(self, buckets, monkeypatch):
         # halving T shrinks the first Picard update; non-convergence under an
         # unreachable tolerance raises the diagnostic error carrying the trace

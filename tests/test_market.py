@@ -1,4 +1,3 @@
-import sys
 from dataclasses import replace
 
 import numpy as np
@@ -207,18 +206,17 @@ class TestInformedInference:
 
     def test_no_map_evaluation_after_the_solve(self, monkeypatch, solve_reports):
         # the check reads the solve's stopping evaluation: every price-map
-        # evaluation it makes is one of the solve's
+        # evaluation it makes is one of the solve's (apply_phi and the solve
+        # both evaluate through equilibrium._phi)
         model = preset("single-informed").with_solver(tol=1e-4)
         batch = sample_batch(model.grid, 44, 4000, model.factor)
-        apply_phi, calls = equilibrium.apply_phi, []
+        evaluate, calls = equilibrium._phi, []
 
         def counted(*args, **kwargs):
             calls.append(1)
-            return apply_phi(*args, **kwargs)
+            return evaluate(*args, **kwargs)
 
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "mfpricelab" and getattr(module, "apply_phi", None) is apply_phi:
-                monkeypatch.setattr(module, "apply_phi", counted)
+        monkeypatch.setattr(equilibrium, "_phi", counted)
         informed_inference_check(model, batch)
         (report,) = solve_reports
         assert len(calls) == report.iterations

@@ -141,6 +141,39 @@ class TestValidation:
         dep = next(c for c in report.checks if "factor independence" in c.name)
         assert not dep.passed
 
+    def test_price_independence_probed(self):
+        # a cost that declares it reads b only, but reads varpi, claims a
+        # price-free agent: the probe at varpi + 1 fails it
+        liar = make_coefficient("clipped-price", {"kappa": 0.25}, "running_cost_affine")
+        liar.reads = frozenset({"b"})
+        agent = affine_agent(run=liar)
+        assert not agent.reads_price
+        report = validate(agent, ModelBounds(L=1.0, T=1.0), probe_budget=500)
+        dep = next(c for c in report.checks if c.name == "price independence")
+        assert not dep.passed and dep.worst > 0.0 and not report.passed
+        # declared honestly, the agent reads the price and is not probed
+        honest = affine_agent(run=make_coefficient("clipped-price", {"kappa": 0.25},
+                                                   "running_cost_affine"))
+        assert honest.reads_price
+        report = validate(honest, ModelBounds(L=1.0, T=1.0), probe_budget=500)
+        assert report.passed and all(c.name != "price independence" for c in report.checks)
+
+    def test_price_independence_is_exact(self):
+        # a price read far below the other checks' 1e-9 slack still fails
+        run = lambda t, w, b, c: 1e-12 * np.clip(w, -1, 1)
+        run.reads = frozenset()
+        report = validate(affine_agent(run=run), ModelBounds(L=1.0, T=1.0), probe_budget=500)
+        dep = next(c for c in report.checks if c.name == "price independence")
+        assert 0.0 < dep.worst < 1e-9 and not dep.passed
+
+    def test_reads_price(self):
+        # only an affine agent whose two costs declare no varpi read is
+        # price-free; a raw callable declares nothing, so it reads everything
+        assert [a.reads_price for a in preset("single-informed").agents()] == [False, True]
+        assert all(a.reads_price for a in preset("general-convex").agents())
+        raw = affine_agent(term=lambda w, b, c: np.zeros_like(w))
+        assert raw.reads_price and not affine_agent().reads_price
+
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_presets_pass(self, name):
         model = preset(name)
