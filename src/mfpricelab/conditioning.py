@@ -24,9 +24,12 @@ transition density in the current lattice state.  A weight depends on a key
 only through its state and count, so the conditioner keeps one (undersized
 keys x states) weight array per interval and pools through per-state sums:
 storage grows with keys and lattice states, never with keys squared.
-bucket_stats adds standard errors to the pooled means, for the price map,
-the diagnostics and the solve's response statistics that the informed check
-reads; pooled(i) flags the pooled keys.
+bucket_stats adds standard errors to the pooled means, for the price map's
+stopping evaluation, the diagnostics and the solve's response statistics
+that the informed check reads; bucket_means gives the raw means alone, for
+the solve's other evaluations, and pool_means pools them (pooling is
+linear, so a weighted sum of raw means pools as its terms do); pooled(i)
+flags the pooled keys.
 """
 
 from __future__ import annotations
@@ -142,7 +145,15 @@ class TreeConditioner:
         """Undersized keys alone at their interval: nothing to pool them with."""
         return sum(int(c.size == 1 and c[0] < self.min_count) for c in self._counts)
 
-    def _pool_means(self, interval: int, mean: np.ndarray) -> None:
+    def bucket_means(self, interval: int, values: np.ndarray) -> np.ndarray:
+        """Raw bucket means, (n_keys, k), undersized keys not pooled
+        (pool_means pools them): one gather in bucket order and one reduceat,
+        the arithmetic of bucket_stats' means."""
+        values = np.asarray(values, dtype=float)
+        gathered = (values if values.ndim == 2 else values[:, None])[self._order[interval]]
+        return np.add.reduceat(gathered, self._starts[interval], axis=0) / self._counts[interval][:, None]
+
+    def pool_means(self, interval: int, mean: np.ndarray) -> None:
         """Pool the undersized keys' rows of a (n_keys, k) mean array in place:
         own_a + sum_s w[a, s] * (S_s - N_s * own_a), S_s the count-weighted sum
         of the key means in state s (one bincount over (state, column) bins),
@@ -175,7 +186,7 @@ class TreeConditioner:
             # sqrt(sum_s w[a, s]^2 * sum over the state's keys of counts^2 * se^2)
             se_sums = [np.bincount(sid, np.square(counts * s), n_s.size) for s in finite_se.T]
             se[small] = np.sqrt(np.square(w) @ np.stack(se_sums, axis=1))
-            self._pool_means(interval, mean)
+            self.pool_means(interval, mean)
         return BucketStats(counts=counts, mean=mean, se=se, fallback=self.pooled(interval))
 
     def regress_slab(self, interval: int, state: np.ndarray, values: np.ndarray, *,
@@ -212,8 +223,8 @@ class TreeConditioner:
         pairs = [(a, b) for a in range(d) for b in range(a, d)]
         p = d + len(pairs)
         if not p:
-            mean_y = np.add.reduceat(values[order], starts, axis=0) / counts[:, None]
-            self._pool_means(interval, mean_y)
+            mean_y = self.bucket_means(interval, values)
+            self.pool_means(interval, mean_y)
             np.clip(mean_y, -bound, bound, out=mean_y)
             if out is None:
                 return mean_y
@@ -232,7 +243,7 @@ class TreeConditioner:
         k = block.shape[1]
         means = np.add.reduceat(block, starts, axis=0) / counts[:, None, None]
         mean_y = means[:, :, 0]
-        self._pool_means(interval, mean_y)  # an undersized key is never fitted
+        self.pool_means(interval, mean_y)  # an undersized key is never fitted
         preds = np.repeat(mean_y, counts, axis=0)
         fit = np.flatnonzero(counts >= max(self.min_count, p + 2))
         if fit.size:

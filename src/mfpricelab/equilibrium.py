@@ -11,7 +11,13 @@ the map is a deterministic function of the candidate and the residual
 trace, the map residual max|Phi(theta) - theta| of each evaluated iterate,
 is meaningful.  An evaluation stops the iteration when its map residual
 plus the largest move of its passes is at most tol, which bounds the exact
-map's residual (cold inner solves) by tol.  The module also hosts
+map's residual (cold inner solves) by tol.  In the iteration the map is
+taken from bucket means alone: an affine agent whose running cost reads
+only (t, varpi), a function of the key within an interval, is integrated
+on the price's key tables (fbsde.solve_on_keys), with no price slab and no
+per-sample response, and the map's standard errors are computed once, at
+the stopping evaluation.  apply_phi solves every agent per sample and gives
+the standard errors with the means.  The module also hosts
 the quantitative diagnostics: boundedness, within-interval time-Lipschitz
 slope, conditional variation over the dyadic partition, and the Meyer-Zheng
 coupling distance used by the refinement study.
@@ -26,7 +32,8 @@ import numpy as np
 
 from .conditioning import TreeConditioner
 from .errors import DivergenceError
-from .fbsde import _PICARD_TOL, FbsdeSolution, _picard_map, solve_agent
+from .fbsde import (_PICARD_TOL, FbsdeSolution, _picard_map, solve_affine, solve_agent,
+                    solve_on_keys, solved_on_keys)
 from .models import AFFINE, MarketModel
 from .price import (DiscretePrice, _sup_fine, fine_path, interval_matrix, interval_view,
                     key_rows, materialize, price_metric, zero_price)
@@ -105,11 +112,29 @@ def _weights(model: MarketModel) -> tuple[float, float, float]:
 
 
 def _combined_response(model: MarketModel, sols: dict, m: int, i: int) -> np.ndarray:
-    """Interval i's weighted response of both populations, (count, m+1):
-    the fine-grid columns i*m..(i+1)*m, both ends included."""
+    """Interval i's weighted response of the populations in `sols`, (count,
+    m+1): the fine-grid columns i*m..(i+1)*m, both ends included."""
     wi, ws, inv = _weights(model)
     cols = slice(i * m, (i + 1) * m + 1)
-    return (wi * sols["I"].response[:, cols] + ws * sols["S"].response[:, cols]) * inv
+    terms = [w * sols[p].response[:, cols] for p, w in (("I", wi), ("S", ws)) if p in sols]
+    return sum(terms[1:], terms[0]) * inv
+
+
+def _map_stats(model: MarketModel, sols: dict, buckets: TreeConditioner):
+    """The price map's tables, clipped to the C_B envelope, and its PhiStats,
+    from the per-sample solutions' combined response: one bucket_stats pass
+    per interval."""
+    C_B = model.bounds.C_B
+    tables, se_list, fb_list = [], [], []
+    clip_excess = 0.0
+    for i in range(buckets.spec.n_intervals):
+        stats = buckets.bucket_stats(i, _combined_response(model, sols, buckets.spec.m, i))
+        raw = -stats.mean
+        clip_excess = max(clip_excess, float(np.max(np.abs(raw))) - C_B)
+        tables.append(np.clip(raw, -C_B, C_B))
+        se_list.append(stats.se)
+        fb_list.append(stats.fallback)
+    return tables, PhiStats(se=se_list, fallback=fb_list, clip_excess=max(clip_excess, 0.0))
 
 
 def apply_phi(theta: DiscretePrice, batch: ScenarioBatch, model: MarketModel,
@@ -126,7 +151,8 @@ def apply_phi(theta: DiscretePrice, batch: ScenarioBatch, model: MarketModel,
     the Picard tolerance `cold_tol`; only the consistency check loosens it).
     `iterates` maps a convex agent's population to a Y slab: that agent then
     takes one Picard pass from it, and its solution is that pass's.  Affine
-    agents are always solved directly.
+    agents are always solved directly, per sample, and the map's standard
+    errors come with its means.
     """
     out, stats, sols = _phi(theta, batch, model, buckets, informed_state, iterates=iterates,
                             cold_tol=cold_tol, held=None)
@@ -135,44 +161,86 @@ def apply_phi(theta: DiscretePrice, batch: ScenarioBatch, model: MarketModel,
     return out
 
 
+@dataclass
+class _Held:
+    """What one solve keeps through all of its price-map evaluations (see _phi)."""
+
+    sols: dict = field(default_factory=dict)  # population -> _hold of a price-free agent
+    means: Optional[list] = None  # the per-sample part's raw key means, if all of it is held
+
+
 def _phi(theta: DiscretePrice, batch: ScenarioBatch, model: MarketModel,
          buckets: Optional[TreeConditioner], informed_state: bool, iterates: Optional[dict],
-         cold_tol: float, held: Optional[dict]):
-    """apply_phi's (price, stats, solutions).  A solve passes one `held`
-    dict to all of its evaluations: it maps the population of an affine
-    agent whose costs read no price (not reads_price) to that agent's held
-    solution (_hold), solved at the first evaluation; each evaluation gets a
-    copy under its own price path that reads the held one fit.  With `held`
-    None every agent is solved."""
+         cold_tol: float, held: Optional[_Held]):
+    """apply_phi's (price, stats, solutions), every agent solved per sample,
+    when `held` is None.  A solve passes one _Held to all of its
+    evaluations, and each then returns (price, None, solutions) from bucket
+    means alone, no standard errors (the solve adds them at its stop):
+    - an agent that solved_on_keys is solved on the price's key tables
+      (solve_on_keys): no price slab and no per-sample response;
+    - an affine agent whose costs read no price (not reads_price) is solved
+      at the first evaluation and its solution held (_hold);
+    - the map is the weighted sum of the raw key means of the per-sample
+      part (the combined response of the agents solved per sample, taken
+      once per solve when all of them are held) and of the key-table
+      agents' key_means, then pooled and clipped."""
     spec = batch.spec
     if buckets is None:
         buckets = model.solver.conditioner(batch, theta.mode)
-    env = materialize(theta, buckets)
-    sols = {}
+    sols, env = {}, None
     for agent in model.agents():
         p = agent.population
-        if iterates is not None and agent.cost_mode != AFFINE:
-            sols[p] = _picard_map(batch, env, agent, buckets, model.bounds)(iterates[p])
-        elif held is None or agent.reads_price:
-            sols[p] = solve_agent(batch, theta, agent, buckets, model.bounds,
-                                  informed_state=informed_state, tol=cold_tol, env=env)
+        if held is not None and solved_on_keys(agent, informed_state):
+            sols[p] = solve_on_keys(batch, theta, agent, buckets, model.bounds)
+        elif held is not None and p in held.sols:
+            sols[p] = held.sols[p]
         else:
-            if p not in held:
-                held[p] = _hold(solve_agent(batch, theta, agent, buckets, model.bounds,
-                                            informed_state=informed_state, env=env), buckets)
-            sols[p] = replace(held[p], adjoint=held[p].fit, price_path=env.path)
+            if env is None:
+                env = materialize(theta, buckets)
+            if iterates is not None and agent.cost_mode != AFFINE:
+                sols[p] = _picard_map(batch, env, agent, buckets, model.bounds)(iterates[p])
+            else:
+                sols[p] = solve_agent(batch, theta, agent, buckets, model.bounds,
+                                      informed_state=informed_state, tol=cold_tol, env=env)
+            if held is not None and not agent.reads_price:
+                sols[p] = held.sols[p] = _hold(sols[p], buckets)
+    if held is None:
+        tables, stats = _map_stats(model, sols, buckets)
+        return DiscretePrice.from_tables(buckets, tables), stats, sols
+
+    sampled = {p: s for p, s in sols.items() if s.key_means is None}
+    means = held.means
+    if means is None and sampled:
+        means = [buckets.bucket_means(i, _combined_response(model, sampled, spec.m, i))
+                 for i in range(spec.n_intervals)]
+        if sampled.keys() <= held.sols.keys():
+            held.means = means
+    wi, ws, inv = _weights(model)
+    keyed = [(w * inv, sols[p].key_means) for p, w in (("I", wi), ("S", ws))
+             if sols[p].key_means is not None]
     C_B = model.bounds.C_B
-    tables, se_list, fb_list = [], [], []
-    clip_excess = 0.0
+    tables = []
     for i in range(spec.n_intervals):
-        stats = buckets.bucket_stats(i, _combined_response(model, sols, spec.m, i))
-        raw = -stats.mean
-        clip_excess = max(clip_excess, float(np.max(np.abs(raw))) - C_B)
-        tables.append(np.clip(raw, -C_B, C_B))
-        se_list.append(stats.se)
-        fb_list.append(stats.fallback)
-    out = DiscretePrice.from_tables(buckets, tables)
-    return out, PhiStats(se=se_list, fallback=fb_list, clip_excess=max(clip_excess, 0.0)), sols
+        raw = np.zeros((buckets.counts(i).size, spec.m + 1)) if means is None else means[i].copy()
+        for w, key_means in keyed:
+            raw += w * key_means[i]
+        buckets.pool_means(i, raw)
+        tables.append(np.clip(-raw, -C_B, C_B))
+    return DiscretePrice.from_tables(buckets, tables), None, sols
+
+
+def _finish(theta: DiscretePrice, batch: ScenarioBatch, model: MarketModel,
+            buckets: TreeConditioner, informed_state: bool, sols: dict) -> PhiStats:
+    """The stopping evaluation's standard errors, and the per-sample
+    solutions that its diagnostics and response statistics read: each agent
+    solved on key tables is solved per sample at theta (solve_affine), then
+    one bucket_stats pass per interval on the combined response.  Convex
+    agents keep the loop's last pass, held agents their held solution."""
+    for agent in model.agents():
+        if sols[agent.population].response is None:
+            sols[agent.population] = solve_affine(batch, theta, agent, buckets, model.bounds,
+                                                  informed_state=informed_state)
+    return _map_stats(model, sols, buckets)[1]
 
 
 @dataclass(frozen=True)
@@ -222,8 +290,9 @@ def solve_fixed_point(batch: ScenarioBatch, model: MarketModel,
     The iterate is one vector x = [price tables | Y slab of each convex
     agent], convex adjoints starting from 0.  One evaluation applies the
     price map with one Picard pass per convex agent from its Y (see
-    apply_phi; affine agents are solved directly, and one whose costs read
-    no price at the first evaluation only: see _phi), and its residual is
+    apply_phi; affine agents are solved directly, one whose costs read no
+    price at the first evaluation only, and one whose running cost reads
+    only (t, varpi) on the price's key tables: see _phi), and its residual is
     f = [Phi(theta) - theta | Y_hat - Y].  The first step is the plain step
     x + f; later steps take the Anderson update over the last
     _ANDERSON_MEMORY differences of iterates and residuals with unit mixing
@@ -236,8 +305,12 @@ def solve_fixed_point(batch: ScenarioBatch, model: MarketModel,
     10*C_B.
 
     Stops at the first evaluated iterate whose map residual plus its
-    largest pass update is <= tol, and returns it with the diagnostics and
-    response_stats of its own solutions.  That bounds the exact map's
+    largest pass update is <= tol, and returns it with the phi_stats,
+    diagnostics and response_stats of its own solutions: at that stop (or
+    at max_iter) each key-table agent is solved once per sample at the
+    returned price, and the map's standard errors are taken in one
+    bucket_stats pass per interval (_finish); no evaluation before it takes
+    them.  That bounds the exact map's
     residual there (cold inner solves) by tol: the regression's predictions
     average back to each key's mean, so the exact map moves the price by at
     most the key mean of Y* - Y_hat, which a Picard contraction of rate rho
@@ -278,11 +351,11 @@ def solve_fixed_point(batch: ScenarioBatch, model: MarketModel,
     last = np.inf  # the largest of the map residual and the pass updates at the previous evaluation
     restarts = 0
     converged = False
-    held = {}  # the solutions of the agents whose costs read no price, made once (see _phi)
+    held = _Held()  # what the evaluations make once per solve (see _phi)
     for _ in range(sd.max_iter):
         Ys = _agent_slabs(x, n_price, convex, slab)
-        phi, stats, sols = _phi(theta, batch, model, buckets, informed_state, iterates=Ys,
-                                cold_tol=_PICARD_TOL, held=held)
+        phi, _, sols = _phi(theta, batch, model, buckets, informed_state, iterates=Ys,
+                            cold_tol=_PICARD_TOL, held=held)
         f = np.empty_like(x)
         for t, lo, hi in zip(phi.tables, cuts[:-1], cuts[1:]):
             np.subtract(t.ravel(), x[lo:hi], out=f[lo:hi])
@@ -334,6 +407,7 @@ def solve_fixed_point(batch: ScenarioBatch, model: MarketModel,
         theta = replace(phi, tables=[x[lo:hi].reshape(t.shape).copy() for t, lo, hi in
                                      zip(phi.tables, cuts[:-1], cuts[1:])])
 
+    stats = _finish(theta, batch, model, buckets, informed_state, sols)
     diag = diagnostics(theta, sols, batch, buckets, model)
     resp = {p: interval_view(s.response, batch.spec.m) for p, s in sols.items()}
     response_stats = {p: [buckets.bucket_stats(i, r[:, i]) for i in range(batch.spec.n_intervals)]

@@ -19,7 +19,10 @@ Each conditional expectation is TreeConditioner.regress_slab on a state built
 once per solve: (X_t, B_t[, C_t]) for convex costs, (B_t[, C_t]) for the
 affine informed agent, none (bucket means) for the affine standard agent; an
 affine Y is fitted only when something reads it, and one fitted on no state
-is kept as its key tables, not as a per-sample slab.
+is kept as its key tables, not as a per-sample slab.  When the running cost
+reads only (t, varpi), the key means of an affine response need no
+per-sample response at all: solve_on_keys integrates the cost on the
+price's key tables and carries the rest per sample, one value per interval.
 
 Y and alpha are cadlag slabs (count, n_intervals, m+1), sub-time m the left
 limit at the interval's end, as the materialized price is (see price.py); X,
@@ -46,7 +49,8 @@ import numpy as np
 from .conditioning import TreeConditioner
 from .errors import ModelError, PicardError
 from .models import AFFINE, GENERAL_CONVEX, AgentSpec, ModelBounds
-from .price import DiscretePrice, PriceEnv, _sup_fine, fine_path, interval_view, materialize
+from .price import (DiscretePrice, PriceEnv, _sup_fine, interval_matrix, interval_view,
+                    materialize)
 from .sampling import ScenarioBatch
 
 _PICARD_DAMPING = 0.5
@@ -77,19 +81,22 @@ class FbsdeSolution:
     The fixed-point iteration holds the solution of an affine agent whose
     costs read no price (AgentSpec.reads_price False) through the whole
     solve, without a price path (`price_path` None): its response and
-    adjoint are the same at every price.  Each evaluation gets a fresh copy
-    under its own price path whose `adjoint` is the held solution's `fit`,
-    so the copies share one fit, made on the first read.  Of a fit on a
+    adjoint are the same at every price, so every evaluation reads the one
+    held solution, whose fit is made on the first read.  Of a fit on a
     state the solve keeps only what it reads, the sup and the node values
-    (equilibrium._hold), so such a copy has no `Y` slab to give.
+    (equilibrium._hold), so it has no `Y` slab to give.  The iteration's
+    solution of an agent that solved_on_keys (solve_on_keys) has no
+    `response` and no price path either: `key_means` holds its response's
+    raw key means, and its adjoint is key tables.
     """
 
     adjoint: Union[np.ndarray, DiscretePrice, Callable[[], Union[np.ndarray, DiscretePrice]]]
-    response: np.ndarray
+    response: Optional[np.ndarray]
     price_path: Optional[np.ndarray]
     lam: float
     picard_iters: int
     conditioner: Optional[TreeConditioner] = None  # the keys of key-table adjoints
+    key_means: Optional[list] = None  # solve_on_keys: the response's raw key means
 
     def fit(self) -> Union[np.ndarray, DiscretePrice]:
         """The adjoint as fitted: a slab, or key tables; fitted on the first call."""
@@ -281,6 +288,92 @@ def _key_tables(response: np.ndarray, batch: ScenarioBatch, conditioner: TreeCon
         for i in range(batch.spec.n_intervals)])
 
 
+def _key_adjoint(agent: AgentSpec, informed_state: bool) -> bool:
+    """Whether the agent's affine adjoint is conditioned on the tree key alone:
+    the standard agent's, and the informed one's under informed_state False."""
+    return agent.population != "I" or not informed_state
+
+
+def solved_on_keys(agent: AgentSpec, informed_state: bool = True) -> bool:
+    """Whether a solve's price-map evaluations solve the agent on the price's
+    key tables (solve_on_keys): an affine agent that reads the price, whose
+    adjoint is conditioned on the tree key alone (_key_adjoint) and whose
+    running cost declares that it reads no more than (t, varpi).  A raw
+    callable declares nothing, so its agent is solved per sample."""
+    reads = getattr(agent.running_cost, "reads", None)
+    return (agent.cost_mode == AFFINE and agent.reads_price and _key_adjoint(agent, informed_state)
+            and reads is not None and reads <= {"t", "varpi"})
+
+
+def _key_running_cost(agent: AgentSpec, t: np.ndarray, varpi: np.ndarray) -> np.ndarray:
+    """The running cost on key tables, b and c given as None: a cost that
+    declares it reads only (t, varpi) and reads them raises ModelError."""
+    try:
+        value = np.asarray(agent.running_cost(t, varpi, None, None))
+        if value.dtype == object:
+            raise TypeError("its value is not numeric")
+    except TypeError as exc:
+        raise ModelError(f"population {agent.population}: running_cost declares that it reads "
+                         f"{sorted(agent.running_cost.reads)} only, but failed on b = c = None, "
+                         f"which it is given on key tables ({exc})") from exc
+    return np.broadcast_to(value.astype(float, copy=False), varpi.shape)
+
+
+def _key_response_means(batch: ScenarioBatch, price: DiscretePrice, agent: AgentSpec,
+                        buckets: TreeConditioner) -> list:
+    """Per interval, the raw (unpooled) key means of the response
+    g(env_T) + int_t^T c(s, env_s) ds of an agent whose running cost reads
+    only (t, varpi), (n_keys, m+1), without a per-sample response.
+
+    Within interval i the running cost is a function of the key: its
+    trapezoid suffix sums W_i along each key's row (sub-time m reads 0) give
+    the integral to the interval's end.  The rest is carried per sample, one
+    value per interval: each sample's full-interval integral W_i[key, 0],
+    then the terminal cost at its left limit at T, summed in reverse into
+    the suffix S_{i+1} over the intervals after i.  So the key mean at
+    (key, s) is W_i[key, s] + the key's mean of S_{i+1}, which is exact, up
+    to rounding, for prefix and Markov keys alike: the future is averaged
+    per sample, not over child keys."""
+    spec = batch.spec
+    m, n = spec.m, spec.n_intervals
+    times = _times(batch)[0]
+    within, totals = [], np.empty((batch.count, n + 1))
+    for i in range(n):
+        mat, _ = interval_matrix(price, buckets, i)
+        run = _key_running_cost(agent, times[i], mat)
+        pair = run[:, :-1] + run[:, 1:]
+        pair += 0.0
+        pair *= 0.5
+        pair *= spec.dt_fine
+        w = np.zeros(mat.shape)
+        w[:, :m] = np.cumsum(pair[:, ::-1], axis=1)[:, ::-1]
+        within.append(w)
+        totals[:, i] = w[buckets.inverse(i), 0]
+    _, c_T = _factor(batch, agent)
+    totals[:, n] = _cost(agent, "terminal_cost", mat[buckets.inverse(n - 1), m], batch.b[:, -1], c_T)
+    suffix = np.cumsum(totals[:, ::-1], axis=1)[:, ::-1]
+    return [w + buckets.bucket_means(i, suffix[:, i + 1]) for i, w in enumerate(within)]
+
+
+def solve_on_keys(batch: ScenarioBatch, price: DiscretePrice, agent: AgentSpec,
+                  buckets: TreeConditioner, bounds: ModelBounds) -> FbsdeSolution:
+    """solve_affine of an agent that solved_on_keys, read off the price's key
+    tables: no price slab and no per-sample response (`response` None).
+    `key_means` holds the raw key means of the response (_key_response_means),
+    and the adjoint is them pooled and clipped to the envelope: solve_affine's
+    key tables, up to rounding."""
+    means = _key_response_means(batch, price, agent, buckets)
+    env_bound = bounds.envelope(_times(batch))[0]
+    tables = []
+    for i, mean in enumerate(means):
+        Y = mean.copy()
+        buckets.pool_means(i, Y)
+        tables.append(np.clip(Y, -env_bound[i], env_bound[i], out=Y))
+    return FbsdeSolution(adjoint=DiscretePrice.from_tables(buckets, tables), response=None,
+                         price_path=None, lam=agent.lam, picard_iters=0, conditioner=buckets,
+                         key_means=means)
+
+
 def solve_affine(batch: ScenarioBatch, price: DiscretePrice, agent: AgentSpec,
                  buckets: TreeConditioner, bounds: ModelBounds,
                  informed_state: bool = True, env: Optional[PriceEnv] = None) -> FbsdeSolution:
@@ -297,7 +390,7 @@ def solve_affine(batch: ScenarioBatch, price: DiscretePrice, agent: AgentSpec,
 
     def adjoint():
         env_bound = bounds.envelope(_times(batch))[0]
-        if agent.population != "I" or not informed_state:
+        if _key_adjoint(agent, informed_state):
             return _key_tables(response, batch, buckets, env_bound)
         state = np.stack([batch.b, batch.c], axis=2) if agent.reads_factor else batch.b[:, :, None]
         return _smooth_response(response, batch, buckets, env_bound, state)
@@ -443,6 +536,9 @@ def decoupling_probe(agent: AgentSpec, price: DiscretePrice, batch: ScenarioBatc
     starts = [np.full(batch.count, float(x)) for x in (x1, x2)]
     sols = [solve_agent(replace(batch, xi_I=x0, xi_S=x0), price, agent, buckets, bounds,
                         start_index=jt) for x0 in starts]
-    gap = np.abs(fine_path(sols[0].Y)[:, jt] - fine_path(sols[1].Y)[:, jt])
+    # fine index jt of each slab, read in place: interval jt // m at sub-time
+    # jt % m, and the last interval's left limit at T
+    at = (slice(None), -1, -1) if jt == spec.n_fine - 1 else (slice(None), jt // spec.m, jt % spec.m)
+    gap = np.abs(sols[0].Y[at] - sols[1].Y[at])
     ratio = float(np.max(gap) / abs(x1 - x2))
     return {"ratio": ratio, "gamma_p": decoupling_gamma(bounds.T, bounds.L, agent.lam)}

@@ -13,7 +13,11 @@ reads b, `clipped-price` varpi, `clipped-factor` c, and the convex
 callable declares nothing and counts as reading every argument.  An affine
 agent whose two costs declare no varpi read (AgentSpec.reads_price False)
 has an adjoint the price does not move: a solve fits it once, at its first
-price-map evaluation, and validate probes the claim.
+price-map evaluation, and validate probes the claim.  An affine agent that
+reads the price through a running cost declaring no read beyond (t, varpi)
+(clipped-price, zero, constant) is integrated on the price's key tables in
+a solve's loop (fbsde.solved_on_keys); the cost is then given b = c = None,
+so one that reads them raises ModelError.
 
 Each population's adjoint is a conditional expectation given the tree key
 (the projected common-noise path up to the interval) and, within the key:

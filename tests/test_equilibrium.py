@@ -4,18 +4,18 @@ import numpy as np
 import pytest
 from dataclasses import fields, is_dataclass, replace
 
-from mfpricelab import fbsde, sampling
+from mfpricelab import equilibrium, fbsde, sampling
 from mfpricelab.conditioning import TreeConditioner
 from mfpricelab.equilibrium import (_conditional_variation, _node_values, _sup_fine, _sup_Y,
                                     apply_phi, consistency_residual, diagnostics,
                                     mz_distance, refinement_study, solve_fixed_point)
-from mfpricelab.errors import DivergenceError
-from mfpricelab.fbsde import solve_affine
-from mfpricelab.models import preset
-from mfpricelab.price import (DiscretePrice, constant_price, fine_path, key_rows, materialize,
-                              price_metric, price_to_csv, zero_price)
+from mfpricelab.errors import DivergenceError, ModelError
+from mfpricelab.fbsde import solve_affine, solve_on_keys, solved_on_keys
+from mfpricelab.models import _reading, preset
+from mfpricelab.price import (DiscretePrice, constant_price, fine_path, interval_view, key_rows,
+                              materialize, price_metric, price_to_csv, zero_price)
 from mfpricelab.sampling import sample_batch
-from mfpricelab.tree import FULL_PREFIX, GridSpec
+from mfpricelab.tree import FULL_PREFIX, MARKOV, GridSpec
 
 
 @pytest.fixture(scope="module")
@@ -482,11 +482,15 @@ class TestPriceFreeAgents:
         report = solve_fixed_point(batch, model, informed_state=informed_state)
         assert report.iterations > 2
         assert affine_responses.count("I") == 1
-        assert affine_responses.count("S") == report.iterations
+        # the standard agent's running cost reads (t, varpi) only: the loop
+        # integrates it on key tables, and only the stop solves it per sample
+        assert affine_responses.count("S") == 1
 
     def test_informed_state_fit_made_once(self, monkeypatch):
         # the informed (B) adjoint is fitted once per solve: one regression
-        # on a state per interval, though every evaluation reads its sup
+        # on a state per interval, though every evaluation reads its sup; the
+        # standard adjoint's degree-0 fit is made once too, at the stop (the
+        # loop reads its sup off the pooled key means)
         model = preset("single-informed")
         batch = sample_batch(model.grid, 5, 3000, model.factor)
         dims, real = [], TreeConditioner.regress_slab
@@ -499,7 +503,7 @@ class TestPriceFreeAgents:
         report = solve_fixed_point(batch, model)
         assert report.iterations > 2 and len(report.iterate_sup_Y) == report.iterations
         assert dims.count(1) == batch.spec.n_intervals
-        assert dims.count(0) == report.iterations * batch.spec.n_intervals
+        assert dims.count(0) == batch.spec.n_intervals
 
     def test_raw_callables_solved_every_evaluation(self, affine_responses):
         model = _raw_costs(preset("single-informed"))
@@ -512,19 +516,123 @@ class TestPriceFreeAgents:
         ("single-informed", True), ("single-informed", False),
         ("terminal-common-noise", True), ("deterministic", True), ("zero", True)])
     def test_same_solve_as_solved_every_evaluation(self, name, informed_state):
-        # holding a price-free agent's solution changes no number of the solve
+        # holding a price-free agent's solution changes no number of the
+        # solve; integrating a key-table agent's cost on the price's tables
+        # (single-informed's standard agent) changes them by rounding only
         model = preset(name)
         batch = sample_batch(model.grid, 5, 3000, model.factor)
         held = solve_fixed_point(batch, model, informed_state=informed_state)
         every = solve_fixed_point(batch, _raw_costs(model), informed_state=informed_state)
-        assert held.iterate_sup_Y == every.iterate_sup_Y
+        on_keys = any(solved_on_keys(a, informed_state) for a in model.agents())
+        assert on_keys == (name == "single-informed")
+
+        def same(a, b):
+            a, b = np.asarray(a), np.asarray(b)
+            if not on_keys:
+                return np.array_equal(a, b)
+            return a.shape == b.shape and np.array_equal(np.isfinite(a), np.isfinite(b)) and (
+                np.max(np.abs(np.where(np.isfinite(a), a - b, 0.0)), initial=0.0) <= 1e-13)
+
+        assert held.iterations == every.iterations and held.restarts == every.restarts
         assert held.summary(bounds=model.bounds) == every.summary(bounds=model.bounds)
-        assert held.residual_trace == every.residual_trace
-        assert held.diagnostics == every.diagnostics
-        assert all(np.array_equal(a, b) for a, b in zip(held.price.tables, every.price.tables))
+        assert same(held.residual_trace, every.residual_trace)
+        assert same([[d[p] for p in "IS"] for d in held.iterate_sup_Y],
+                    [[d[p] for p in "IS"] for d in every.iterate_sup_Y])
+        assert all(same(a, b) for a, b in zip(held.price.tables, every.price.tables))
+        assert same([getattr(held.diagnostics, f.name) for f in fields(held.diagnostics)],
+                    [getattr(every.diagnostics, f.name) for f in fields(every.diagnostics)])
         for p in "IS":
-            assert all(np.array_equal(a.mean, b.mean) and np.array_equal(a.se, b.se)
+            assert all(same(a.mean, b.mean) and same(a.se, b.se)
                        for a, b in zip(held.response_stats[p], every.response_stats[p]))
+
+
+def _standard_running_cost(model, cost):
+    return replace(model, standard=replace(model.standard, running_cost=cost))
+
+
+class TestKeyTableAgents:
+    @pytest.mark.parametrize("mode", [FULL_PREFIX, MARKOV])
+    @pytest.mark.parametrize("grid", [None, GridSpec(n=4, l=2, m=4, T=1.0)])
+    def test_key_means_are_the_bucket_means(self, grid, mode):
+        # the standard agent's response integrated on key tables has, per
+        # key, the mean of its per-sample response up to rounding, with
+        # prefix keys (pooled keys among them) and with Markov keys, on a
+        # price that the clipped-price cost clips in places
+        model = preset("single-informed")
+        if grid is not None:
+            model = model.with_grid(grid)
+        spec = model.grid
+        batch = sample_batch(spec, 9, 3000, model.factor)
+        buckets = TreeConditioner(spec, batch.node_path, mode, min_count=30)
+        if mode == FULL_PREFIX:
+            assert buckets.n_fallback_keys() > 0
+        rng = np.random.default_rng(4)
+        price = DiscretePrice.from_tables(buckets, [
+            rng.uniform(-12.0, 12.0, (buckets.counts(i).size, spec.m + 1))
+            for i in range(spec.n_intervals)])
+        on_keys = solve_on_keys(batch, price, model.standard, buckets, model.bounds)
+        per_sample = solve_affine(batch, price, model.standard, buckets, model.bounds)
+        assert on_keys.response is None and on_keys.price_path is None
+        response = interval_view(per_sample.response, spec.m)
+        for i in range(spec.n_intervals):
+            pooled = on_keys.key_means[i].copy()
+            buckets.pool_means(i, pooled)
+            assert np.max(np.abs(pooled - buckets.bucket_stats(i, response[:, i]).mean)) <= 1e-13
+            assert np.max(np.abs(on_keys.fit().tables[i] - per_sample.fit().tables[i])) <= 1e-13
+
+    def test_loop_builds_no_price_slab(self, affine_responses, monkeypatch):
+        # single-informed: the price is materialized twice per solve, at the
+        # first evaluation for the held informed agent's one solve and at the
+        # stop for the standard agent's one per-sample solve
+        model = preset("single-informed")
+        batch = sample_batch(model.grid, 5, 3000, model.factor)
+        real, calls = materialize, []
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(equilibrium, "materialize", spy)
+        monkeypatch.setattr(fbsde, "materialize", spy)
+        report = solve_fixed_point(batch, model, informed_state=False)
+        assert report.iterations > 2 and len(calls) == 2
+        assert affine_responses == ["I", "S"]
+
+    @pytest.mark.parametrize("declared", [None, ("varpi", "b")])
+    def test_other_running_costs_solved_per_sample(self, affine_responses, monkeypatch, declared):
+        # a raw callable declares nothing, and a cost that reads b is not a
+        # function of the key: both keep the per-sample path at every evaluation
+        model = preset("single-informed")
+        run = model.standard.running_cost
+
+        def cost(t, varpi, b, c):
+            return run(t, varpi, b, c) + 0.0 * np.clip(b, -1.0, 1.0)
+
+        if declared is not None:
+            cost = _reading(cost, *declared)
+        model = _standard_running_cost(model, cost)
+        assert model.standard.reads_price and not solved_on_keys(model.standard)
+        real, keyed = equilibrium.solve_on_keys, []
+        monkeypatch.setattr(equilibrium, "solve_on_keys",
+                            lambda *args: keyed.append(1) or real(*args))
+        batch = sample_batch(model.grid, 5, 3000, model.factor)
+        report = solve_fixed_point(batch, model, informed_state=False)
+        assert report.iterations > 2 and not keyed
+        assert affine_responses.count("S") == report.iterations
+
+    @pytest.mark.parametrize("cost", [
+        lambda t, varpi, b, c: 0.25 * np.clip(varpi, -8.0, 8.0) + 0.1 * np.clip(b, -1.0, 1.0),
+        lambda t, varpi, b, c: np.where(varpi > 0.0, b, 0.0),
+    ])
+    def test_declared_key_cost_reading_b_refused(self, cost):
+        # a cost that declares (t, varpi) but reads b is given b = None on
+        # key tables: it fails with a ModelError, never a silent wrong price
+        # (np.asarray(None, dtype=float) would read nan)
+        model = _standard_running_cost(preset("single-informed"), _reading(cost, "t", "varpi"))
+        assert solved_on_keys(model.standard)
+        batch = sample_batch(model.grid, 5, 500, model.factor)
+        with pytest.raises(ModelError, match="running_cost declares"):
+            solve_fixed_point(batch, model)
 
 
 class TestContinuityProbe:

@@ -528,6 +528,21 @@ class TestDecouplingProbe:
                                t=0.0, x1=-0.5, x2=0.5)
         assert 0.0 < out["ratio"] <= out["gamma_p"]
 
+    @pytest.mark.parametrize("jt", [0, 9, 16])
+    def test_ratio_read_in_place(self, batch, buckets, jt):
+        # the probe reads fine index jt off both Y slabs in place: the ratio
+        # equals the one read off their fine_path copies, bit for bit, at
+        # t = 0, at an interior index and at the last fine index (T)
+        model = preset("general-convex")
+        price = constant_price(SPEC, buckets, -0.2)
+        out = decoupling_probe(model.standard, price, batch, buckets, BOUNDS,
+                               t=jt * SPEC.dt_fine, x1=-0.5, x2=0.5)
+        Y1, Y2 = (solve_agent(replace(batch, xi_I=x0, xi_S=x0), price, model.standard, buckets,
+                              BOUNDS, start_index=jt).Y
+                  for x0 in (np.full(batch.count, -0.5), np.full(batch.count, 0.5)))
+        gap = np.abs(fine_path(Y1)[:, jt] - fine_path(Y2)[:, jt])
+        assert out["ratio"] == float(np.max(gap) / 1.0)
+
     def test_starts_from_batch_initial_state(self, monkeypatch):
         # at t = 0.5 both solves start their state at x1 and x2 at the fine
         # index of t, on copies of one batch that draw each noise stream once

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from mfpricelab import equilibrium
+from mfpricelab import equilibrium, fbsde
 from mfpricelab.equilibrium import solve_fixed_point
 from mfpricelab.errors import ModelError
 from mfpricelab.market import (clearing_bound, clearing_residual, informed_inference_check,
@@ -205,21 +205,30 @@ class TestInformedInference:
         assert conditioner_builds == [12]
 
     def test_no_map_evaluation_after_the_solve(self, monkeypatch, solve_reports):
-        # the check reads the solve's stopping evaluation: every price-map
-        # evaluation it makes is one of the solve's (apply_phi and the solve
-        # both evaluate through equilibrium._phi)
+        # the check reads the solve's stopping evaluation: it adds no
+        # price-map evaluation beyond the solve's (apply_phi and the solve
+        # both evaluate through equilibrium._phi), and the standard agent,
+        # integrated on key tables in the solve's loop, is solved per sample
+        # once, at the solve's stop
         model = preset("single-informed").with_solver(tol=1e-4)
         batch = sample_batch(model.grid, 44, 4000, model.factor)
         evaluate, calls = equilibrium._phi, []
+        respond, responses = fbsde._affine_response, []
 
         def counted(*args, **kwargs):
             calls.append(1)
             return evaluate(*args, **kwargs)
 
+        def spy(batch, env, agent):
+            responses.append(agent.population)
+            return respond(batch, env, agent)
+
         monkeypatch.setattr(equilibrium, "_phi", counted)
+        monkeypatch.setattr(fbsde, "_affine_response", spy)
         informed_inference_check(model, batch)
         (report,) = solve_reports
         assert len(calls) == report.iterations
+        assert responses.count("S") == 1
 
     @pytest.mark.parametrize("seed", [44, 45])
     def test_convex_standard_agent(self, seed, solve_reports):
