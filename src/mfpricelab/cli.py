@@ -72,7 +72,9 @@ def _parse_sections(path) -> dict:
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip()
-            sections.setdefault(current, {})
+            if current in sections:
+                raise ConfigError(f"line {lineno}: section [{current}] given twice")
+            sections[current] = {}
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
@@ -81,6 +83,8 @@ def _parse_sections(path) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if not key:
             raise ConfigError(f"line {lineno}: empty key")
+        if key in sections[current]:
+            raise ConfigError(f"line {lineno}: key {key!r} given twice in section [{current}]")
         sections[current][key] = value
     return sections
 
@@ -99,9 +103,19 @@ def _check_keys(section: str, entries: dict, allowed: set, dotted_roots: set = f
         raise ConfigError(f"unknown key {key!r} in section [{section}]")
 
 
-def _coefficient_from(entries: dict, slot_key: str, slot: str, default_name: str):
+def _coefficient_from(section: str, entries: dict, slot_key: str, slot: str, default_name: str):
+    """The coefficient named by `slot_key`, with its finite `slot_key.<param>` values."""
     prefix = slot_key + "."
-    params = {k[len(prefix):]: float(v) for k, v in entries.items() if k.startswith(prefix)}
+    params = {}
+    for key, text in entries.items():
+        if key.startswith(prefix):
+            try:
+                value = float(text)
+            except ValueError:
+                value = np.nan  # refused below with the non-finite values
+            if not np.isfinite(value):
+                raise ConfigError(f"[{section}] {key}: expected a finite number, got {text!r}")
+            params[key[len(prefix):]] = value
     return make_coefficient(entries.get(slot_key, default_name), params, slot)
 
 
@@ -115,18 +129,18 @@ def _agent_from(section: str, entries: dict, population: str) -> AgentSpec:
         population=population,
         lam=float(entries.get("lambda", 1.0)),
         weight=float(entries.get("weight", 0.5)),
-        drift=_coefficient_from(entries, "drift", "drift", "zero"),
-        vol_common=_coefficient_from(entries, "vol_common", "vol_common", "zero"),
-        vol_idio=_coefficient_from(entries, "vol_idio", "vol_idio", "zero"),
+        drift=_coefficient_from(section, entries, "drift", "drift", "zero"),
+        vol_common=_coefficient_from(section, entries, "vol_common", "vol_common", "zero"),
+        vol_idio=_coefficient_from(section, entries, "vol_idio", "vol_idio", "zero"),
         cost_mode=cost_mode,
         reads_factor=_as_bool(entries.get("reads_factor", "false"), "reads_factor"),
     )
     if cost_mode == AFFINE:
-        kwargs["running_cost"] = _coefficient_from(entries, "running_cost", "running_cost_affine", "zero")
-        kwargs["terminal_cost"] = _coefficient_from(entries, "terminal_cost", "terminal_cost_affine", "zero")
+        kwargs["running_cost"] = _coefficient_from(section, entries, "running_cost", "running_cost_affine", "zero")
+        kwargs["terminal_cost"] = _coefficient_from(section, entries, "terminal_cost", "terminal_cost_affine", "zero")
     else:
-        f, df = _coefficient_from(entries, "running_cost", "running_cost_convex", "tanh-state")
-        g, dg = _coefficient_from(entries, "terminal_cost", "terminal_cost_convex", "tanh-state")
+        f, df = _coefficient_from(section, entries, "running_cost", "running_cost_convex", "tanh-state")
+        g, dg = _coefficient_from(section, entries, "terminal_cost", "terminal_cost_convex", "tanh-state")
         kwargs.update(running_cost=f, running_cost_dx=df, terminal_cost=g, terminal_cost_dx=dg)
     try:
         return AgentSpec(**kwargs)

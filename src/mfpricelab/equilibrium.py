@@ -15,10 +15,12 @@ map's residual (cold inner solves) by tol.  In the iteration the map is
 taken from bucket means alone: an affine agent whose running cost reads
 only (t, varpi), a function of the key within an interval, is integrated
 on the price's key tables (fbsde.solve_on_keys), with no price slab and no
-per-sample response, and the map's standard errors are computed once, at
-the stopping evaluation.  apply_phi solves every agent per sample and gives
-the standard errors with the means.  The module also hosts
-the quantitative diagnostics: boundedness, within-interval time-Lipschitz
+per-sample response.  The map's standard errors are computed once, at the
+stopping evaluation, on apply_phi's path (_sampled_map): every agent that
+the loop did not solve per sample is solved per sample there, and each
+interval's combined response gives the means, their standard errors and
+the diagnostics' time-Lipschitz increments.  The module also hosts the
+quantitative diagnostics: boundedness, within-interval time-Lipschitz
 slope, conditional variation over the dyadic partition, and the Meyer-Zheng
 coupling distance used by the refinement study.
 """
@@ -32,7 +34,7 @@ import numpy as np
 
 from .conditioning import TreeConditioner
 from .errors import DivergenceError
-from .fbsde import (_PICARD_TOL, FbsdeSolution, _picard_map, solve_affine, solve_agent,
+from .fbsde import (_PICARD_TOL, _node_values, _picard_map, solve_affine, solve_agent,
                     solve_on_keys, solved_on_keys)
 from .models import AFFINE, MarketModel
 from .price import (DiscretePrice, _sup_fine, fine_path, interval_matrix, interval_view,
@@ -120,42 +122,61 @@ def _combined_response(model: MarketModel, sols: dict, m: int, i: int) -> np.nda
     return sum(terms[1:], terms[0]) * inv
 
 
-def _map_stats(model: MarketModel, sols: dict, buckets: TreeConditioner):
-    """The price map's tables, clipped to the C_B envelope, and its PhiStats,
-    from the per-sample solutions' combined response: one bucket_stats pass
-    per interval."""
+def _sampled_map(theta: DiscretePrice, batch: ScenarioBatch, model: MarketModel,
+                 buckets: TreeConditioner, informed_state: bool, sols: dict,
+                 cold_tol: float = _PICARD_TOL, increments: bool = False):
+    """The price map at theta from per-sample solutions: (price, PhiStats,
+    increment standard errors or None).  Each agent that `sols` does not
+    hold with a per-sample response is solved per sample at theta into
+    `sols` (a convex one by a cold solve_convex to the Picard tolerance
+    `cold_tol`).  Then, per interval, one combined response and one
+    bucket_stats pass on it give the tables, clipped to the C_B envelope,
+    and the standard errors; with `increments`, so do the bucket standard
+    errors of its increments along sub-time, which diagnostics reads."""
+    env = None
+    for agent in model.agents():
+        p = agent.population
+        if p not in sols or sols[p].response is None:
+            if env is None:
+                env = materialize(theta, buckets)
+            sols[p] = solve_agent(batch, theta, agent, buckets, model.bounds,
+                                  informed_state=informed_state, tol=cold_tol, env=env)
     C_B = model.bounds.C_B
     tables, se_list, fb_list = [], [], []
+    increment_se = [] if increments else None
     clip_excess = 0.0
     for i in range(buckets.spec.n_intervals):
-        stats = buckets.bucket_stats(i, _combined_response(model, sols, buckets.spec.m, i))
+        combo = _combined_response(model, sols, buckets.spec.m, i)
+        stats = buckets.bucket_stats(i, combo)
+        if increments:
+            increment_se.append(buckets.bucket_stats(i, np.diff(combo, axis=1)).se)
         raw = -stats.mean
         clip_excess = max(clip_excess, float(np.max(np.abs(raw))) - C_B)
         tables.append(np.clip(raw, -C_B, C_B))
         se_list.append(stats.se)
         fb_list.append(stats.fallback)
-    return tables, PhiStats(se=se_list, fallback=fb_list, clip_excess=max(clip_excess, 0.0))
+    stats = PhiStats(se=se_list, fallback=fb_list, clip_excess=max(clip_excess, 0.0))
+    return DiscretePrice.from_tables(buckets, tables), stats, increment_se
 
 
 def apply_phi(theta: DiscretePrice, batch: ScenarioBatch, model: MarketModel,
-              buckets: Optional[TreeConditioner] = None, informed_state: bool = True,
-              iterates: Optional[dict] = None, return_internals: bool = False,
+              buckets: Optional[TreeConditioner] = None, return_internals: bool = False,
               cold_tol: float = _PICARD_TOL):
     """One application of the input-output price map.
 
-    Solves both populations' FBSDEs under the candidate price and returns the
-    new tree price (clipped to the C_B envelope, which the raw values respect
-    up to float dust).  `informed_state` False conditions the affine informed
-    adjoint on the tree key alone (see solve_affine).  Without `iterates`
-    every agent is solved exactly (convex agents by a cold solve_convex to
-    the Picard tolerance `cold_tol`; only the consistency check loosens it).
-    `iterates` maps a convex agent's population to a Y slab: that agent then
-    takes one Picard pass from it, and its solution is that pass's.  Affine
-    agents are always solved directly, per sample, and the map's standard
-    errors come with its means.
+    Solves both populations' FBSDEs per sample under the candidate price,
+    exactly (convex agents by a cold solve_convex to the Picard tolerance
+    `cold_tol`; only the consistency check loosens it), and returns the new
+    tree price (clipped to the C_B envelope, which the raw values respect up
+    to float dust); with `return_internals`, also its PhiStats and the
+    solutions.  The solve's stop takes its PhiStats on the same path
+    (_sampled_map).
     """
-    out, stats, sols = _phi(theta, batch, model, buckets, informed_state, iterates=iterates,
-                            cold_tol=cold_tol, held=None)
+    if buckets is None:
+        buckets = model.solver.conditioner(batch, theta.mode)
+    sols = {}
+    out, stats, _ = _sampled_map(theta, batch, model, buckets, informed_state=True, sols=sols,
+                                 cold_tol=cold_tol)
     if return_internals:
         return out, stats, sols
     return out
@@ -165,48 +186,43 @@ def apply_phi(theta: DiscretePrice, batch: ScenarioBatch, model: MarketModel,
 class _Held:
     """What one solve keeps through all of its price-map evaluations (see _phi)."""
 
-    sols: dict = field(default_factory=dict)  # population -> _hold of a price-free agent
+    sols: dict = field(default_factory=dict)  # population -> held() of a price-free agent
     means: Optional[list] = None  # the per-sample part's raw key means, if all of it is held
 
 
 def _phi(theta: DiscretePrice, batch: ScenarioBatch, model: MarketModel,
-         buckets: Optional[TreeConditioner], informed_state: bool, iterates: Optional[dict],
-         cold_tol: float, held: Optional[_Held]):
-    """apply_phi's (price, stats, solutions), every agent solved per sample,
-    when `held` is None.  A solve passes one _Held to all of its
-    evaluations, and each then returns (price, None, solutions) from bucket
-    means alone, no standard errors (the solve adds them at its stop):
+         buckets: TreeConditioner, informed_state: bool, iterates: dict, held: _Held):
+    """One evaluation of the solve's loop: (price, solutions), the price from
+    bucket means alone, no standard errors (the solve takes them at its stop,
+    _sampled_map).  `iterates` maps each convex agent's population to its Y
+    slab, from which it takes one Picard pass.  A solve passes one _Held to
+    all of its evaluations:
     - an agent that solved_on_keys is solved on the price's key tables
       (solve_on_keys): no price slab and no per-sample response;
     - an affine agent whose costs read no price (not reads_price) is solved
-      at the first evaluation and its solution held (_hold);
+      at the first evaluation and its solution held (FbsdeSolution.held);
     - the map is the weighted sum of the raw key means of the per-sample
       part (the combined response of the agents solved per sample, taken
       once per solve when all of them are held) and of the key-table
       agents' key_means, then pooled and clipped."""
     spec = batch.spec
-    if buckets is None:
-        buckets = model.solver.conditioner(batch, theta.mode)
     sols, env = {}, None
     for agent in model.agents():
         p = agent.population
-        if held is not None and solved_on_keys(agent, informed_state):
+        if solved_on_keys(agent, informed_state):
             sols[p] = solve_on_keys(batch, theta, agent, buckets, model.bounds)
-        elif held is not None and p in held.sols:
+        elif p in held.sols:
             sols[p] = held.sols[p]
         else:
             if env is None:
                 env = materialize(theta, buckets)
-            if iterates is not None and agent.cost_mode != AFFINE:
+            if agent.cost_mode != AFFINE:
                 sols[p] = _picard_map(batch, env, agent, buckets, model.bounds)(iterates[p])
             else:
-                sols[p] = solve_agent(batch, theta, agent, buckets, model.bounds,
-                                      informed_state=informed_state, tol=cold_tol, env=env)
-            if held is not None and not agent.reads_price:
-                sols[p] = held.sols[p] = _hold(sols[p], buckets)
-    if held is None:
-        tables, stats = _map_stats(model, sols, buckets)
-        return DiscretePrice.from_tables(buckets, tables), stats, sols
+                sols[p] = solve_affine(batch, theta, agent, buckets, model.bounds,
+                                       informed_state=informed_state, env=env)
+            if not agent.reads_price:
+                sols[p] = held.sols[p] = sols[p].held()
 
     sampled = {p: s for p, s in sols.items() if s.key_means is None}
     means = held.means
@@ -226,45 +242,7 @@ def _phi(theta: DiscretePrice, batch: ScenarioBatch, model: MarketModel,
             raw += w * key_means[i]
         buckets.pool_means(i, raw)
         tables.append(np.clip(-raw, -C_B, C_B))
-    return DiscretePrice.from_tables(buckets, tables), None, sols
-
-
-def _finish(theta: DiscretePrice, batch: ScenarioBatch, model: MarketModel,
-            buckets: TreeConditioner, informed_state: bool, sols: dict) -> PhiStats:
-    """The stopping evaluation's standard errors, and the per-sample
-    solutions that its diagnostics and response statistics read: each agent
-    solved on key tables is solved per sample at theta (solve_affine), then
-    one bucket_stats pass per interval on the combined response.  Convex
-    agents keep the loop's last pass, held agents their held solution."""
-    for agent in model.agents():
-        if sols[agent.population].response is None:
-            sols[agent.population] = solve_affine(batch, theta, agent, buckets, model.bounds,
-                                                  informed_state=informed_state)
-    return _map_stats(model, sols, buckets)[1]
-
-
-@dataclass(frozen=True)
-class _FitReads:
-    """What a solve reads of a held adjoint fitted on a state: its sup over
-    the fine grid and its node values (see _node_values)."""
-
-    sup: float
-    nodes: np.ndarray  # (count, n_intervals+1)
-
-
-def _hold(sol: FbsdeSolution, buckets: TreeConditioner) -> FbsdeSolution:
-    """An affine solution to hold through a solve: no price path, and its
-    adjoint fitted when first read, as key tables or, fitted on a state, as
-    _FitReads: the slab is dropped once its sup and nodes are read off."""
-    fit = sol.adjoint
-
-    def reads():
-        Y = fit()
-        if isinstance(Y, DiscretePrice):
-            return Y
-        return _FitReads(sup=_sup_fine(np.moveaxis(Y, 1, 0)), nodes=_node_values(Y, buckets))
-
-    return replace(sol, adjoint=reads, price_path=None)
+    return DiscretePrice.from_tables(buckets, tables), sols
 
 
 _ANDERSON_MEMORY = 2
@@ -289,10 +267,10 @@ def solve_fixed_point(batch: ScenarioBatch, model: MarketModel,
 
     The iterate is one vector x = [price tables | Y slab of each convex
     agent], convex adjoints starting from 0.  One evaluation applies the
-    price map with one Picard pass per convex agent from its Y (see
-    apply_phi; affine agents are solved directly, one whose costs read no
-    price at the first evaluation only, and one whose running cost reads
-    only (t, varpi) on the price's key tables: see _phi), and its residual is
+    price map with one Picard pass per convex agent from its Y (affine
+    agents are solved directly, one whose costs read no price at the first
+    evaluation only, and one whose running cost reads only (t, varpi) on
+    the price's key tables: see _phi), and its residual is
     f = [Phi(theta) - theta | Y_hat - Y].  The first step is the plain step
     x + f; later steps take the Anderson update over the last
     _ANDERSON_MEMORY differences of iterates and residuals with unit mixing
@@ -307,15 +285,16 @@ def solve_fixed_point(batch: ScenarioBatch, model: MarketModel,
     Stops at the first evaluated iterate whose map residual plus its
     largest pass update is <= tol, and returns it with the phi_stats,
     diagnostics and response_stats of its own solutions: at that stop (or
-    at max_iter) each key-table agent is solved once per sample at the
-    returned price, and the map's standard errors are taken in one
-    bucket_stats pass per interval (_finish); no evaluation before it takes
-    them.  That bounds the exact map's
-    residual there (cold inner solves) by tol: the regression's predictions
-    average back to each key's mean, so the exact map moves the price by at
-    most the key mean of Y* - Y_hat, which a Picard contraction of rate rho
-    bounds by rho/(1-rho) times the update, at most the update itself for
-    rho <= 1/2.  With affine agents only, x is the price and its residual
+    at max_iter) the price map is evaluated per sample as apply_phi
+    evaluates it (_sampled_map), each key-table agent solved once per
+    sample at the returned price and the others kept, and each interval's
+    combined response, built once, gives both the map's standard errors and
+    diagnostics' time-Lipschitz increments; no evaluation before it takes
+    them.  That bounds the exact map's residual there (cold inner solves)
+    by tol: the regression's predictions average back to each key's mean,
+    so the exact map moves the price by at most the key mean of Y* - Y_hat,
+    which a Picard contraction of rate rho bounds by rho/(1-rho) times the
+    update, at most the update itself for rho <= 1/2.  With affine agents only, x is the price and its residual
     alone stops.  `max_iter` counts evaluations.
 
     Every setting comes from model.solver.  The same batch (common random
@@ -354,8 +333,7 @@ def solve_fixed_point(batch: ScenarioBatch, model: MarketModel,
     held = _Held()  # what the evaluations make once per solve (see _phi)
     for _ in range(sd.max_iter):
         Ys = _agent_slabs(x, n_price, convex, slab)
-        phi, _, sols = _phi(theta, batch, model, buckets, informed_state, iterates=Ys,
-                            cold_tol=_PICARD_TOL, held=held)
+        phi, sols = _phi(theta, batch, model, buckets, informed_state, iterates=Ys, held=held)
         f = np.empty_like(x)
         for t, lo, hi in zip(phi.tables, cuts[:-1], cuts[1:]):
             np.subtract(t.ravel(), x[lo:hi], out=f[lo:hi])
@@ -366,7 +344,7 @@ def solve_fixed_point(batch: ScenarioBatch, model: MarketModel,
         resid = price_metric(phi, theta)
         trace.append(resid)
         sup_p.append(theta.sup_norm())
-        sup_y.append({p: _sup_Y(s) for p, s in sols.items()})
+        sup_y.append({p: s.sup_Y for p, s in sols.items()})
         if resid > 10.0 * C_B:
             raise DivergenceError(f"fixed-point iteration diverged (residual {resid:.3e})", trace)
         if resid + max(deltas, default=0.0) <= sd.tol:
@@ -407,8 +385,9 @@ def solve_fixed_point(batch: ScenarioBatch, model: MarketModel,
         theta = replace(phi, tables=[x[lo:hi].reshape(t.shape).copy() for t, lo, hi in
                                      zip(phi.tables, cuts[:-1], cuts[1:])])
 
-    stats = _finish(theta, batch, model, buckets, informed_state, sols)
-    diag = diagnostics(theta, sols, batch, buckets, model)
+    _, stats, increment_se = _sampled_map(theta, batch, model, buckets, informed_state, sols,
+                                          increments=True)
+    diag = diagnostics(theta, sols, buckets, model, increment_se)
     resp = {p: interval_view(s.response, batch.spec.m) for p, s in sols.items()}
     response_stats = {p: [buckets.bucket_stats(i, r[:, i]) for i in range(batch.spec.n_intervals)]
                       for p, r in resp.items()}
@@ -440,35 +419,6 @@ def mz_distance(x: np.ndarray, y: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return 0.5 * ((integrand[..., :-1] + integrand[..., 1:]) * dt).sum(axis=-1)
 
 
-def _sup_Y(sol: FbsdeSolution) -> float:
-    """_sup_fine of sol.Y, read off the key tables when it is held as
-    tables, and kept from the one fit of a held state fit (_FitReads)."""
-    fit = sol.fit()
-    if isinstance(fit, _FitReads):
-        return fit.sup
-    return _sup_fine(fit.tables if isinstance(fit, DiscretePrice) else np.moveaxis(fit, 1, 0))
-
-
-def _node_values(source, buckets: TreeConditioner) -> np.ndarray:
-    """The (count, n_intervals+1) node values of a cadlag field: sub-time 0
-    of each interval, then the left limit at T.  `source` is a slab, or a
-    DiscretePrice (a price, or key-table adjoint), read along each sample's
-    key at those points only."""
-    if isinstance(source, _FitReads):
-        return source.nodes
-    n = buckets.spec.n_intervals
-    out = np.empty((buckets.count, n + 1))
-    if isinstance(source, DiscretePrice):
-        for i in range(n):
-            mat, _ = interval_matrix(source, buckets, i)
-            out[:, i] = mat[buckets.inverse(i), 0]
-        out[:, n] = mat[buckets.inverse(n - 1), -1]
-    else:
-        out[:, :n] = source[:, :, 0]
-        out[:, n] = source[:, -1, -1]
-    return out
-
-
 def _conditional_variation(nodes: np.ndarray, buckets: TreeConditioner) -> tuple[float, float]:
     """Tree estimate of the conditional variation over the dyadic partition:
     sum_j E |E[ A_{t_{j+1}} - A_{t_j} | key_j ]| with bucket means, plus the
@@ -489,13 +439,14 @@ def _conditional_variation(nodes: np.ndarray, buckets: TreeConditioner) -> tuple
     return total, float(np.sqrt(var))
 
 
-def diagnostics(price: DiscretePrice, solutions: dict, batch: ScenarioBatch,
-                buckets: TreeConditioner, model: MarketModel) -> DiagnosticsRecord:
+def diagnostics(price: DiscretePrice, solutions: dict, buckets: TreeConditioner,
+                model: MarketModel, increment_se: list) -> DiagnosticsRecord:
     """Boundedness, time-Lipschitz and conditional-variation diagnostics of
-    `price` and its evaluation's solutions, which hold materialize(price).path.
-    It builds no fine-grid copy: the combined response is read one interval
-    at a time, the price and the adjoints at their nodes only, and the sup
-    of a key-table adjoint off its tables."""
+    `price` and its evaluation's solutions.  `increment_se` holds, per
+    interval, the bucket standard errors of the combined response's
+    increments along sub-time (_sampled_map).  It builds no fine-grid copy:
+    the price is read per interval and at its nodes, the adjoints through
+    their sup_Y and nodes."""
     spec = price.spec
     L = model.bounds.L
     dt_sub = spec.interval_length / spec.m
@@ -505,19 +456,17 @@ def diagnostics(price: DiscretePrice, solutions: dict, batch: ScenarioBatch,
         mat, _ = interval_matrix(price, buckets, i)
         slopes = np.abs(np.diff(mat, axis=1)) / dt_sub
         lip_max = max(lip_max, float(slopes.max()))
-        combo = _combined_response(model, solutions, spec.m, i)
-        inc_stats = buckets.bucket_stats(i, np.diff(combo, axis=1))
-        se = np.where(np.isfinite(inc_stats.se), inc_stats.se, 0.0)
+        se = np.where(np.isfinite(increment_se[i]), increment_se[i], 0.0)
         excess = slopes - 2.0 * L - 10.0 * se / dt_sub
         lip_excess = max(lip_excess, float(excess.max()))
 
     cv_p, cv_p_se = _conditional_variation(_node_values(price, buckets), buckets)
-    cv_i, cv_i_se = _conditional_variation(_node_values(solutions["I"].fit(), buckets), buckets)
-    cv_s, cv_s_se = _conditional_variation(_node_values(solutions["S"].fit(), buckets), buckets)
+    cv_i, cv_i_se = _conditional_variation(solutions["I"].nodes, buckets)
+    cv_s, cv_s_se = _conditional_variation(solutions["S"].nodes, buckets)
     return DiagnosticsRecord(
         sup_price=price.sup_norm(),
-        sup_Y_I=_sup_Y(solutions["I"]),
-        sup_Y_S=_sup_Y(solutions["S"]),
+        sup_Y_I=solutions["I"].sup_Y,
+        sup_Y_S=solutions["S"].sup_Y,
         time_lipschitz_max=lip_max,
         time_lipschitz_bound_excess=lip_excess,
         cond_variation_price=cv_p, cond_variation_price_se=cv_p_se,

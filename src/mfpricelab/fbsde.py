@@ -71,7 +71,8 @@ class FbsdeSolution:
     alone (the standard agent; the informed one under informed_state=False)
     is fitted as its clipped key tables, a DiscretePrice on `conditioner`'s
     keys: `Y` gathers them along each sample's key on every read and keeps
-    no slab, and the solve's sup and node reads take the tables.  `response`
+    no slab.  A solve reads two things of an adjoint, `sup_Y` and `nodes`,
+    each made once, off the key tables when it is key tables.  `response`
     is the raw per-sample conditional-expectation target (the bracket) on
     the fine grid, smoothed into `Y`, read by the price map and standard
     errors.  `picard_iters` is the number of Picard passes behind `Y`: 0 for
@@ -80,17 +81,14 @@ class FbsdeSolution:
 
     The fixed-point iteration holds the solution of an affine agent whose
     costs read no price (AgentSpec.reads_price False) through the whole
-    solve, without a price path (`price_path` None): its response and
-    adjoint are the same at every price, so every evaluation reads the one
-    held solution, whose fit is made on the first read.  Of a fit on a
-    state the solve keeps only what it reads, the sup and the node values
-    (equilibrium._hold), so it has no `Y` slab to give.  The iteration's
+    solve (held()): no price path, and a fit on a state read into `sup_Y`
+    and `nodes` and then dropped, so it keeps no slab.  The iteration's
     solution of an agent that solved_on_keys (solve_on_keys) has no
     `response` and no price path either: `key_means` holds its response's
     raw key means, and its adjoint is key tables.
     """
 
-    adjoint: Union[np.ndarray, DiscretePrice, Callable[[], Union[np.ndarray, DiscretePrice]]]
+    adjoint: Union[None, np.ndarray, DiscretePrice, Callable[[], Union[np.ndarray, DiscretePrice]]]
     response: Optional[np.ndarray]
     price_path: Optional[np.ndarray]
     lam: float
@@ -112,6 +110,43 @@ class FbsdeSolution:
     @cached_property
     def alpha(self) -> np.ndarray:
         return optimal_control(self.Y, self.price_path, self.lam)
+
+    @cached_property
+    def sup_Y(self) -> float:
+        """_sup_fine of Y."""
+        fit = self.fit()
+        return _sup_fine(fit.tables if isinstance(fit, DiscretePrice) else np.moveaxis(fit, 1, 0))
+
+    @cached_property
+    def nodes(self) -> np.ndarray:
+        """_node_values of Y."""
+        return _node_values(self.fit(), self.conditioner)
+
+    def held(self) -> FbsdeSolution:
+        """This affine solution as a solve holds it: no price path, and its
+        adjoint fitted now; a fit on a state is read into sup_Y and nodes,
+        all that a solve reads of it, and its slab dropped."""
+        held = replace(self, price_path=None)
+        if not isinstance(held.fit(), DiscretePrice):
+            held.sup_Y, held.nodes  # made before the slab goes
+            held.adjoint = None
+        return held
+
+
+def _node_values(source, conditioner: TreeConditioner) -> np.ndarray:
+    """The (count, n_intervals+1) node values of a cadlag field: sub-time 0
+    of each interval, then the left limit at T.  `source` is a slab, or a
+    DiscretePrice (a price, or key-table adjoint), read along each sample's
+    key at those points only."""
+    if not isinstance(source, DiscretePrice):
+        return np.concatenate([source[:, :, 0], source[:, -1, -1:]], axis=1)
+    n = conditioner.spec.n_intervals
+    out = np.empty((conditioner.count, n + 1))
+    for i in range(n):
+        mat, _ = interval_matrix(source, conditioner, i)
+        out[:, i] = mat[conditioner.inverse(i), 0]
+    out[:, n] = mat[conditioner.inverse(n - 1), -1]
+    return out
 
 
 def optimal_control(y, price, lam: float):
@@ -451,7 +486,7 @@ def solve_convex(batch: ScenarioBatch, price: DiscretePrice, agent: AgentSpec,
     grid is the solution, so N passes cost N Euler passes.  The state starts
     at the batch's initial state at `start_index`.  The fixed-point
     iteration does not call this: it runs one pass of the map per evaluation
-    (see equilibrium.apply_phi)."""
+    (see equilibrium._phi)."""
     if agent.cost_mode != GENERAL_CONVEX:
         raise ValueError(f"solve_convex requires general convex costs, got {agent.cost_mode}")
     if env is None:

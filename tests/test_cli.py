@@ -133,6 +133,36 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="line 3"):
             parse_config(write(tmp_path, bad))
 
+    @pytest.mark.parametrize("text,line", [
+        ("[run]\nmodel = zero\nsamples = 500\nsamples = 600\n", 4),
+        ("[run]\nmodel = zero\n\n[grid]\nn = 2\n\n[run]\nsamples = 600\n", 7),
+    ])
+    def test_repeated_key_or_section_rejected(self, tmp_path, capsys, text, line):
+        # a later value would silently override an earlier one: a repeated
+        # key or [section] is refused, naming its line (exit 2)
+        out = tmp_path / "out"
+        path = write(tmp_path, text + f"out_dir = {out}\n")
+        with pytest.raises(ConfigError, match=f"line {line}: .* given twice"):
+            parse_config(path)
+        assert main(["solve", "--config", str(path)]) == 2
+        assert f"line {line}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "x"])
+    def test_non_finite_coefficient_parameter_rejected(self, tmp_path, capsys, value):
+        # a coefficient parameter that is not a finite number is refused,
+        # naming its section and key (exit 2), not solved on a nan map residual
+        out = tmp_path / "out"
+        cfg = FULL_MODEL.format(out=out).replace(
+            "terminal_cost = constant\nterminal_cost.value = 0.5\n",
+            f"terminal_cost = clipped-common-noise\nterminal_cost.bound = {value}\n", 1)
+        path = write(tmp_path, cfg)
+        with pytest.raises(ConfigError, match=r"\[informed\] terminal_cost\.bound"):
+            parse_config(path)
+        assert main(["solve", "--config", str(path)]) == 2
+        assert "[informed] terminal_cost.bound" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
             parse_config(tmp_path / "absent.ini")

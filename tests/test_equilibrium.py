@@ -6,7 +6,7 @@ from dataclasses import fields, is_dataclass, replace
 
 from mfpricelab import equilibrium, fbsde, sampling
 from mfpricelab.conditioning import TreeConditioner
-from mfpricelab.equilibrium import (_conditional_variation, _node_values, _sup_fine, _sup_Y,
+from mfpricelab.equilibrium import (_conditional_variation, _node_values, _sup_fine,
                                     apply_phi, consistency_residual, diagnostics,
                                     mz_distance, refinement_study, solve_fixed_point)
 from mfpricelab.errors import DivergenceError, ModelError
@@ -197,11 +197,11 @@ class TestSolveFixedPoint:
         calls, evaluate = [], equilibrium._phi
 
         def bumped(*args, **kwargs):
-            phi, stats, sols = evaluate(*args, **kwargs)
+            phi, sols = evaluate(*args, **kwargs)
             calls.append(phi)
             if len(calls) == 2:
                 phi = replace(phi, tables=[t + 1.2 for t in phi.tables])
-            return phi, stats, sols
+            return phi, sols
 
         monkeypatch.setattr(equilibrium, "_phi", bumped)
         report = solve_fixed_point(batch, model)
@@ -223,7 +223,7 @@ def _recorded_solve(monkeypatch, model, batch, patch=None, init=None):
     def recording(theta, *args, **kwargs):
         iterates = {p: Y.copy() for p, Y in kwargs["iterates"].items()}
         out = evaluate(theta, *args, **kwargs)
-        updates = {p: float(np.max(np.abs(fine_path(out[2][p].Y - Y))))
+        updates = {p: float(np.max(np.abs(fine_path(out[1][p].Y - Y))))
                    for p, Y in iterates.items()}
         calls.append((theta, iterates, updates))
         return out if patch is None else patch(len(calls), theta, out)
@@ -283,6 +283,50 @@ class TestJointStop:
         trace = report.residual_trace
         assert trace[0] == 0.0 and min(calls[0][2].values()) > sd.tol
         assert report.converged and report.iterations > 1 and trace[-1] <= sd.tol
+
+
+class TestStopPass:
+    @pytest.mark.parametrize("name", ["zero", "deterministic", "terminal-common-noise",
+                                      "single-informed"])
+    def test_phi_stats_are_apply_phis(self, name):
+        # the stop evaluates the map per sample on apply_phi's path: at the
+        # returned price its PhiStats are apply_phi's, bit for bit
+        model = preset(name)
+        batch = sample_batch(model.grid, 5, 3000, model.factor)
+        buckets = model.solver.conditioner(batch)
+        report = solve_fixed_point(batch, model, buckets=buckets)
+        stats = apply_phi(report.price, batch, model, buckets=buckets, return_internals=True)[1]
+        got = report.phi_stats
+        assert len(got.se) == len(stats.se) == batch.spec.n_intervals
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got.se, stats.se))
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got.fallback, stats.fallback))
+        assert got.clip_excess == stats.clip_excess
+
+    @pytest.mark.parametrize("name", ["single-informed", "terminal-common-noise",
+                                      "general-convex"])
+    def test_one_combined_response_per_interval_at_the_stop(self, name, monkeypatch):
+        # after the loop's last evaluation, each interval's combined response
+        # is built once: the standard errors and the time-Lipschitz
+        # increments are both taken from it
+        model = preset(name)
+        batch = sample_batch(model.grid, 5, 2000, model.factor)
+        events, evaluate, combine = [], equilibrium._phi, equilibrium._combined_response
+
+        def phi(*args, **kwargs):
+            out = evaluate(*args, **kwargs)
+            events.append("phi")
+            return out
+
+        def combined(*args, **kwargs):
+            events.append("combined")
+            return combine(*args, **kwargs)
+
+        monkeypatch.setattr(equilibrium, "_phi", phi)
+        monkeypatch.setattr(equilibrium, "_combined_response", combined)
+        report = solve_fixed_point(batch, model)
+        assert events.count("phi") == report.iterations
+        after = events[len(events) - events[::-1].index("phi"):]
+        assert after == ["combined"] * batch.spec.n_intervals
 
 
 def _arrays(obj):
@@ -409,13 +453,13 @@ class TestWorkingSet:
     def test_table_sup_is_the_slab_sup(self, key_solution):
         _, buckets, sol = key_solution
         assert isinstance(sol.fit(), DiscretePrice)
-        sup = _sup_Y(sol)
+        sup = sol.sup_Y
         assert sup == _sup_fine_slab(sol.Y) == _sup_fine(np.moveaxis(sol.Y, 1, 0)) > 0.0
         # -0.0 tables read 0.0, as the all -0.0 slab gathered from them does
         tables = [np.full_like(t, -0.0) for t in sol.fit().tables]
         zero = replace(sol, adjoint=DiscretePrice.from_tables(buckets, tables))
-        assert not np.signbit(_sup_Y(zero)) and np.signbit(zero.Y).all()
-        assert _sup_Y(zero) == _sup_fine_slab(zero.Y) == 0.0
+        assert not np.signbit(zero.sup_Y) and np.signbit(zero.Y).all()
+        assert zero.sup_Y == _sup_fine_slab(zero.Y) == 0.0
 
     def test_conditional_variation_on_nodes(self, key_solution):
         # node values give the fine-path estimate bit for bit: a slab, key
@@ -424,7 +468,7 @@ class TestWorkingSet:
         m = batch.spec.m
         want = _conditional_variation_fine(fine_path(sol.Y), buckets)
         assert _conditional_variation(_node_values(sol.Y, buckets), buckets) == want
-        assert _conditional_variation(_node_values(sol.fit(), buckets), buckets) == want
+        assert _conditional_variation(sol.nodes, buckets) == want
         want_b = _conditional_variation_fine(batch.b, buckets)
         assert _conditional_variation(batch.b[:, ::m], buckets) == want_b
         nodes = _node_values(sol.price_path, buckets)

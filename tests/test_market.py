@@ -206,28 +206,35 @@ class TestInformedInference:
 
     def test_no_map_evaluation_after_the_solve(self, monkeypatch, solve_reports):
         # the check reads the solve's stopping evaluation: it adds no
-        # price-map evaluation beyond the solve's (apply_phi and the solve
-        # both evaluate through equilibrium._phi), and the standard agent,
-        # integrated on key tables in the solve's loop, is solved per sample
-        # once, at the solve's stop
+        # price-map evaluation beyond the solve's (the loop evaluates
+        # through equilibrium._phi, apply_phi and the solve's stop through
+        # equilibrium._sampled_map), and the standard agent, integrated on
+        # key tables in the solve's loop, is solved per sample once, at the
+        # solve's stop
         model = preset("single-informed").with_solver(tol=1e-4)
         batch = sample_batch(model.grid, 44, 4000, model.factor)
         evaluate, calls = equilibrium._phi, []
+        sampled, stops = equilibrium._sampled_map, []
         respond, responses = fbsde._affine_response, []
 
         def counted(*args, **kwargs):
             calls.append(1)
             return evaluate(*args, **kwargs)
 
+        def stop(*args, **kwargs):
+            stops.append(1)
+            return sampled(*args, **kwargs)
+
         def spy(batch, env, agent):
             responses.append(agent.population)
             return respond(batch, env, agent)
 
         monkeypatch.setattr(equilibrium, "_phi", counted)
+        monkeypatch.setattr(equilibrium, "_sampled_map", stop)
         monkeypatch.setattr(fbsde, "_affine_response", spy)
         informed_inference_check(model, batch)
         (report,) = solve_reports
-        assert len(calls) == report.iterations
+        assert len(calls) == report.iterations and len(stops) == 1
         assert responses.count("S") == 1
 
     @pytest.mark.parametrize("seed", [44, 45])
