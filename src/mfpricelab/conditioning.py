@@ -80,12 +80,15 @@ class TreeConditioner:
         order = np.arange(self.count)
         starts = np.zeros(1, dtype=np.int64)
         parent_ids, parent_order = inv, order  # prefix keys refine these; Markov keys never do
+        n_parents = 1
         for i in range(spec.n_intervals):
             if i:
                 # the key is its parent's sorted id and one new code, sorted stably
-                # in the parent's bucket order: equal keys keep the sample order
+                # in the parent's bucket order: equal keys keep the sample order.
+                # It is below size * n_parents, so it is sorted in the narrowest
+                # unsigned dtype that holds that: numpy radix-sorts 16 bits or fewer
                 key = self.codes[parent_order, i - 1] + parent_ids[parent_order] * size
-                step = np.argsort(key, kind="stable")
+                step = np.argsort(key.astype(np.min_scalar_type(size * n_parents)), kind="stable")
                 order, key = parent_order[step], key[step]
                 first = np.empty(self.count, dtype=bool)
                 first[:1] = True  # an empty batch has no first sample
@@ -95,7 +98,7 @@ class TreeConditioner:
                 inv[order] = np.cumsum(first) - 1
                 uniq = self.codes[order[starts], i - 1 if mode == MARKOV else 0:i]
                 if mode == FULL_PREFIX:
-                    parent_ids, parent_order = inv, order
+                    parent_ids, parent_order, n_parents = inv, order, starts.size
             counts = np.diff(starts, append=self.count)
             n_keys = counts.size
             self._inverse.append(inv)

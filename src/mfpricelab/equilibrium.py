@@ -34,8 +34,8 @@ import numpy as np
 
 from .conditioning import TreeConditioner
 from .errors import DivergenceError
-from .fbsde import (_PICARD_TOL, _node_values, _picard_map, solve_affine, solve_agent,
-                    solve_on_keys, solved_on_keys)
+from .fbsde import (_PICARD_TOL, _euler_noise, _node_values, _picard_map, solve_affine,
+                    solve_agent, solve_on_keys, solved_on_keys)
 from .models import AFFINE, MarketModel
 from .price import (DiscretePrice, _sup_fine, fine_path, interval_matrix, interval_view,
                     key_rows, materialize, price_metric, zero_price)
@@ -188,6 +188,7 @@ class _Held:
 
     sols: dict = field(default_factory=dict)  # population -> held() of a price-free agent
     means: Optional[list] = None  # the per-sample part's raw key means, if all of it is held
+    noise: dict = field(default_factory=dict)  # population -> Euler noise of price-free dynamics
 
 
 def _phi(theta: DiscretePrice, batch: ScenarioBatch, model: MarketModel,
@@ -201,6 +202,9 @@ def _phi(theta: DiscretePrice, batch: ScenarioBatch, model: MarketModel,
       (solve_on_keys): no price slab and no per-sample response;
     - an affine agent whose costs read no price (not reads_price) is solved
       at the first evaluation and its solution held (FbsdeSolution.held);
+    - a convex agent whose drift and volatilities read no price (not
+      dynamics_read_price) has its Euler noise built at the first
+      evaluation and held, and every pass of it adds its own control;
     - the map is the weighted sum of the raw key means of the per-sample
       part (the combined response of the agents solved per sample, taken
       once per solve when all of them are held) and of the key-table
@@ -217,7 +221,11 @@ def _phi(theta: DiscretePrice, batch: ScenarioBatch, model: MarketModel,
             if env is None:
                 env = materialize(theta, buckets)
             if agent.cost_mode != AFFINE:
-                sols[p] = _picard_map(batch, env, agent, buckets, model.bounds)(iterates[p])
+                noise = held.noise.get(p)
+                if noise is None and not agent.dynamics_read_price:
+                    noise = held.noise[p] = _euler_noise(batch, env, agent)
+                sols[p] = _picard_map(batch, env, agent, buckets, model.bounds,
+                                      noise=noise)(iterates[p])
             else:
                 sols[p] = solve_affine(batch, theta, agent, buckets, model.bounds,
                                        informed_state=informed_state, env=env)
@@ -267,10 +275,11 @@ def solve_fixed_point(batch: ScenarioBatch, model: MarketModel,
 
     The iterate is one vector x = [price tables | Y slab of each convex
     agent], convex adjoints starting from 0.  One evaluation applies the
-    price map with one Picard pass per convex agent from its Y (affine
-    agents are solved directly, one whose costs read no price at the first
-    evaluation only, and one whose running cost reads only (t, varpi) on
-    the price's key tables: see _phi), and its residual is
+    price map with one Picard pass per convex agent from its Y, on Euler
+    noise built at the first evaluation only when its dynamics read no
+    price (affine agents are solved directly, one whose costs read no price
+    at the first evaluation only, and one whose running cost reads only
+    (t, varpi) on the price's key tables: see _phi), and its residual is
     f = [Phi(theta) - theta | Y_hat - Y].  The first step is the plain step
     x + f; later steps take the Anderson update over the last
     _ANDERSON_MEMORY differences of iterates and residuals with unit mixing

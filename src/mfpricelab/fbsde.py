@@ -15,8 +15,9 @@ X is read only inside a convex pass and is not kept.  It starts from the
 batch's xi_I or xi_S, so the decoupling field u(t, x) is a solve on a copy
 of the batch whose initial states are all x.
 
-Each conditional expectation is TreeConditioner.regress_slab on a state built
-once per solve: (X_t, B_t[, C_t]) for convex costs, (B_t[, C_t]) for the
+Each conditional expectation is TreeConditioner.regress_slab on a state:
+(X_t, B_t[, C_t]) for convex costs, built once per Picard map (once per cold
+solve, once per evaluation of the equilibrium's loop), (B_t[, C_t]) for the
 affine informed agent, none (bucket means) for the affine standard agent; an
 affine Y is fitted only when something reads it, and one fitted on no state
 is kept as its key tables, not as a per-sample slab.  When the running cost
@@ -30,7 +31,9 @@ the noises, the response and the regression state are continuous fine-grid
 paths, read per interval through interval_view.  Each coefficient is
 evaluated once per call site, on the slab layout.  Forward dynamics use
 Euler-Maruyama on the fine grid, each step reading the slabs at its left
-point; the control-free part of the increments is built once per solve.
+point; the control-free part of the increments is built once per Picard
+map, or, in the equilibrium's loop, once per solve when the agent's drift
+and volatilities declare no varpi read (AgentSpec.dynamics_read_price).
 All time integrals use the trapezoid rule, interval by interval, so
 every interval closes on its left limit.  Estimates of Y are clipped to the
 envelope L*(1 + (T-t)), which the conditional-expectation representation
@@ -208,8 +211,10 @@ def _slab(value, shape: tuple) -> np.ndarray:
 def _euler_noise(batch: ScenarioBatch, env: PriceEnv, agent: AgentSpec) -> np.ndarray:
     """Control-free Euler increments drift dt + s0 dB + si dW, (count, n_intervals, m).
 
-    They depend on the price path and the agent only, so a solve builds them
-    once and every pass adds its own alpha dt.
+    They depend on the price path and the agent only, so a Picard map builds
+    them once and every pass adds its own alpha dt; when the agent's drift
+    and volatilities read no price (not AgentSpec.dynamics_read_price) they
+    do not depend on the price either, and a solve's loop builds them once.
     """
     spec = batch.spec
     m = spec.m
@@ -229,9 +234,10 @@ def euler_state(batch: ScenarioBatch, env: PriceEnv, agent: AgentSpec,
 
     The increments alpha dt + noise do not depend on X, so the state is one
     running sum of them along time, started at the batch's initial state of
-    the agent's population.  `noise` is the solve's _euler_noise, built here
-    when not given.  A fine step's left point is one of its interval's
-    sub-times 0..m-1, so the slabs are never read at their left limits.
+    the agent's population.  `noise` is the caller's _euler_noise at this
+    price, built here when not given.  A fine step's left point is one of
+    its interval's sub-times 0..m-1, so the slabs are never read at their
+    left limits.
     """
     spec = batch.spec
     count, m = batch.count, spec.m
@@ -449,23 +455,28 @@ def _aitken_factor(w: float, f_prev: np.ndarray, f: np.ndarray) -> float:
 
 
 def _picard_map(batch: ScenarioBatch, env: PriceEnv, agent: AgentSpec,
-                buckets: TreeConditioner, bounds: ModelBounds, start_index: int = 0):
+                buckets: TreeConditioner, bounds: ModelBounds, start_index: int = 0,
+                noise: Optional[np.ndarray] = None):
     """The Picard map of a convex agent under a fixed price: a function
     sending an iterate Y to the solution of one pass alpha(Y) -> Euler ->
-    response -> Y_hat = smoothed response (picard_iters 1).  The Euler noise,
-    the regression state's fixed columns and the envelope are built once,
-    when the map is made."""
+    response -> Y_hat = smoothed response (picard_iters 1).  The regression
+    state's fixed columns and the envelope are built when the map is made,
+    and so is the Euler noise, unless the caller hands in its _euler_noise
+    at this price.  A pass frees its control and state path before it
+    regresses."""
     fixed = [batch.b, batch.c] if agent.population == "I" and agent.reads_factor else [batch.b]
     state = np.empty((batch.count, batch.spec.n_fine, 1 + len(fixed)))  # (X, B[, C])
     state[:, :, 1:] = np.stack(fixed, axis=2)  # X is written on every pass
-    noise = _euler_noise(batch, env, agent)
+    if noise is None:
+        noise = _euler_noise(batch, env, agent)
     env_bound = bounds.envelope(_times(batch))[0]
 
     def one_pass(Y: np.ndarray) -> FbsdeSolution:
-        alpha = optimal_control(Y, env.path, agent.lam)
-        X = euler_state(batch, env, agent, alpha, start_index=start_index, noise=noise)
+        X = euler_state(batch, env, agent, optimal_control(Y, env.path, agent.lam),
+                        start_index=start_index, noise=noise)
         response = _convex_response(batch, env, agent, X)
         state[:, :, 0] = X
+        del X
         Y_hat = _smooth_response(response, batch, buckets, env_bound, state,
                                  start_index=start_index)
         return FbsdeSolution(adjoint=Y_hat, response=response, price_path=env.path,

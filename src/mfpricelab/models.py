@@ -17,7 +17,12 @@ price-map evaluation, and validate probes the claim.  An affine agent that
 reads the price through a running cost declaring no read beyond (t, varpi)
 (clipped-price, zero, constant) is integrated on the price's key tables in
 a solve's loop (fbsde.solved_on_keys); the cost is then given b = c = None,
-so one that reads them raises ModelError.
+so one that reads them raises ModelError.  The catalog's drift and
+volatility entries (drift, vol_common, vol_idio take (t, varpi)) are `zero`
+and `constant`, which read neither: an agent none of whose three declares a
+varpi read (AgentSpec.dynamics_read_price False) has control-free Euler
+increments the price does not move, so a solve builds a convex agent's once,
+at its first price-map evaluation, and validate probes the claim.
 
 Each population's adjoint is a conditional expectation given the tree key
 (the projected common-noise path up to the interval) and, within the key:
@@ -68,6 +73,11 @@ class ModelBounds:
         return self.L * (1.0 + self.T - np.asarray(t))
 
 
+def _reads_varpi(fn) -> bool:
+    """Whether fn may read varpi: a raw callable declares nothing and may."""
+    return "varpi" in getattr(fn, "reads", ("varpi",))
+
+
 @dataclass(frozen=True)
 class AgentSpec:
     """One subpopulation's coefficients and control penalty."""
@@ -109,8 +119,14 @@ class AgentSpec:
         varpi read (see the module docstring): its response and adjoint are
         the same at every price."""
         costs = (self.running_cost, self.terminal_cost)
-        return self.cost_mode != AFFINE or any("varpi" in getattr(fn, "reads", ("varpi",))
-                                               for fn in costs)
+        return self.cost_mode != AFFINE or any(_reads_varpi(fn) for fn in costs)
+
+    @property
+    def dynamics_read_price(self) -> bool:
+        """False only when none of drift, vol_common and vol_idio declares a
+        varpi read (see the module docstring): the control-free Euler
+        increments are the same at every price."""
+        return any(_reads_varpi(fn) for fn in (self.drift, self.vol_common, self.vol_idio))
 
 
 @dataclass(frozen=True)
@@ -313,8 +329,9 @@ def validate(agent: AgentSpec, bounds: ModelBounds, probe_budget: int = 2000) ->
     """Numerically probe the standing coefficient assumptions on a random box
     of half-width max(2*C_B, 10), at a fixed seed, and the declarations a
     solve relies on: that the costs of an agent without reads_factor do not
-    read the factor, and that those of a price-free agent (not reads_price)
-    give the same values, bit for bit, with varpi moved by 1."""
+    read the factor, and that those of a price-free agent (not reads_price),
+    and each drift or volatility that declares no varpi read, give the same
+    values, bit for bit, with varpi moved by 1."""
     if probe_budget < 1:
         raise ValueError("probe budget must be >= 1")
     box = max(2.0 * bounds.C_B, 10.0)
@@ -339,11 +356,17 @@ def validate(agent: AgentSpec, bounds: ModelBounds, probe_budget: int = 2000) ->
             raise ModelError(f"non-finite {name} output", point=tuple(float(v[j]) for v in idx))
 
     growth = np.zeros(probe_budget)
+    moved = []  # a solve builds the Euler noise once when no coefficient reads varpi
     for fn in (agent.drift, agent.vol_common, agent.vol_idio):
         vals = np.asarray(fn(t, varpi), dtype=float)
         finite("coefficient", vals, (t, varpi))
         growth = growth + np.abs(vals)
+        if not _reads_varpi(fn):
+            moved.append(np.abs(np.asarray(fn(t, varpi + 1.0), dtype=float) - vals))
     record("coefficient growth |l|+|s|+|s0| <= L(1+|w|)", growth - L * (1 + np.abs(varpi)), (t, varpi))
+    if moved:
+        record("dynamics price independence", np.broadcast_to(sum(moved), t.shape), (t, varpi),
+               tol=0.0)
 
     if agent.cost_mode == AFFINE:
         rc = np.asarray(agent.running_cost(t, varpi, b, cfac), dtype=float)

@@ -162,6 +162,33 @@ class TestPartition:
             np.testing.assert_array_equal(cond.pooled(i), mask)
         assert (pooled > 0) == (count > 1)
 
+    @pytest.mark.parametrize("mode", [FULL_PREFIX, MARKOV])
+    @pytest.mark.parametrize("n,l,count,narrow", [(2, 1, 20000, True), (4, 2, 10000, False),
+                                                  (4, 2, 1, True)])
+    def test_narrow_sort_keys_match_int64(self, mode, n, l, count, narrow, monkeypatch):
+        # each interval's sort key is cast to the narrowest unsigned dtype
+        # that holds lattice size * parent keys, which numpy radix-sorts at
+        # 16 bits or fewer; every array equals an int64-key build, bit for bit
+        spec = GridSpec(n=n, l=l, m=2, T=1.0)
+        b = np.random.default_rng(n + l).normal(size=(count, spec.n_nodes)).cumsum(axis=1)
+        nodes = project_path(b * np.sqrt(spec.interval_length), spec.l)
+        real, dtypes = np.min_scalar_type, []
+        monkeypatch.setattr(np, "min_scalar_type", lambda v: dtypes.append(real(v)) or dtypes[-1])
+        cond = TreeConditioner(spec, nodes, mode)
+        monkeypatch.setattr(np, "min_scalar_type", lambda v: np.dtype(np.int64))
+        wide = TreeConditioner(spec, nodes, mode)
+        assert len(dtypes) == spec.n_intervals - 1
+        # Markov keys have one parent; the deep prefix tree's keys need 32 bits
+        assert all(d.itemsize <= 2 for d in dtypes) == (narrow or mode == MARKOV)
+        for name in ("_order", "_starts", "_inverse", "_counts", "_key_codes"):
+            for got, want in zip(getattr(cond, name), getattr(wide, name), strict=True):
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+        assert cond._pool.keys() == wide._pool.keys()
+        for i, pool in cond._pool.items():
+            for got, want in zip(pool, wide._pool[i], strict=True):
+                np.testing.assert_array_equal(got, want)
+
 
 class TestRegression:
     def test_recovers_linear_function_exactly(self):

@@ -11,7 +11,7 @@ from mfpricelab.equilibrium import (_conditional_variation, _node_values, _sup_f
                                     mz_distance, refinement_study, solve_fixed_point)
 from mfpricelab.errors import DivergenceError, ModelError
 from mfpricelab.fbsde import solve_affine, solve_on_keys, solved_on_keys
-from mfpricelab.models import _reading, preset
+from mfpricelab.models import _reading, preset, validate
 from mfpricelab.price import (DiscretePrice, constant_price, fine_path, interval_view, key_rows,
                               materialize, price_metric, price_to_csv, zero_price)
 from mfpricelab.sampling import sample_batch
@@ -677,6 +677,85 @@ class TestKeyTableAgents:
         batch = sample_batch(model.grid, 5, 500, model.factor)
         with pytest.raises(ModelError, match="running_cost declares"):
             solve_fixed_point(batch, model)
+
+
+def _raw_dynamics(model):
+    """The model with every agent's drift and volatilities behind raw
+    callables, which declare no reads: every convex agent's Euler noise is
+    then rebuilt at every evaluation."""
+    def raw(fn):
+        return lambda t, varpi: fn(t, varpi)
+
+    def agent(a):
+        return replace(a, drift=raw(a.drift), vol_common=raw(a.vol_common),
+                       vol_idio=raw(a.vol_idio))
+    return replace(model, informed=agent(model.informed), standard=agent(model.standard))
+
+
+@pytest.fixture
+def euler_noises(monkeypatch):
+    """The population of every Euler noise built while the test runs."""
+    real, calls = fbsde._euler_noise, []
+
+    def spy(batch, env, agent):
+        calls.append(agent.population)
+        return real(batch, env, agent)
+
+    monkeypatch.setattr(fbsde, "_euler_noise", spy)
+    monkeypatch.setattr(equilibrium, "_euler_noise", spy)
+    return calls
+
+
+def _same_arrays(a, b) -> bool:
+    return all(np.array_equal(x, y, equal_nan=True) for x, y in zip(a, b, strict=True))
+
+
+class TestHeldEulerNoise:
+    @pytest.mark.parametrize("name", ["general-convex", "clearing"])
+    def test_built_once_per_convex_agent(self, name, euler_noises):
+        # the catalog's drift and volatilities read no price, so each convex
+        # agent's noise is built at the solve's first evaluation only
+        model = preset(name)
+        batch = sample_batch(model.grid, 5, 3000, model.factor)
+        report = solve_fixed_point(batch, model)
+        assert report.converged and report.iterations > 2
+        assert sorted(euler_noises) == ["I", "S"]
+
+    @pytest.mark.parametrize("name", ["general-convex", "clearing"])
+    def test_same_solve_as_rebuilt_every_evaluation(self, name, euler_noises):
+        model = preset(name)
+        batch = sample_batch(model.grid, 5, 3000, model.factor)
+        held = solve_fixed_point(batch, model)
+        del euler_noises[:]
+        every = solve_fixed_point(batch, _raw_dynamics(model))
+        assert len(euler_noises) == 2 * every.iterations
+        assert held.iterations == every.iterations and held.restarts == every.restarts
+        assert held.summary(bounds=model.bounds) == every.summary(bounds=model.bounds)
+        assert held.residual_trace == every.residual_trace
+        assert held.iterate_sup_price == every.iterate_sup_price
+        assert held.iterate_sup_Y == every.iterate_sup_Y
+        assert _same_arrays(held.price.tables, every.price.tables)
+        assert _same_arrays([getattr(held.diagnostics, f.name) for f in fields(held.diagnostics)],
+                            [getattr(every.diagnostics, f.name) for f in fields(every.diagnostics)])
+        assert _same_arrays(held.phi_stats.se, every.phi_stats.se)
+        for p in "IS":
+            for a, b in zip(held.response_stats[p], every.response_stats[p], strict=True):
+                assert _same_arrays([a.counts, a.mean, a.se, a.fallback],
+                                    [b.counts, b.mean, b.se, b.fallback])
+
+    def test_price_reading_drift_rebuilt_every_evaluation(self, euler_noises):
+        # a raw-callable drift that reads the price (within L) moves the
+        # noise: that agent's is rebuilt at every evaluation, the other's held
+        model = preset("general-convex")
+        model = replace(model, standard=replace(model.standard,
+                                                drift=lambda t, varpi: 0.1 * np.tanh(varpi)))
+        assert model.standard.dynamics_read_price and not model.informed.dynamics_read_price
+        assert validate(model.standard, model.bounds).passed
+        batch = sample_batch(model.grid, 5, 3000, model.factor)
+        report = solve_fixed_point(batch, model)
+        assert report.converged and report.iterations > 2
+        assert euler_noises.count("S") == report.iterations
+        assert euler_noises.count("I") == 1
 
 
 class TestContinuityProbe:

@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from mfpricelab import fbsde
 from mfpricelab.conditioning import TreeConditioner
+from mfpricelab.equilibrium import solve_fixed_point
 from mfpricelab.errors import ModelError
-from mfpricelab.fbsde import (_aitken_factor, _euler_noise, _key_tables, _slab, _smooth_response,
-                              _times, backward_integral,
+from mfpricelab.fbsde import (_aitken_factor, _euler_noise, _key_tables, _picard_map, _slab,
+                              _smooth_response, _times, backward_integral,
                               cost_functional, decoupling_gamma, decoupling_probe,
                               optimal_control, per_sample_cost, solve_affine, solve_agent,
                               solve_convex)
-from mfpricelab.models import (AFFINE, GENERAL_CONVEX, AgentSpec, ModelBounds,
+from mfpricelab.models import (AFFINE, GENERAL_CONVEX, AgentSpec, ModelBounds, _reading,
                                coeff_constant, coeff_zero, preset)
 from mfpricelab.price import (DiscretePrice, constant_price, fine_path, interval_view, materialize,
                               zero_price)
@@ -88,6 +90,33 @@ class TestCoefficientSlab:
         noise = _euler_noise(batch, materialize(zero_price(SPEC, buckets), buckets), agent)
         assert noise.shape == (batch.count, SPEC.n_intervals, SPEC.m)
         assert np.all(noise == 0.0) and not np.signbit(noise).any()
+
+    def test_negative_zero_on_the_held_path(self, batch, buckets, monkeypatch):
+        # declared price-free -0.0 dynamics: the solve builds each convex
+        # agent's noise once, and every pass reads that +0.0 noise; the
+        # states start away from 0, so the passes move them
+        from mfpricelab import equilibrium
+        handed, real = [], fbsde._picard_map
+
+        def spy(*args, noise=None, **kwargs):
+            handed.append(noise)
+            return real(*args, noise=noise, **kwargs)
+
+        monkeypatch.setattr(equilibrium, "_picard_map", spy)
+        negative_zero = _reading(lambda t, varpi: -0.0)
+        model = preset("general-convex")
+        model = replace(model, **{p: replace(getattr(model, p), drift=negative_zero,
+                                             vol_common=negative_zero, vol_idio=negative_zero)
+                                  for p in ("informed", "standard")})
+        assert not any(a.dynamics_read_price for a in model.agents())
+        x0 = np.random.default_rng(3).normal(size=batch.count)
+        report = solve_fixed_point(replace(batch, xi_I=x0, xi_S=-x0), model, buckets=buckets)
+        assert report.iterations > 2 and len(handed) == 2 * report.iterations
+        held = {id(noise) for noise in handed}
+        assert len(held) == 2
+        for noise in handed[:2]:
+            assert noise.shape == (batch.count, SPEC.n_intervals, SPEC.m)
+            assert np.all(noise == 0.0) and not np.signbit(noise).any()
 
     def test_broadcasts_like_a_zero_slab(self):
         value = np.array([[[1.5], [-0.0]]])
@@ -424,6 +453,18 @@ class TestSolveConvex:
         sol = solve_convex(batch, constant_price(SPEC, buckets, -0.2),
                            preset("general-convex").standard, buckets, BOUNDS)
         assert sol.picard_iters > 1 and len(calls) == 1
+
+    def test_given_noise_is_not_rebuilt(self, batch, buckets, monkeypatch):
+        # a Picard map handed its noise at this price builds none and makes
+        # the pass of a map that builds it
+        agent = preset("general-convex").standard
+        env = materialize(constant_price(SPEC, buckets, -0.2), buckets)
+        noise = _euler_noise(batch, env, agent)
+        Y = np.full_like(env.path, 0.1)
+        built = _picard_map(batch, env, agent, buckets, BOUNDS)(Y)
+        monkeypatch.setattr(fbsde, "_euler_noise", lambda *a: pytest.fail("noise rebuilt"))
+        given = _picard_map(batch, env, agent, buckets, BOUNDS, noise=noise)(Y)
+        assert np.array_equal(given.Y, built.Y) and np.array_equal(given.response, built.response)
 
     def test_row_subset_batch_solves(self):
         # a replace that takes rows gives every late path, so the solve sees one count

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -165,6 +167,32 @@ class TestValidation:
         report = validate(affine_agent(run=run), ModelBounds(L=1.0, T=1.0), probe_budget=500)
         dep = next(c for c in report.checks if c.name == "price independence")
         assert 0.0 < dep.worst < 1e-9 and not dep.passed
+
+    def test_dynamics_price_independence_probed(self):
+        # a drift that declares it reads nothing, but reads varpi, claims
+        # price-free Euler noise: the probe at varpi + 1 fails it, exactly
+        liar = lambda t, w: 1e-12 * np.tanh(w)
+        liar.reads = frozenset()
+        agent = replace(affine_agent(), drift=liar)
+        assert not agent.dynamics_read_price
+        report = validate(agent, ModelBounds(L=1.0, T=1.0), probe_budget=500)
+        dep = next(c for c in report.checks if c.name == "dynamics price independence")
+        assert 0.0 < dep.worst < 1e-9 and not dep.passed and not report.passed
+        # undeclared, the drift may read the price: the agent's noise is
+        # rebuilt at every price, and the declared volatilities are still probed
+        raw = replace(agent, drift=lambda t, w: 1e-12 * np.tanh(w))
+        assert raw.dynamics_read_price
+        report = validate(raw, ModelBounds(L=1.0, T=1.0), probe_budget=500)
+        dep = next(c for c in report.checks if c.name == "dynamics price independence")
+        assert report.passed and dep.worst == 0.0
+
+    def test_dynamics_read_price(self):
+        # the catalog's drift and volatilities read no price; a raw callable
+        # declares nothing
+        assert not any(a.dynamics_read_price for name in PRESET_NAMES
+                       for a in preset(name).agents())
+        raw = replace(affine_agent(), vol_idio=lambda t, w: np.full_like(w, 0.3))
+        assert raw.dynamics_read_price
 
     def test_reads_price(self):
         # only an affine agent whose two costs declare no varpi read is
