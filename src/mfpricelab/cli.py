@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, PriceLabError
+from .errors import ConfigError, ModelError, PriceLabError
 from .models import (AFFINE, GENERAL_CONVEX, AgentSpec, MarketModel, ModelBounds,
                      PRESET_NAMES, make_coefficient, preset, validate)
 from .sampling import InformedFactorSpec, sample_batch
@@ -42,7 +42,7 @@ _RUN_KEYS = {
 }
 _GRID_KEYS = {"n", "l", "m", "T", "L"}
 _FACTOR_KEYS = {"kind", "rho"}
-_AGENT_KEYS = {"lambda", "weight", "cost_mode", "reads_factor",
+_AGENT_KEYS = {"lambda", "weight", "cost_mode",
                "drift", "vol_common", "vol_idio", "running_cost", "terminal_cost"}
 
 
@@ -89,12 +89,6 @@ def _parse_sections(path) -> dict:
     return sections
 
 
-def _as_bool(value: str, key: str) -> bool:
-    if value.lower() in ("true", "false"):
-        return value.lower() == "true"
-    raise ConfigError(f"{key}: expected true/false, got {value!r}")
-
-
 def _check_keys(section: str, entries: dict, allowed: set, dotted_roots: set = frozenset()):
     for key in entries:
         base = key.split(".", 1)[0]
@@ -116,7 +110,10 @@ def _coefficient_from(section: str, entries: dict, slot_key: str, slot: str, def
             if not np.isfinite(value):
                 raise ConfigError(f"[{section}] {key}: expected a finite number, got {text!r}")
             params[key[len(prefix):]] = value
-    return make_coefficient(entries.get(slot_key, default_name), params, slot)
+    try:
+        return make_coefficient(entries.get(slot_key, default_name), params, slot)
+    except ModelError as exc:
+        raise ConfigError(f"[{section}] {slot_key}: {exc}")
 
 
 def _agent_from(section: str, entries: dict, population: str) -> AgentSpec:
@@ -133,7 +130,6 @@ def _agent_from(section: str, entries: dict, population: str) -> AgentSpec:
         vol_common=_coefficient_from(section, entries, "vol_common", "vol_common", "zero"),
         vol_idio=_coefficient_from(section, entries, "vol_idio", "vol_idio", "zero"),
         cost_mode=cost_mode,
-        reads_factor=_as_bool(entries.get("reads_factor", "false"), "reads_factor"),
     )
     if cost_mode == AFFINE:
         kwargs["running_cost"] = _coefficient_from(section, entries, "running_cost", "running_cost_affine", "zero")

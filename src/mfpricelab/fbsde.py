@@ -51,7 +51,7 @@ import numpy as np
 
 from .conditioning import TreeConditioner
 from .errors import ModelError, PicardError
-from .models import AFFINE, GENERAL_CONVEX, AgentSpec, ModelBounds
+from .models import AFFINE, GENERAL_CONVEX, AgentSpec, ModelBounds, declared_reads
 from .price import (DiscretePrice, PriceEnv, _sup_fine, interval_matrix, interval_view,
                     materialize)
 from .sampling import ScenarioBatch
@@ -268,7 +268,7 @@ def _cost(agent: AgentSpec, name: str, *args):
         if agent.reads_factor:
             raise
         raise ModelError(f"population {agent.population}: {name} failed on the factor c = None, "
-                         f"which an agent without reads_factor is given ({exc})") from exc
+                         f"which an agent whose costs declare no c read is given ({exc})") from exc
 
 
 def _affine_response(batch: ScenarioBatch, env: PriceEnv, agent: AgentSpec):
@@ -340,10 +340,9 @@ def solved_on_keys(agent: AgentSpec, informed_state: bool = True) -> bool:
     key tables (solve_on_keys): an affine agent that reads the price, whose
     adjoint is conditioned on the tree key alone (_key_adjoint) and whose
     running cost declares that it reads no more than (t, varpi).  A raw
-    callable declares nothing, so its agent is solved per sample."""
-    reads = getattr(agent.running_cost, "reads", None)
+    callable counts as reading b (declared_reads): its agent is solved per sample."""
     return (agent.cost_mode == AFFINE and agent.reads_price and _key_adjoint(agent, informed_state)
-            and reads is not None and reads <= {"t", "varpi"})
+            and declared_reads(agent.running_cost) <= {"t", "varpi"})
 
 
 def _key_running_cost(agent: AgentSpec, t: np.ndarray, varpi: np.ndarray) -> np.ndarray:
@@ -464,7 +463,7 @@ def _picard_map(batch: ScenarioBatch, env: PriceEnv, agent: AgentSpec,
     and so is the Euler noise, unless the caller hands in its _euler_noise
     at this price.  A pass frees its control and state path before it
     regresses."""
-    fixed = [batch.b, batch.c] if agent.population == "I" and agent.reads_factor else [batch.b]
+    fixed = [batch.b, batch.c] if agent.reads_factor else [batch.b]
     state = np.empty((batch.count, batch.spec.n_fine, 1 + len(fixed)))  # (X, B[, C])
     state[:, :, 1:] = np.stack(fixed, axis=2)  # X is written on every pass
     if noise is None:

@@ -193,8 +193,8 @@ class InformedCheckResult:
 def informed_inference_check(model: MarketModel, batch: ScenarioBatch) -> InformedCheckResult:
     """Verify that the informed trading rate equals its inference from public
     information at the equilibrium: beta = (n_S/n_I) * (1/Lambda_S) * (price +
-    E[Y_S | key]).  Requires the informed costs to be affine functions of
-    (t, price, common noise) so the informed adjoint is key-measurable.
+    E[Y_S | key]).  Requires affine informed costs that declare no factor
+    read (not reads_factor), so the informed adjoint is key-measurable.
     """
     if model.informed.cost_mode != AFFINE:
         raise ModelError("informed inference check requires affine informed costs")

@@ -2,34 +2,38 @@
 
 Coefficients are vectorized callables.  Affine costs take the environment
 (t, varpi, b, c) directly; general convex costs take (t, x, varpi, c) and must
-come with their x-derivative.  Costs of an agent without reads_factor (every
-standard agent) receive c = None for the informed factor; validate probes them,
-and a solve in which one reads it raises ModelError.
+come with their x-derivative.
 
-Each catalog coefficient declares, as its `reads` set, the arguments its
-value depends on: `zero` and `constant` read none, `clipped-common-noise`
-reads b, `clipped-price` varpi, `clipped-factor` c, and the convex
-`tanh-state` and `affine-state` x (affine-state's derivative none).  A raw
-callable declares nothing and counts as reading every argument.  An affine
-agent whose two costs declare no varpi read (AgentSpec.reads_price False)
-has an adjoint the price does not move: a solve fits it once, at its first
-price-map evaluation, and validate probes the claim.  An affine agent that
-reads the price through a running cost declaring no read beyond (t, varpi)
-(clipped-price, zero, constant) is integrated on the price's key tables in
-a solve's loop (fbsde.solved_on_keys); the cost is then given b = c = None,
-so one that reads them raises ModelError.  The catalog's drift and
-volatility entries (drift, vol_common, vol_idio take (t, varpi)) are `zero`
-and `constant`, which read neither: an agent none of whose three declares a
-varpi read (AgentSpec.dynamics_read_price False) has control-free Euler
-increments the price does not move, so a solve builds a convex agent's once,
-at its first price-map evaluation, and validate probes the claim.
+Each catalog coefficient declares, as its `reads` set, the arguments its value
+depends on: `zero` and `constant` read none, `clipped-common-noise` reads b,
+`clipped-price` varpi, `clipped-factor` c, and the convex `tanh-state` and
+`affine-state` x (affine-state's derivative none).  A raw callable declares
+nothing and counts as reading every argument but the factor c
+(declared_reads): a varpi read only picks a slower path to the same answer,
+while a c read changes what the agent observes, so it must be declared.  An
+affine agent whose two costs declare no varpi read (AgentSpec.reads_price
+False) has an adjoint the price does not move: a solve fits it once, at its
+first price-map evaluation, and validate probes the claim.  An affine agent
+that reads the price through a running cost declaring no read beyond
+(t, varpi) (clipped-price, zero, constant) is integrated on the price's key
+tables in a solve's loop (fbsde.solved_on_keys); the cost is then given
+b = c = None, so one that reads them raises ModelError.  The catalog's drift
+and volatility entries (drift, vol_common, vol_idio take (t, varpi)) are
+`zero` and `constant`, which read neither: an agent none of whose three
+declares a varpi read (AgentSpec.dynamics_read_price False) has control-free
+Euler increments the price does not move, so a solve builds a convex agent's
+once, at its first price-map evaluation, and validate probes the claim.
 
-Each population's adjoint is a conditional expectation given the tree key
-(the projected common-noise path up to the interval) and, within the key:
+An informed agent with a cost the solver reads that declares a c read
+(AgentSpec.reads_factor) has C drawn; the costs of any other agent get
+c = None, validate probes that they do not read it, and a solve in which one
+does raises ModelError.  Each population's adjoint is a conditional
+expectation given the tree key (the projected common-noise path up to the
+interval) and, within the key:
 - an affine standard agent: nothing more (the key only);
 - an affine informed agent: (B_t[, C_t]), C when it reads the factor; the
   informed inference check conditions it on the key only;
-- a convex agent: (X_t, B_t[, C_t]).
+- a convex agent: (X_t, B_t[, C_t]), C likewise.
 """
 
 from __future__ import annotations
@@ -73,9 +77,9 @@ class ModelBounds:
         return self.L * (1.0 + self.T - np.asarray(t))
 
 
-def _reads_varpi(fn) -> bool:
-    """Whether fn may read varpi: a raw callable declares nothing and may."""
-    return "varpi" in getattr(fn, "reads", ("varpi",))
+def declared_reads(fn) -> frozenset:
+    """fn.reads; a raw callable declares nothing and counts as reading all but c."""
+    return getattr(fn, "reads", frozenset({"t", "x", "varpi", "b"}))
 
 
 @dataclass(frozen=True)
@@ -93,7 +97,6 @@ class AgentSpec:
     terminal_cost: Callable = None      # affine: g(varpi,b,c);  convex: g(x,varpi,c)
     running_cost_dx: Callable = None    # convex only
     terminal_cost_dx: Callable = None   # convex only
-    reads_factor: bool = False
 
     def __post_init__(self):
         if self.population not in (INFORMED, STANDARD):
@@ -107,7 +110,7 @@ class AgentSpec:
         if self.cost_mode == GENERAL_CONVEX and (self.running_cost_dx is None or self.terminal_cost_dx is None):
             raise ValueError("general convex mode requires x-derivatives of the costs")
         if self.population == STANDARD and self.reads_factor:
-            raise ValueError("standard agents cannot observe the informed factor")
+            raise ValueError("standard agents cannot observe the informed factor (a cost declares a c read)")
 
     @property
     def lam_bar(self) -> float:
@@ -119,14 +122,20 @@ class AgentSpec:
         varpi read (see the module docstring): its response and adjoint are
         the same at every price."""
         costs = (self.running_cost, self.terminal_cost)
-        return self.cost_mode != AFFINE or any(_reads_varpi(fn) for fn in costs)
+        return self.cost_mode != AFFINE or any("varpi" in declared_reads(fn) for fn in costs)
+
+    @property
+    def reads_factor(self) -> bool:
+        """Whether a cost the solver reads declares a c read (see the module docstring)."""
+        dx = () if self.cost_mode == AFFINE else (self.running_cost_dx, self.terminal_cost_dx)
+        return any("c" in declared_reads(fn) for fn in (self.running_cost, self.terminal_cost, *dx))
 
     @property
     def dynamics_read_price(self) -> bool:
         """False only when none of drift, vol_common and vol_idio declares a
         varpi read (see the module docstring): the control-free Euler
         increments are the same at every price."""
-        return any(_reads_varpi(fn) for fn in (self.drift, self.vol_common, self.vol_idio))
+        return any("varpi" in declared_reads(fn) for fn in (self.drift, self.vol_common, self.vol_idio))
 
 
 @dataclass(frozen=True)
@@ -205,13 +214,7 @@ def _reading(fn, *names):
 
 
 def coeff_zero(_params, slot):
-    if slot in ("drift", "vol_common", "vol_idio"):
-        return _reading(lambda t, varpi: np.zeros_like(np.asarray(varpi, dtype=float)))
-    if slot == "running_cost_affine":
-        return _reading(lambda t, varpi, b, c: np.zeros_like(np.asarray(varpi, dtype=float)))
-    if slot == "terminal_cost_affine":
-        return _reading(lambda varpi, b, c: np.zeros_like(np.asarray(varpi, dtype=float)))
-    raise ModelError(f"zero coefficient unsupported for slot {slot}")
+    return coeff_constant({}, slot)
 
 
 def coeff_constant(params, slot):
@@ -222,7 +225,6 @@ def coeff_constant(params, slot):
         return _reading(lambda t, varpi, b, c: np.full_like(np.asarray(varpi, dtype=float), v))
     if slot == "terminal_cost_affine":
         return _reading(lambda varpi, b, c: np.full_like(np.asarray(varpi, dtype=float), v))
-    raise ModelError(f"constant coefficient unsupported for slot {slot}")
 
 
 def coeff_clipped_common_noise(params, slot):
@@ -232,7 +234,6 @@ def coeff_clipped_common_noise(params, slot):
         return _reading(lambda t, varpi, b, c: scale * np.clip(b, -bound, bound), "b")
     if slot == "terminal_cost_affine":
         return _reading(lambda varpi, b, c: scale * np.clip(b, -bound, bound), "b")
-    raise ModelError(f"clipped-common-noise unsupported for slot {slot}")
 
 
 def coeff_clipped_price(params, slot):
@@ -242,7 +243,6 @@ def coeff_clipped_price(params, slot):
         return _reading(lambda t, varpi, b, c: kappa * np.clip(varpi, -bound, bound), "varpi")
     if slot == "terminal_cost_affine":
         return _reading(lambda varpi, b, c: kappa * np.clip(varpi, -bound, bound), "varpi")
-    raise ModelError(f"clipped-price unsupported for slot {slot}")
 
 
 def coeff_clipped_factor(params, slot):
@@ -252,7 +252,6 @@ def coeff_clipped_factor(params, slot):
         return _reading(lambda t, varpi, b, c: scale * np.clip(c, -bound, bound), "c")
     if slot == "terminal_cost_affine":
         return _reading(lambda varpi, b, c: scale * np.clip(c, -bound, bound), "c")
-    raise ModelError(f"clipped-factor unsupported for slot {slot}")
 
 
 def coeff_tanh_state(params, slot):
@@ -265,7 +264,6 @@ def coeff_tanh_state(params, slot):
         g = _reading(lambda x, varpi, c: scale * np.log(np.cosh(x)), "x")
         dg = _reading(lambda x, varpi, c: scale * np.tanh(x), "x")
         return g, dg
-    raise ModelError(f"tanh-state unsupported for slot {slot}")
 
 
 def coeff_affine_state(params, slot):
@@ -277,24 +275,30 @@ def coeff_affine_state(params, slot):
     if slot == "terminal_cost_convex":
         return (_reading(lambda x, varpi, c: v * x, "x"),
                 _reading(lambda x, varpi, c: np.full_like(np.asarray(x, float), v)))
-    raise ModelError(f"affine-state unsupported for slot {slot}")
 
 
-COEFF_CATALOG = {
-    "zero": coeff_zero,
-    "constant": coeff_constant,
-    "clipped-common-noise": coeff_clipped_common_noise,
-    "clipped-price": coeff_clipped_price,
-    "clipped-factor": coeff_clipped_factor,
-    "tanh-state": coeff_tanh_state,
-    "affine-state": coeff_affine_state,
+COEFF_CATALOG = {  # name -> (builder, None off its slots; the parameters it takes)
+    "zero": (coeff_zero, ()),
+    "constant": (coeff_constant, ("value",)),
+    "clipped-common-noise": (coeff_clipped_common_noise, ("scale", "bound")),
+    "clipped-price": (coeff_clipped_price, ("kappa", "bound")),
+    "clipped-factor": (coeff_clipped_factor, ("scale", "bound")),
+    "tanh-state": (coeff_tanh_state, ("scale",)),
+    "affine-state": (coeff_affine_state, ("value",)),
 }
 
 
 def make_coefficient(name: str, params: dict, slot: str):
+    """The catalog coefficient `name` for `slot`; a slot or parameter it does not take is refused."""
     if name not in COEFF_CATALOG:
         raise ModelError(f"unknown coefficient {name!r} (catalog: {sorted(COEFF_CATALOG)})")
-    return COEFF_CATALOG[name](params, slot)
+    build, takes = COEFF_CATALOG[name]
+    extra = set(params) - set(takes)
+    if extra:
+        raise ModelError(f"{name} takes no parameter {min(extra)!r} (it takes: {', '.join(takes) or 'none'})")
+    if (coefficient := build(params, slot)) is None:
+        raise ModelError(f"{name} unsupported for slot {slot}")
+    return coefficient
 
 
 # ---------------------------------------------------------------------------
@@ -328,10 +332,10 @@ class ValidationReport:
 def validate(agent: AgentSpec, bounds: ModelBounds, probe_budget: int = 2000) -> ValidationReport:
     """Numerically probe the standing coefficient assumptions on a random box
     of half-width max(2*C_B, 10), at a fixed seed, and the declarations a
-    solve relies on: that the costs of an agent without reads_factor do not
-    read the factor, and that those of a price-free agent (not reads_price),
-    and each drift or volatility that declares no varpi read, give the same
-    values, bit for bit, with varpi moved by 1."""
+    solve relies on: that the costs of an agent declaring no factor read (not
+    reads_factor) do not read it, and that those of a price-free agent (not
+    reads_price), and each drift or volatility that declares no varpi read,
+    give the same values, bit for bit, with varpi moved by 1."""
     if probe_budget < 1:
         raise ValueError("probe budget must be >= 1")
     box = max(2.0 * bounds.C_B, 10.0)
@@ -361,7 +365,7 @@ def validate(agent: AgentSpec, bounds: ModelBounds, probe_budget: int = 2000) ->
         vals = np.asarray(fn(t, varpi), dtype=float)
         finite("coefficient", vals, (t, varpi))
         growth = growth + np.abs(vals)
-        if not _reads_varpi(fn):
+        if "varpi" not in declared_reads(fn):
             moved.append(np.abs(np.asarray(fn(t, varpi + 1.0), dtype=float) - vals))
     record("coefficient growth |l|+|s|+|s0| <= L(1+|w|)", growth - L * (1 + np.abs(varpi)), (t, varpi))
     if moved:

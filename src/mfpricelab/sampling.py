@@ -4,7 +4,7 @@ Every stream is drawn from a counter-based Philox generator keyed by
 (base seed, stream tag); within a stream, sample i owns the counter block
 [i*steps, (i+1)*steps).  Streams are drawn on the finest grid when first
 read: the common noise when the batch is made, the informed factor (read by
-agents with reads_factor only) and the idiosyncratic paths (never read by
+agents with a declared c read only) and the idiosyncratic paths (never read by
 affine populations) the first time something reads them.  A stream drawn late
 is the same stream, bit for bit, so results depend only on (seed, tag,
 sample), not on thread count or call order.  No stream is drawn for the

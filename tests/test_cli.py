@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mfpricelab.cli import RunSpec, main, parse_config, run
@@ -305,14 +306,76 @@ class TestMainEntry:
         assert "min_bucket" in capsys.readouterr().err
         assert conditioner_builds == []
 
-    def test_undeclared_factor_read_exits_3(self, tmp_path, capsys):
-        # the informed terminal cost reads the factor, which reads_factor (false) withholds
-        cfg = FULL_MODEL.format(out=tmp_path / "f").replace(
+    def test_informed_factor_read_solves_on_b_and_c(self, tmp_path, monkeypatch):
+        # an informed cost that declares a c read is the agent's only factor
+        # switch: the solve draws c and fits the informed adjoint on (B, C)
+        from mfpricelab import fbsde
+        states = []
+        real = fbsde._smooth_response
+
+        def spy(response, batch, buckets, env_bound, state, *args, **kwargs):
+            states.append((state.shape[2], np.array_equal(state[:, :, -1], batch.c)))
+            return real(response, batch, buckets, env_bound, state, *args, **kwargs)
+
+        monkeypatch.setattr(fbsde, "_smooth_response", spy)
+        cfg = FULL_MODEL.format(out=tmp_path / "f").replace("L = 1.0", "L = 8.0").replace(
             "terminal_cost = constant\nterminal_cost.value = 0.5\nvol_common",
-            "terminal_cost = clipped-factor\nvol_common", 1)
-        assert main(["solve", "--config", str(write(tmp_path, cfg))]) == 3
-        [line] = capsys.readouterr().err.splitlines()
-        assert line.startswith("error: population I: terminal_cost failed on the factor c = None")
+            "terminal_cost = clipped-factor\nterminal_cost.scale = 1\nterminal_cost.bound = 8\n"
+            "vol_common", 1)
+        path = write(tmp_path, cfg)
+        spec = parse_config(path)
+        assert spec.model.informed.reads_factor and not spec.model.standard.reads_factor
+        assert main(["solve", "--config", str(path)]) == 0
+        assert states and set(states) == {(2, True)}
+
+    def test_standard_factor_read_exits_2(self, tmp_path, capsys, conditioner_builds):
+        # a standard agent does not observe the factor: a cost reading it is refused at parse
+        out = tmp_path / "f"
+        cfg = FULL_MODEL.format(out=out)
+        at = cfg.index("[standard]")
+        cfg = cfg[:at] + cfg[at:].replace("terminal_cost = constant\nterminal_cost.value = 0.5\n",
+                                          "terminal_cost = clipped-factor\n", 1)
+        path = write(tmp_path, cfg)
+        with pytest.raises(ConfigError, match=r"\[standard\] standard agents cannot observe"):
+            parse_config(path)
+        assert main(["solve", "--config", str(path)]) == 2
+        assert "[standard]" in capsys.readouterr().err
+        assert conditioner_builds == [] and not out.exists()
+
+    def test_reads_factor_key_is_unknown(self, tmp_path, capsys):
+        # whether an agent reads the factor follows from its costs' reads sets
+        cfg = FULL_MODEL.format(out=tmp_path / "f").replace(
+            "[informed]\n", "[informed]\nreads_factor = true\n", 1)
+        assert main(["solve", "--config", str(write(tmp_path, cfg))]) == 2
+        assert "unknown key 'reads_factor' in section [informed]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old,new,message", [
+        ("terminal_cost = constant\nterminal_cost.value = 0.5\n",
+         "terminal_cost = clipped-common-noise\nterminal_cost.scael = 5.0\n",
+         "[informed] terminal_cost: clipped-common-noise takes no parameter 'scael'"),
+        ("terminal_cost.value = 0.5\n", "terminal_cost.valeu = 0.5\n",
+         "[informed] terminal_cost: constant takes no parameter 'valeu'"),
+        ("vol_common = constant\n", "", "[informed] vol_common: zero takes no parameter 'value'"),
+        ("vol_common = constant\n", "drift.value = 0.3\nvol_common = constant\n",
+         "[informed] drift: zero takes no parameter 'value'"),
+        ("terminal_cost = constant\nterminal_cost.value = 0.5\n", "terminal_cost = bogus\n",
+         "[informed] terminal_cost: unknown coefficient 'bogus'"),
+        ("vol_common = constant\n", "drift = clipped-price\nvol_common = constant\n",
+         "[informed] drift: clipped-price unsupported for slot drift"),
+    ])
+    def test_coefficient_the_catalog_does_not_take_exits_2(self, tmp_path, capsys,
+                                                           conditioner_builds, old, new, message):
+        # a parameter its coefficient does not take (a typo, or a value for the
+        # default `zero`), an unknown name or a slot the name does not serve is
+        # a configuration error naming the section and key, not solved without it
+        out = tmp_path / "f"
+        cfg = FULL_MODEL.format(out=out).replace(old, new, 1)
+        path = write(tmp_path, cfg)
+        with pytest.raises(ConfigError):
+            parse_config(path)
+        assert main(["solve", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
+        assert conditioner_builds == [] and not out.exists()
 
     def test_clearing_sizes_checked_before_solve(self, tmp_path, capsys, conditioner_builds):
         # four sizes spanning less than two octaves: refused before any solve

@@ -32,8 +32,7 @@ def buckets(batch):
     return TreeConditioner(SPEC, batch.node_path, FULL_PREFIX, min_count=30)
 
 
-def affine_agent(run=None, term=None, pop="S", lam=1.0, vol_common=0.2, vol_idio=0.3,
-                 reads_factor=False):
+def affine_agent(run=None, term=None, pop="S", lam=1.0, vol_common=0.2, vol_idio=0.3):
     return AgentSpec(
         population=pop, lam=lam, weight=0.5,
         drift=coeff_zero({}, "drift"),
@@ -41,8 +40,7 @@ def affine_agent(run=None, term=None, pop="S", lam=1.0, vol_common=0.2, vol_idio
         vol_idio=coeff_constant({"value": vol_idio}, "vol_idio"),
         cost_mode=AFFINE,
         running_cost=run or coeff_zero({}, "running_cost_affine"),
-        terminal_cost=term or coeff_zero({}, "terminal_cost_affine"),
-        reads_factor=reads_factor)
+        terminal_cost=term or coeff_zero({}, "terminal_cost_affine"))
 
 
 def convex_agent(f, df, g, dg, pop="S", lam=1.0):
@@ -217,7 +215,7 @@ class TestSolveAffine:
         assert calls == []
 
     def test_undeclared_factor_read_is_a_model_error(self, batch, buckets):
-        # an agent without reads_factor is given c = None: a cost reading it names itself
+        # an agent whose costs declare no c read is given c = None: a cost reading it names itself
         agent = affine_agent(term=lambda w, b, c: np.clip(c, -1, 1))
         with pytest.raises(ModelError, match="population S: terminal_cost") as info:
             solve_affine(batch, zero_price(SPEC, buckets), agent, buckets, BOUNDS)
@@ -247,8 +245,9 @@ class TestSolveAffine:
         price = constant_price(SPEC, buckets, -0.2)
         for pop, reads_factor, informed_state in [("S", False, True), ("I", False, True),
                                                   ("I", True, True), ("I", False, False)]:
-            agent = affine_agent(term=lambda w, b, c: np.clip(b + (0.0 if c is None else c), -1, 1),
-                                 pop=pop, reads_factor=reads_factor)
+            term = lambda w, b, c: np.clip(b + (0.0 if c is None else c), -1, 1)
+            agent = affine_agent(term=_reading(term, "b", "c") if reads_factor else term, pop=pop)
+            assert agent.reads_factor == reads_factor
             solve_affine(batch, price, agent, buckets, BOUNDS, informed_state=informed_state).Y
         assert calls == []
 

@@ -9,7 +9,7 @@ from mfpricelab.errors import ModelError
 from mfpricelab.market import (clearing_bound, clearing_residual, informed_inference_check,
                                rate_study, _agent_controls, _population_batch,
                                _residual_from_controls)
-from mfpricelab.models import ModelBounds, preset
+from mfpricelab.models import ModelBounds, _reading, preset
 from mfpricelab.price import fine_path
 from mfpricelab.sampling import idiosyncratic_copies, sample_batch
 
@@ -185,8 +185,7 @@ class TestInformedInference:
         from dataclasses import replace
         model = preset("single-informed")
         leaky = replace(model, informed=replace(
-            model.informed, reads_factor=True,
-            terminal_cost=lambda w, b, c: np.clip(c, -8, 8)))
+            model.informed, terminal_cost=_reading(lambda w, b, c: np.clip(c, -8, 8), "c")))
         batch = sample_batch(model.grid, 42, 500, model.factor)
         with pytest.raises(ModelError):
             informed_inference_check(leaky, batch)

@@ -5,8 +5,8 @@ import pytest
 
 from mfpricelab.errors import ModelError
 from mfpricelab.models import (AFFINE, GENERAL_CONVEX, AgentSpec, MarketModel,
-                               ModelBounds, PRESET_NAMES, coeff_constant,
-                               coeff_zero, make_coefficient, preset, validate)
+                               ModelBounds, PRESET_NAMES, _reading, coeff_constant,
+                               coeff_zero, declared_reads, make_coefficient, preset, validate)
 from mfpricelab.sampling import InformedFactorSpec
 from mfpricelab.tree import GridSpec
 
@@ -45,7 +45,28 @@ class TestAgentSpec:
 
     def test_standard_cannot_read_factor(self):
         with pytest.raises(ValueError):
-            affine_agent(pop="S", reads_factor=True)
+            affine_agent(pop="S", term=_reading(lambda w, b, c: np.clip(c, -1, 1), "c"))
+
+    def test_reads_factor_is_derived_from_the_reads_sets(self):
+        # no field to set: an agent reads the factor iff a cost the solver
+        # reads declares a c read; a raw callable counts as reading all but c
+        with pytest.raises(TypeError, match="reads_factor"):
+            affine_agent(pop="I", reads_factor=True)
+        raw = lambda w, b, c: np.clip(b, -1, 1)
+        assert not affine_agent(pop="I", term=raw).reads_factor
+        assert declared_reads(raw) == {"t", "x", "varpi", "b"}
+        assert affine_agent(pop="I", term=_reading(lambda w, b, c: c, "c")).reads_factor
+        # a convex agent's x-derivatives are read by the solver too
+        zero = lambda t, x, w, c: np.zeros_like(x)
+        convex = dict(population="I", lam=1.0, weight=0.5, drift=coeff_zero({}, "drift"),
+                      vol_common=coeff_zero({}, "vol_common"), vol_idio=coeff_zero({}, "vol_idio"),
+                      cost_mode=GENERAL_CONVEX, running_cost=zero, running_cost_dx=zero,
+                      terminal_cost=lambda x, w, c: x)
+        assert not AgentSpec(**convex, terminal_cost_dx=lambda x, w, c: x).reads_factor
+        assert AgentSpec(**convex, terminal_cost_dx=_reading(lambda x, w, c: c, "c")).reads_factor
+        with pytest.raises(ValueError, match="standard"):
+            AgentSpec(**{**convex, "population": "S"},
+                      terminal_cost_dx=_reading(lambda x, w, c: c, "c"))
 
     def test_convex_requires_derivatives(self):
         with pytest.raises(ValueError):
@@ -114,15 +135,15 @@ class TestValidation:
         assert err.value.point is not None
 
     def test_factor_independence_probed(self):
-        # informed agent whose costs read c but claims otherwise
+        # informed agent whose raw callable cost reads c, which it does not declare
         leaky = AgentSpec(population="I", lam=1.0, weight=0.5,
                           drift=coeff_zero({}, "drift"),
                           vol_common=coeff_zero({}, "vol_common"),
                           vol_idio=coeff_zero({}, "vol_idio"),
                           cost_mode=AFFINE,
                           running_cost=lambda t, w, b, c: np.clip(c, -1, 1),
-                          terminal_cost=coeff_zero({}, "terminal_cost_affine"),
-                          reads_factor=False)
+                          terminal_cost=coeff_zero({}, "terminal_cost_affine"))
+        assert not leaky.reads_factor
         report = validate(leaky, ModelBounds(L=1.0, T=1.0), probe_budget=500)
         dep = next(c for c in report.checks if "factor independence" in c.name)
         assert not dep.passed
@@ -259,3 +280,23 @@ class TestPresets:
     def test_unknown_coefficient(self):
         with pytest.raises(ModelError):
             make_coefficient("nope", {}, "drift")
+
+    @pytest.mark.parametrize("name,params,slot,message", [
+        ("constant", {"valeu": 0.5}, "terminal_cost_affine", "constant takes no parameter 'valeu'"),
+        ("zero", {"value": 0.3}, "drift", "zero takes no parameter 'value'"),
+        ("clipped-price", {}, "drift", "clipped-price unsupported for slot drift"),
+        ("tanh-state", {}, "running_cost_affine", "tanh-state unsupported for slot"),
+    ])
+    def test_catalog_refuses_what_a_coefficient_does_not_take(self, name, params, slot, message):
+        with pytest.raises(ModelError, match=message):
+            make_coefficient(name, params, slot)
+
+    def test_zero_is_constant_zero(self):
+        # every slot zero serves gives +0.0 of varpi's shape, declaring no read
+        w = np.array([-1.5, 0.0, 2.0])
+        for slot, args in [("drift", (0.1, w)), ("running_cost_affine", (0.1, w, w, None)),
+                           ("terminal_cost_affine", (w, w, None))]:
+            fn = make_coefficient("zero", {}, slot)
+            out = fn(*args)
+            assert fn.reads == frozenset() and out.shape == w.shape
+            assert not np.signbit(out).any() and np.all(out == 0.0)
